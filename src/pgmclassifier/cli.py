@@ -4,9 +4,12 @@ Exit codes: 0 on success, 1 for usage or configuration errors, 2 for data
 or consistency errors (malformed files, fingerprint mismatches, schema
 violations, infeasible requests). Commands with any randomness require an
 explicit --seed; there is no hidden entropy, so identical inputs always
-produce identical output files. The PGM_WORKERS environment variable caps
-grid-search parallelism (default: machine CPU count); results do not
-depend on it.
+produce identical output files. The PGM_WORKERS environment variable sets
+the number of grid-search threads (default 1); results do not depend on it.
+The default is serial because grid tasks are dominated by small ``eigh``
+calls that already use the BLAS thread pool: on a 2-vCPU machine with
+OpenBLAS, the default paper grid on 143 x 4 data (one split, one CV
+repetition) took 2.5 s with one thread and 4.0 s with two.
 """
 
 from __future__ import annotations

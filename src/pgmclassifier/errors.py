@@ -45,6 +45,10 @@ class UndefinedAuc(PgmError):
     """AUC is undefined because one of the two groups is empty."""
 
 
+class NonFiniteScore(PgmError):
+    """A score is NaN or infinite where a rankable number is required."""
+
+
 class ClassSetMismatch(PgmError):
     """Two reports do not cover the same classes."""
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     ClassSetMismatch,
@@ -22,6 +21,7 @@ from .errors import (
     EmptyEvaluation,
     LabelOutOfRange,
     MetricSetMismatch,
+    NonFiniteScore,
     UndefinedAuc,
 )
 
@@ -135,13 +135,34 @@ def binary_rates(cm, positive_class: int) -> BinaryRates:
     return one_vs_rest_rates(cm, positive_class)
 
 
+def rankdata(values) -> np.ndarray:
+    """1-based ranks of a 1-d array, tied values sharing their mid-rank.
+
+    A tie group occupying sorted positions ``s .. e - 1`` gets rank
+    ``(s + e + 1) / 2``, the mean of the ranks it spans.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    order = np.argsort(values)
+    ordered = values[order]
+    new_group = np.empty(n, dtype=bool)
+    new_group[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:], n)
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auc_ovr(scores, membership) -> float:
     """One-vs-rest AUC from the Mann-Whitney rank statistic.
 
     ``scores`` are the per-sample scores of the class under test and
     ``membership`` the boolean true-membership mask. Tied scores receive
     mid-ranks, so the result equals the probability that a random positive
-    outranks a random negative with ties counted one half.
+    outranks a random negative with ties counted one half. Non-finite
+    scores are rejected, since they have no meaningful rank.
     """
     scores = np.asarray(scores, dtype=float)
     membership = np.asarray(membership, dtype=bool)
@@ -149,6 +170,8 @@ def auc_ovr(scores, membership) -> float:
         raise DimMismatch(
             f"scores shape {scores.shape} does not match membership {membership.shape}"
         )
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteScore("AUC needs finite scores")
     n_pos = int(membership.sum())
     n_neg = membership.size - n_pos
     if n_pos == 0 or n_neg == 0:

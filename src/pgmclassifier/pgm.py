@@ -466,23 +466,39 @@ class PgmConfig:
             raise ValueError(f"copy count must be a positive integer, got {self.copies!r}")
 
 
+def encode_training_set(features, labels, n_classes: int, config: PgmConfig):
+    """Fit the feature pipeline and validate the encoded training set.
+
+    Everything a fit needs except the copy count: returns ``(train, priors,
+    params)``, so the measurements of several copy counts can share one
+    encoding.
+    """
+    states, params = fit_encode(features, config.encoding)
+    train = LabeledStateSet(states=states, labels=labels, n_classes=n_classes)
+    return train, make_priors(config.prior_mode, train), params
+
+
+def build_pgm(train: LabeledStateSet, priors: Priors, copies: int, engine: str, rank_tol: float):
+    """Build the measurement for one copy count with the chosen engine.
+
+    ``auto`` picks dense only while the lifted dimension stays within the
+    dense limit, and gram otherwise.
+    """
+    if engine == "auto":
+        lifted_dim = float(train.dim) ** copies
+        engine = "dense" if lifted_dim <= DENSE_DIM_LIMIT else "gram"
+    if engine == "dense":
+        return build_dense_pgm(train, priors, copies, rank_tol)
+    return build_gram_pgm(train, priors, copies, rank_tol)
+
+
 def fit_pgm(features, labels, n_classes: int, config: PgmConfig = PgmConfig()):
     """Fit the full pipeline on raw features and return a scoring model.
 
     Fits the normalizer on the given features, encodes them, builds the
-    measurement with the configured engine (``auto`` picks dense only while
-    the lifted dimension stays within the dense limit), and attaches the
-    pipeline so that :func:`score` accepts raw feature vectors.
+    measurement with the configured engine (see :func:`build_pgm`), and
+    attaches the pipeline so that :func:`score` accepts raw feature vectors.
     """
-    states, params = fit_encode(features, config.encoding)
-    train = LabeledStateSet(states=states, labels=labels, n_classes=n_classes)
-    priors = make_priors(config.prior_mode, train)
-    engine = config.engine
-    if engine == "auto":
-        lifted_dim = float(train.dim) ** config.copies
-        engine = "dense" if lifted_dim <= DENSE_DIM_LIMIT else "gram"
-    if engine == "dense":
-        model = build_dense_pgm(train, priors, config.copies, config.rank_tol)
-    else:
-        model = build_gram_pgm(train, priors, config.copies, config.rank_tol)
+    train, priors, params = encode_training_set(features, labels, n_classes, config)
+    model = build_pgm(train, priors, config.copies, config.engine, config.rank_tol)
     return attach_pipeline(model, config.encoding, params)

@@ -19,14 +19,13 @@ worker count.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import ENCODINGS, EncodingConfig
+from .encoding import ENCODINGS, EncodingConfig, encode
 from .errors import (
     ClassSmallerThanK,
     PgmError,
@@ -35,7 +34,14 @@ from .errors import (
 )
 from .metrics import MetricReport, auc_ovr, report_from_predictions
 from .operators import RANK_TOL
-from .pgm import PgmConfig, fit_pgm, predict_batch, round_scores
+from .pgm import (
+    PgmConfig,
+    build_pgm,
+    encode_training_set,
+    fit_pgm,
+    predict_batch,
+    score_states,
+)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -263,10 +269,16 @@ def _macro_validation_auc(scores: np.ndarray, truth: np.ndarray, n_classes: int)
     return float(np.mean(vals)) if vals else None
 
 
-def _resolve_workers(workers) -> int:
-    if workers is None:
-        workers = os.cpu_count() or 1
-    return max(1, int(workers))
+_CELL_ERRORS = (PgmError, ValueError, np.linalg.LinAlgError)
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _resolve_workers(workers, n_tasks: int) -> int:
+    """Thread count for ``n_tasks`` tasks: ``workers`` (default 1), at most one per task."""
+    return max(1, min(int(workers or 1), n_tasks))
 
 
 def _round12(x: float) -> float:
@@ -292,10 +304,13 @@ def grid_search(
     Every (grid point, repetition, fold) cell fits on the other folds and
     scores the validation fold; the point's mean averages folds within a
     repetition first. Fold plans depend only on (labels, k, seed), not on
-    the grid, so all points see identical folds. Cells run in parallel up
-    to ``workers`` threads and are reduced in grid order, making the
-    ranking worker-count independent. Points whose any cell fails are
-    excluded from the ranking and returned at the tail with the error.
+    the grid, so all points see identical folds. Points sharing encoding,
+    alpha and prior mode form a group: one task per (group, repetition,
+    fold) encodes the fold once and then builds and scores one measurement
+    per copy count. Tasks run in parallel up to ``workers`` threads
+    (default 1) and are reduced in grid order, making the ranking
+    worker-count independent. Points whose any cell fails are excluded
+    from the ranking and returned at the tail with the error.
 
     Returns a tuple of :class:`GridResult`, ranked entries first
     (descending mean, ties by grid order).
@@ -307,38 +322,61 @@ def grid_search(
         raise ValueError("grid must contain at least one point")
     if cv_repetitions < 1:
         raise ValueError(f"need at least one repetition, got {cv_repetitions!r}")
+    configs = [p.to_config(normalizer=normalizer, engine=engine, rank_tol=rank_tol) for p in grid]
+    groups: dict = {}
+    for gi, config in enumerate(configs):
+        groups.setdefault((config.encoding, config.prior_mode), []).append(gi)
     plans = [stratified_kfold(labels, k, derive_seed(seed, r)) for r in range(cv_repetitions)]
     fold_pairs = [list(plan.splits()) for plan in plans]
 
-    def run_cell(task):
-        gi, ri, fi = task
+    def run_group(task):
+        members, ri, fi = task
         train_idx, val_idx = fold_pairs[ri][fi]
-        config = grid[gi].to_config(normalizer=normalizer, engine=engine, rank_tol=rank_tol)
+        shared = configs[members[0]]
         try:
-            model = fit_pgm(features[train_idx], labels[train_idx], n_classes, config)
-            _, scores = predict_batch(model, features[val_idx])
-            value = _macro_validation_auc(scores, labels[val_idx], n_classes)
-            if value is None:
-                return None, "validation AUC undefined for every class"
-            return value, None
-        except (PgmError, ValueError, np.linalg.LinAlgError) as exc:
-            return None, f"{type(exc).__name__}: {exc}"
+            train, priors, params = encode_training_set(
+                features[train_idx], labels[train_idx], n_classes, shared
+            )
+            val_states = encode(features[val_idx], shared.encoding, params)
+        except _CELL_ERRORS as exc:
+            return [(None, _describe(exc))] * len(members)
+        outcomes = []
+        for gi in members:
+            config = configs[gi]
+            try:
+                model = build_pgm(train, priors, config.copies, config.engine, config.rank_tol)
+                value = _macro_validation_auc(
+                    score_states(model, val_states), labels[val_idx], n_classes
+                )
+                if value is None:
+                    outcomes.append((None, "validation AUC undefined for every class"))
+                else:
+                    outcomes.append((value, None))
+            except _CELL_ERRORS as exc:
+                outcomes.append((None, _describe(exc)))
+        return outcomes
 
-    tasks = [(gi, ri, fi) for gi in range(len(grid)) for ri in range(cv_repetitions) for fi in range(k)]
-    n_workers = _resolve_workers(workers)
+    tasks = [
+        (members, ri, fi)
+        for members in groups.values()
+        for ri in range(cv_repetitions)
+        for fi in range(k)
+    ]
+    n_workers = _resolve_workers(workers, len(tasks))
     if n_workers == 1:
-        outcomes = [run_cell(t) for t in tasks]
+        outcomes = [run_group(t) for t in tasks]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(run_cell, tasks))
+            outcomes = list(pool.map(run_group, tasks))
 
     values = np.full((len(grid), cv_repetitions, k), np.nan)
     errors: dict[int, str] = {}
-    for (gi, ri, fi), (value, error) in zip(tasks, outcomes):
-        if error is not None:
-            errors.setdefault(gi, error)
-        else:
-            values[gi, ri, fi] = value
+    for (members, ri, fi), group_outcomes in zip(tasks, outcomes):
+        for gi, (value, error) in zip(members, group_outcomes):
+            if error is not None:
+                errors.setdefault(gi, error)
+            else:
+                values[gi, ri, fi] = value
 
     ranked_indices = [gi for gi in range(len(grid)) if gi not in errors]
     means = {gi: float(values[gi].mean(axis=1).mean()) for gi in ranked_indices}

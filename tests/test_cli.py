@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from helpers import blob_features, write_dataset_csv
 
+import pgmclassifier
 from pgmclassifier import load_model, predict_batch
 from pgmclassifier.cli import main
 
@@ -687,6 +692,38 @@ class TestCompareCommand:
         )
         assert result.exit_code == 2
         assert "evaluation report" in result.stderr
+
+
+class TestWithoutScipy:
+    """The CLI neither imports nor needs scipy."""
+
+    SCRIPT = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from pgmclassifier.cli import main; main(sys.argv[1:], prog_name='pgm')"
+    )
+
+    def run_blocked(self, tmp_path, *args):
+        env = dict(os.environ, PYTHONPATH=str(Path(pgmclassifier.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *map(str, args)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_gridsearch_and_evaluate(self, runner, tmp_path, blob_csv):
+        splits = make_splits(runner, tmp_path, blob_csv)
+        grid = self.run_blocked(
+            tmp_path, "gridsearch", blob_csv, splits,
+            "--grid", "encodings=amplitude;alphas=1;copies=1,2",
+            "--k", "3", "--cv-reps", "1", "--seed", "4", "--out", "report.json",
+        )
+        assert grid.returncode == 0, grid.stderr
+        assert json.loads((tmp_path / "report.json").read_text())["kind"] == "protocol"
+        model_path, _ = train_model(runner, tmp_path, blob_csv)
+        evaluation = self.run_blocked(
+            tmp_path, "evaluate", model_path, blob_csv, "--out", "eval.json"
+        )
+        assert evaluation.returncode == 0, evaluation.stderr
+        assert json.loads((tmp_path / "eval.json").read_text())["kind"] == "evaluate"
 
 
 class TestHelp:

@@ -11,6 +11,8 @@ from pgmclassifier import (
     EmptyEvaluation,
     LabelOutOfRange,
     MetricSetMismatch,
+    NonFiniteScore,
+    PgmError,
     UndefinedAuc,
     accuracy,
     auc_ovr,
@@ -22,6 +24,7 @@ from pgmclassifier import (
     report_from_predictions,
     win_loss,
 )
+from pgmclassifier.metrics import rankdata
 
 
 def brute_force_auc(scores, membership):
@@ -171,6 +174,12 @@ class TestAuc:
         with pytest.raises(UndefinedAuc):
             auc_ovr([0.1, 0.9], [False, False])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        assert issubclass(NonFiniteScore, PgmError)
+        with pytest.raises(NonFiniteScore):
+            auc_ovr([0.1, bad, 0.7, 0.3], [True, True, False, False])
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -191,6 +200,27 @@ class TestAuc:
         assert auc_ovr(np.tanh(scores / 200.0), membership) == pytest.approx(
             base, abs=1e-9
         )
+
+
+def mid_rank_oracle(values):
+    """Rank of each value: the mean of the 1-based positions its tie group spans."""
+    return [
+        (sum(w < v for w in values) + sum(w <= v for w in values) + 1) / 2
+        for v in values
+    ]
+
+
+class TestRankdata:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_mid_rank_oracle(self, data):
+        pool = data.draw(
+            st.lists(
+                st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=5
+            )
+        )
+        values = data.draw(st.lists(st.sampled_from(pool), max_size=30))
+        assert rankdata(values).tolist() == mid_rank_oracle(values)
 
 
 class TestMetricReport:

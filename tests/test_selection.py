@@ -10,6 +10,7 @@ from pgmclassifier import (
     PgmError,
     ProtocolConfig,
     StratificationImpossible,
+    auc_ovr,
     cross_validated_metrics,
     default_grid,
     derive_seed,
@@ -23,6 +24,7 @@ from pgmclassifier import (
     stratified_holdout,
     stratified_kfold,
 )
+from pgmclassifier.selection import _resolve_workers
 
 
 class TestDeriveSeed:
@@ -249,6 +251,31 @@ class TestGridSearch:
             assert a.mean == b.mean
             np.testing.assert_array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("engine", ["gram", "auto"])
+    def test_matches_explicit_per_cell_loop(self, engine):
+        features, labels = small_blob_problem()
+        # d=2 lifts to 3^n dimensions: under auto, copies 1 and 2 fit dense
+        # and copies 9 fits gram within the same (encoding, alpha) group.
+        grid = make_grid(alphas=(0.5, 2.0), copies=(1, 2, 9))
+        results = grid_search(
+            features, labels, 3, grid, k=3, cv_repetitions=2, seed=23, engine=engine
+        )
+        engines = set()
+        for result in results:
+            config = result.point.to_config(engine=engine)
+            expected = np.empty((2, 3))
+            for r in range(2):
+                plan = stratified_kfold(labels, 3, derive_seed(23, r))
+                for j, (train_idx, val_idx) in enumerate(plan.splits()):
+                    model = fit_pgm(features[train_idx], labels[train_idx], 3, config)
+                    engines.add(model.engine)
+                    _, scores = predict_batch(model, features[val_idx])
+                    expected[r, j] = np.mean(
+                        [auc_ovr(scores[:, i], labels[val_idx] == i) for i in range(3)]
+                    )
+            np.testing.assert_array_equal(result.values, expected)
+        assert engines == ({"gram"} if engine == "gram" else {"dense", "gram"})
+
     def test_infeasible_point_marked_failed(self):
         features, labels = small_blob_problem()
         good = GridPoint("stereographic", 1.0, 1)
@@ -272,6 +299,18 @@ class TestGridSearch:
             grid_search(
                 features, labels, 3, default_grid()[:1], cv_repetitions=0, seed=1
             )
+
+
+class TestResolveWorkers:
+    def test_default_is_serial(self):
+        assert _resolve_workers(None, 60) == 1
+
+    def test_explicit_count_kept(self):
+        assert _resolve_workers(2, 60) == 2
+
+    def test_clamped_to_task_count(self):
+        assert _resolve_workers(64, 3) == 3
+        assert _resolve_workers(8, 1) == 1
 
 
 class TestSelectRobustConfig:
