@@ -355,13 +355,14 @@ def evaluate(model_file, dataset, label_column, positive_class, out, out_csv):
     data = load_dataset(dataset, label_column)
     _require_labels(data, dataset)
     class_index = {name: i for i, name in enumerate(loaded.classes)}
-    unknown = sorted(set(data.labels) - set(loaded.classes))
+    unknown = sorted(set(data.classes) - set(loaded.classes))
     if unknown:
         raise ClassSetMismatch(
             f"dataset label {unknown[0]!r} is not among model classes {list(loaded.classes)}"
         )
     positive = _positive_index(positive_class, loaded.classes)
-    true = np.array([class_index[name] for name in data.labels], dtype=np.int64)
+    to_model = np.array([class_index[name] for name in data.classes], dtype=np.int64)
+    true = to_model[data.label_indices]
     features = features_for_model(data, loaded.feature_columns)
     predicted, scores = predict_batch(loaded.model, features)
     report = report_from_predictions(

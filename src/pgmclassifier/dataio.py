@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -106,9 +107,65 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
     has_labels = label_column in header
     label_pos = header.index(label_column) if has_labels else -1
     feature_names = tuple(name for i, name in enumerate(header) if i != label_pos)
+    body = rows[1:]
+    parsed = _parse_fast(body, len(header), label_pos, len(feature_names))
+    if parsed is None:
+        parsed = _parse_checked(path, header, body, label_pos)
+    matrix, labels = parsed
+    if has_labels:
+        classes = tuple(sorted(set(labels)))
+        index = {name: i for i, name in enumerate(classes)}
+        label_indices = np.array([index[name] for name in labels], dtype=np.int64)
+    else:
+        classes = None
+        label_indices = None
+    return Dataset(
+        feature_names=feature_names,
+        features=matrix,
+        label_column=label_column if has_labels else None,
+        labels=tuple(labels) if has_labels else None,
+        classes=classes,
+        label_indices=label_indices,
+        fingerprint=fingerprint_bytes(raw),
+    )
+
+
+def _parse_fast(body, width: int, label_pos: int, n_features: int):
+    """``(features, labels)`` in one vectorized parse, or None on any bad row or cell.
+
+    Runs every feature cell through ``float`` in one pass; a cell ``float``
+    rejects, a non-finite value, an empty label or a short or long row makes
+    it give up, and :func:`_parse_checked` then names the offending cell.
+    """
+    if any(len(row) != width for row in body):
+        return None
+    if label_pos < 0:
+        labels = []
+        cells = itertools.chain.from_iterable(body)
+    else:
+        labels = [row[label_pos] for row in body]
+        if "" in labels:
+            return None
+        cells = itertools.chain.from_iterable(
+            row[:label_pos] + row[label_pos + 1 :] for row in body
+        )
+    try:
+        flat = np.fromiter(map(float, cells), dtype=float, count=len(body) * n_features)
+    except ValueError:
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    return flat.reshape(len(body), n_features), labels
+
+
+def _parse_checked(path, header, body, label_pos: int):
+    """``(features, labels)`` parsed cell by cell; raises at the first bad row or cell.
+
+    Rows are counted from 1, excluding the header.
+    """
     features = []
     labels: list = []
-    for r, row in enumerate(rows[1:], start=1):
+    for r, row in enumerate(body, start=1):
         if len(row) != len(header):
             raise DatasetFormatError(
                 f"{path}: row {r} has {len(row)} fields, expected {len(header)}"
@@ -133,23 +190,8 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
                 )
             values.append(value)
         features.append(values)
-    matrix = np.array(features, dtype=float).reshape(len(features), len(feature_names))
-    if has_labels:
-        classes = tuple(sorted(set(labels)))
-        index = {name: i for i, name in enumerate(classes)}
-        label_indices = np.array([index[name] for name in labels], dtype=np.int64)
-    else:
-        classes = None
-        label_indices = None
-    return Dataset(
-        feature_names=feature_names,
-        features=matrix,
-        label_column=label_column if has_labels else None,
-        labels=tuple(labels) if has_labels else None,
-        classes=classes,
-        label_indices=label_indices,
-        fingerprint=fingerprint_bytes(raw),
-    )
+    n_features = len(header) if label_pos < 0 else len(header) - 1
+    return np.array(features, dtype=float).reshape(len(features), n_features), labels
 
 
 def features_for_model(dataset: Dataset, feature_columns) -> np.ndarray:
@@ -574,11 +616,24 @@ def protocol_csv_rows(result: ProtocolResult, classes):
     return rows
 
 
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it inside a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[: -len(",\n")]
+
+
 def write_predictions_csv(path, predicted_names, scores, classes) -> None:
-    """Write per-row predictions: row index, label, one score column per class."""
+    """Write per-row predictions: row index, label, one score column per class.
+
+    The bytes are those of ``csv.writer`` with scores as ``repr`` text; each
+    distinct name is quoted once and score rows are joined directly, since
+    ``repr`` of a float never needs quoting.
+    """
     scores = np.asarray(scores, dtype=float)
+    fields = {name: _csv_field(name) for name in dict.fromkeys(predicted_names)}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["row", "predicted"] + [f"score_{name}" for name in classes])
-        for i, name in enumerate(predicted_names):
-            writer.writerow([i, name] + [repr(float(v)) for v in scores[i]])
+        for i, (name, row) in enumerate(zip(predicted_names, scores.tolist(), strict=True)):
+            fh.write(",".join([str(i), fields[name], *map(repr, row)]) + "\n")

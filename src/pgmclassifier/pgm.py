@@ -53,6 +53,10 @@ SCORE_DECIMALS = 12
 #: Magnitudes below this are flushed to zero inside stable powers.
 _POWER_FLUSH = 1e-300
 
+#: Rows scored per block: bounds scoring's temporaries at O(m * SCORE_BLOCK)
+#: floats for m training states, whatever the number of input rows.
+SCORE_BLOCK = 4096
+
 PRIOR_MODES = ("uniform", "empirical", "explicit")
 
 
@@ -61,16 +65,21 @@ def stable_power(c, n: int) -> np.ndarray:
 
     Avoids the intermediate overflow/underflow drift of repeated
     multiplication for large n; magnitudes below 1e-300 flush to zero.
+    Works in place on one fresh ``|c|`` buffer and never writes to ``c``.
     """
     if n < 1:
         raise ValueError(f"exponent must be a positive integer, got {n!r}")
     c = np.asarray(c, dtype=float)
-    mag = np.abs(c)
-    small = mag < _POWER_FLUSH
-    out = np.exp(n * np.log(np.where(small, 1.0, mag)))
+    out = np.abs(c, out=np.empty_like(c))
+    small = out < _POWER_FLUSH
+    out[small] = 1.0
+    np.log(out, out=out)
+    out *= n
+    np.exp(out, out=out)
     if n % 2 == 1:
-        out = out * np.sign(c)
-    return np.where(small, 0.0, out)
+        out *= np.sign(c)
+    out[small] = 0.0
+    return out
 
 
 def round_scores(f) -> np.ndarray:
@@ -384,7 +393,10 @@ def score_states(model, states) -> np.ndarray:
     """Born-rule scores for already-encoded unit states, one row per sample.
 
     Returns an array of shape ``(k, n_classes)``; each row sums to one and
-    is entrywise in [0, 1] up to round-off.
+    is entrywise in [0, 1] up to round-off. Rows are scored in blocks of
+    :data:`SCORE_BLOCK`, so the engines' temporaries (lifted states, or the
+    m-by-block overlaps) stay bounded and memory grows only with the input
+    and the score array.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
@@ -395,40 +407,36 @@ def score_states(model, states) -> np.ndarray:
         )
     if not np.all(np.isfinite(states)):
         raise InvalidFeature("state entries must be finite")
-    if isinstance(model, DensePgmModel):
-        if states.shape[0] == 0:
-            return np.zeros((0, model.n_classes))
-        lifted = np.stack([tensor_power(row, model.copies) for row in states])
-        return np.einsum("ka,iab,kb->ki", lifted, model.povm, lifted)
-    v = np.sqrt(model.weights)[:, None] * stable_power(
-        model.train_states @ states.T, model.copies
-    )
-    u = model.M @ v
-    scores = np.zeros((states.shape[0], model.n_classes))
-    usq = u * u
+    scores = np.empty((states.shape[0], model.n_classes))
+    score_block = _score_dense_block if isinstance(model, DensePgmModel) else _score_gram_block
+    for start in range(0, states.shape[0], SCORE_BLOCK):
+        stop = start + SCORE_BLOCK
+        score_block(model, states[start:stop], scores[start:stop])
+    return scores
+
+
+def _score_dense_block(model: DensePgmModel, block, out) -> None:
+    lifted = np.stack([tensor_power(row, model.copies) for row in block])
+    out[:] = np.einsum("ka,iab,kb->ki", lifted, model.povm, lifted)
+
+
+def _score_gram_block(model: GramPgmModel, block, out) -> None:
+    v = stable_power(model.train_states @ block.T, model.copies)
+    v *= np.sqrt(model.weights)[:, None]
+    usq = model.M @ v
+    usq *= usq
     for i in range(model.n_classes):
-        scores[:, i] = usq[model.labels == i].sum(axis=0)
-    kernel_mass = 1.0 - np.sum(v * (model.P @ v), axis=0)
-    return scores + kernel_mass[:, None] / model.n_classes
+        out[:, i] = usq[model.labels == i].sum(axis=0)
+    pv = model.P @ v
+    pv *= v
+    kernel_mass = 1.0 - np.sum(pv, axis=0)
+    out += kernel_mass[:, None] / model.n_classes
 
 
 def _to_states(model, x_batch) -> np.ndarray:
     if model.encoding is None:
         return np.asarray(x_batch, dtype=float)
     return encode(x_batch, model.encoding, model.normalizer)
-
-
-def score(model, x) -> np.ndarray:
-    """Score one raw feature vector (or state, for pipeline-free models)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimMismatch(f"expected a single feature vector, got shape {x.shape}")
-    return score_states(model, _to_states(model, x[None, :]))[0]
-
-
-def classify(model, x) -> int:
-    """Predicted class for one sample: smallest index among maximal scores."""
-    return argmax_smallest(score(model, x))
 
 
 def predict_batch(model, x_batch):
@@ -497,7 +505,7 @@ def fit_pgm(features, labels, n_classes: int, config: PgmConfig = PgmConfig()):
 
     Fits the normalizer on the given features, encodes them, builds the
     measurement with the configured engine (see :func:`build_pgm`), and
-    attaches the pipeline so that :func:`score` accepts raw feature vectors.
+    attaches the pipeline so that :func:`predict_batch` accepts raw features.
     """
     train, priors, params = encode_training_set(features, labels, n_classes, config)
     model = build_pgm(train, priors, config.copies, config.engine, config.rank_tol)

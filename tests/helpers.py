@@ -1,10 +1,10 @@
-"""Shared test utilities: random instances, synthetic datasets, CSV writing."""
+"""Shared test utilities: random instances, reference scoring, synthetic datasets, CSV writing."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from pgmclassifier import LabeledStateSet
+from pgmclassifier import DensePgmModel, LabeledStateSet, stable_power, tensor_power
 
 
 def random_unit_states(rng, m, d):
@@ -20,6 +20,26 @@ def random_labeled_states(rng, n_classes, d, m):
     return LabeledStateSet(
         states=random_unit_states(rng, m, d), labels=labels, n_classes=n_classes
     )
+
+
+def unblocked_scores(model, states):
+    """Born-rule scores of all rows at once: the score formula without row blocks."""
+    states = np.asarray(states, dtype=float)
+    if isinstance(model, DensePgmModel):
+        if states.shape[0] == 0:
+            return np.zeros((0, model.n_classes))
+        lifted = np.stack([tensor_power(row, model.copies) for row in states])
+        return np.einsum("ka,iab,kb->ki", lifted, model.povm, lifted)
+    v = np.sqrt(model.weights)[:, None] * stable_power(
+        model.train_states @ states.T, model.copies
+    )
+    u = model.M @ v
+    scores = np.zeros((states.shape[0], model.n_classes))
+    usq = u * u
+    for i in range(model.n_classes):
+        scores[:, i] = usq[model.labels == i].sum(axis=0)
+    kernel_mass = 1.0 - np.sum(v * (model.P @ v), axis=0)
+    return scores + kernel_mass[:, None] / model.n_classes
 
 
 def random_instances(seed, count):

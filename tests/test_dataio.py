@@ -1,8 +1,15 @@
+import csv
+import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import blob_features, write_dataset_csv
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgmclassifier import (
     DatasetFormatError,
@@ -114,6 +121,90 @@ class TestLoadDataset:
         path.write_text("f0,label\n1.0,a\n2.0,\n")
         with pytest.raises(DatasetFormatError, match="missing label"):
             load_dataset(path)
+
+
+#: Feature cells ``float`` accepts: padded, exponent, underscore, signed, and
+#: the shortest repr of arbitrary finite floats.
+_CELLS = st.one_of(
+    st.sampled_from([" 1.5", "1e-3", "1_0", "-0", "+4", "2.5 ", ".5", "1E5"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_LABELS = st.sampled_from(["a", "a,b", 'say "hi"', "z", " padded "])
+
+
+@st.composite
+def csv_datasets(draw):
+    """``(raw bytes, label position or None)`` for a small valid dataset CSV."""
+    n_features = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(0, 6))
+    where = draw(st.sampled_from(["none", "first", "middle", "last"]))
+    at = {"none": None, "first": 0, "middle": n_features // 2, "last": n_features}[where]
+    rows = [[f"f{i}" for i in range(n_features)]]
+    rows += [[draw(_CELLS) for _ in range(n_features)] for _ in range(n_rows)]
+    if at is not None:
+        rows[0].insert(at, "label")
+        for row in rows[1:]:
+            row.insert(at, draw(_LABELS))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(rows)
+    return buf.getvalue().encode("utf-8"), at
+
+
+def reference_parse(raw, at):
+    """Features, labels and LF-normalized fingerprint, parsed cell by cell."""
+    lf = raw.replace(b"\r\n", b"\n")
+    header, *body = csv.reader(io.StringIO(lf.decode("utf-8")))
+    names = tuple(name for i, name in enumerate(header) if i != at)
+    features = np.array(
+        [[float(cell) for i, cell in enumerate(row) if i != at] for row in body], dtype=float
+    ).reshape(len(body), len(names))
+    labels = None if at is None else tuple(row[at] for row in body)
+    return names, features, labels, hashlib.sha256(lf).hexdigest()
+
+
+class TestLoadDatasetEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(case=csv_datasets())
+    def test_matches_cell_by_cell_parse(self, case):
+        raw, at = case
+        names, features, labels, digest = reference_parse(raw, at)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_bytes(raw)
+            ds = load_dataset(path)
+        assert ds.feature_names == names
+        assert ds.features.shape == features.shape
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels == labels
+        assert ds.fingerprint["value"] == digest
+        if labels is None:
+            assert ds.classes is None and ds.label_indices is None
+        else:
+            assert ds.classes == tuple(sorted(set(labels)))
+            assert [ds.classes[i] for i in ds.label_indices] == list(labels)
+
+    def test_first_bad_cell_in_row_major_order_is_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,a\n3.0,nan,b\n,4.0,a\n")
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == (
+            f"{path}: row 2 column 'f1': expected a finite number, got 'nan'"
+        )
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1.0,2.0,3.0,a\n4.0,b\n", "row 1 has 4 fields, expected 3"),
+            ("3.0,nan,b\n4.0,b\n", "row 1 column 'f1': expected a finite number, got 'nan'"),
+        ],
+    )
+    def test_ragged_rows_never_shift_cells(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n" + body)
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: {message}"
 
 
 class TestFingerprint:
@@ -412,6 +503,20 @@ class TestCsvWriters:
         out = tmp_path / "preds.csv"
         write_predictions_csv(out, [], np.zeros((0, 2)), ("a", "b"))
         assert out.read_text() == "row,predicted,score_a,score_b\n"
+
+    def test_predictions_csv_matches_csv_writer(self, tmp_path):
+        classes = ("a,b", 'say "hi"')
+        names = ['say "hi"', "a,b", "a,b"]
+        scores = np.array([[0.1 + 0.2, 1e-17], [1e-17, 0.1 + 0.2], [0.5, -0.0]])
+        for n_rows in (len(names), 0):
+            out = tmp_path / f"preds{n_rows}.csv"
+            write_predictions_csv(out, names[:n_rows], scores[:n_rows], classes)
+            expected = io.StringIO(newline="")
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(["row", "predicted"] + [f"score_{name}" for name in classes])
+            for i in range(n_rows):
+                writer.writerow([i, names[i]] + [repr(float(v)) for v in scores[i]])
+            assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_write_json_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from helpers import random_labeled_states, random_unit_states
+from helpers import random_labeled_states, random_unit_states, unblocked_scores
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgmclassifier import (
     DenseBlowup,
@@ -16,7 +18,6 @@ from pgmclassifier import (
     build_dense_pgm,
     build_ensemble,
     build_gram_pgm,
-    classify,
     copies_centroid,
     empirical_priors,
     explicit_priors,
@@ -25,11 +26,28 @@ from pgmclassifier import (
     predict_batch,
     quantum_centroid,
     round_scores,
-    score,
     score_states,
     stable_power,
     uniform_priors,
 )
+from pgmclassifier.pgm import SCORE_BLOCK
+
+_FLUSH = 1e-300
+
+#: Exact zeros, magnitudes straddling the flush threshold, and +-1.
+_POWER_EDGES = [0.0, -0.0, 1.0, -1.0] + [
+    sign * v
+    for sign in (1.0, -1.0)
+    for v in (_FLUSH, np.nextafter(_FLUSH, 0.0), np.nextafter(_FLUSH, 1.0), 1e-301, 1e-299)
+]
+
+
+def reference_power(c, n):
+    """``sign(c)^n * exp(n * log|c|)``, zero where ``|c| < 1e-300``."""
+    mag = np.abs(c)
+    with np.errstate(divide="ignore"):
+        value = np.sign(c) ** n * np.exp(n * np.log(mag))
+    return np.where(mag < _FLUSH, 0.0, value)
 
 
 class TestLabeledStateSet:
@@ -163,6 +181,26 @@ class TestStablePower:
     def test_rejects_non_positive_exponent(self):
         with pytest.raises(ValueError):
             stable_power(np.ones(1), 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from(_POWER_EDGES),
+                st.floats(min_value=-10.0, max_value=10.0),
+                st.floats(min_value=-1e-290, max_value=1e-290),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        n=st.sampled_from([1, 2, 7, 60]),
+    )
+    def test_matches_reference_and_leaves_input_alone(self, values, n):
+        c = np.array(values, dtype=float)
+        before = c.tobytes()
+        got = stable_power(c, n)
+        np.testing.assert_array_equal(got, reference_power(c, n))
+        assert c.tobytes() == before
 
 
 class TestDensePgm:
@@ -343,8 +381,33 @@ class TestPredictBatch:
         model = fit_pgm(features, labels, 2, PgmConfig(copies=2))
         batch_labels, batch_scores = predict_batch(model, features)
         for i in range(6):
-            assert batch_labels[i] == classify(model, features[i])
-            np.testing.assert_allclose(batch_scores[i], score(model, features[i]), atol=1e-12)
+            row_labels, row_scores = predict_batch(model, features[i : i + 1])
+            assert batch_labels[i] == row_labels[0]
+            np.testing.assert_allclose(batch_scores[i], row_scores[0], atol=1e-12)
+
+
+class TestScoreBlocks:
+    SIZES = (0, 1, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 2 * SCORE_BLOCK + 3)
+
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_blocks_match_unblocked_scores(self, rng, copies):
+        train = random_labeled_states(rng, 3, 3, 15)
+        gram = build_gram_pgm(train, copies=copies)
+        dense = build_dense_pgm(train, copies=copies)
+        tests = random_unit_states(rng, max(self.SIZES), 3)
+        for k in self.SIZES:
+            states = tests[:k]
+            gram_scores = score_states(gram, states)
+            dense_scores = score_states(dense, states)
+            for model, got in ((gram, gram_scores), (dense, dense_scores)):
+                reference = unblocked_scores(model, states)
+                assert got.shape == (k, 3)
+                assert np.abs(got - reference).max(initial=0.0) <= 1e-12
+                labels, _ = predict_batch(model, states)
+                np.testing.assert_array_equal(
+                    labels, np.argmax(round_scores(reference), axis=1)
+                )
+            assert np.abs(gram_scores - dense_scores).max(initial=0.0) <= 1e-8
 
 
 class TestFitPgm:
