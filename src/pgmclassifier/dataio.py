@@ -26,6 +26,7 @@ from .encoding import EncodingConfig, NormalizerParams
 from .errors import (
     DatasetFormatError,
     FingerprintMismatch,
+    PgmError,
     SchemaMismatch,
 )
 from .metrics import MetricReport
@@ -366,6 +367,7 @@ class LoadedModel:
 
 
 def load_model(path) -> LoadedModel:
+    """Reload a saved model; a field no fit could produce raises :class:`SchemaMismatch`."""
     obj = read_json(path, MODEL_FORMAT)
     try:
         encoding = EncodingConfig(**obj["encoding"])
@@ -407,14 +409,53 @@ def load_model(path) -> LoadedModel:
                 normalizer=normalizer,
             )
         else:
-            raise SchemaMismatch(f"{path}: unknown engine tag {engine!r}")
-    except (KeyError, TypeError) as exc:
+            model = None
+    except (KeyError, TypeError, ValueError, PgmError) as exc:
         raise SchemaMismatch(f"{path}: malformed model file ({exc!r})") from None
-    if len(classes) != model.n_classes:
-        raise SchemaMismatch(
-            f"{path}: {len(classes)} class names for {model.n_classes} model classes"
-        )
+    if model is None:
+        raise SchemaMismatch(f"{path}: unknown engine tag {engine!r}")
+    _check_model(path, model, classes)
     return LoadedModel(model=model, classes=classes, feature_columns=feature_columns)
+
+
+def _check_model(path, model, classes) -> None:
+    def fail(message):
+        raise SchemaMismatch(f"{path}: {message}")
+
+    n = len(classes)
+    if model.n_classes != n:
+        fail(f"{n} class names for {model.n_classes} model classes")
+    if model.copies < 1:
+        fail(f"copy count must be at least 1, got {model.copies}")
+    if isinstance(model, DensePgmModel):
+        arrays = {"povm": model.povm}
+        # Any dim of 2 or more lifts past a storable side within 64 copies,
+        # so the capped exponent decides the check without a huge power.
+        side = model.dim ** min(model.copies, 64)
+        if model.povm.shape != (n, side, side):
+            fail(f"povm of shape {model.povm.shape}, expected {(n, side, side)}")
+    else:
+        names = ("train_states", "labels", "weights", "M", "P")
+        arrays = {name: getattr(model, name) for name in names}
+        if model.train_states.ndim != 2:
+            fail(f"train_states of shape {model.train_states.shape}, expected 2-d")
+        m = model.train_states.shape[0]
+        for name, shape in {"labels": (m,), "weights": (m,), "M": (m, m), "P": (m, m)}.items():
+            if arrays[name].shape != shape:
+                fail(f"{name} of shape {arrays[name].shape}, expected {shape}")
+        if m and (model.labels.min() < 0 or model.labels.max() >= n):
+            fail(
+                f"training labels must lie in [0, {n}), "
+                f"got range [{model.labels.min()}, {model.labels.max()}]"
+            )
+        if not np.all(model.weights > 0.0):
+            fail("weights must be positive")
+    if model.priors.values.shape != (n,):
+        fail(f"{model.priors.values.size} priors for {n} classes")
+    arrays.update(location=model.normalizer.location, scale=model.normalizer.scale)
+    for name, array in arrays.items():
+        if not np.all(np.isfinite(array)):
+            fail(f"{name} has non-finite entries")
 
 
 def _metric_and_class(key: str, classes) -> tuple:

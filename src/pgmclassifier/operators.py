@@ -2,10 +2,9 @@
 
 Everything downstream (state encodings, centroids, the measurement
 construction) works with real symmetric matrices, so this module collects the
-few dense linear-algebra primitives needed: eigendecomposition, positive
-square roots, pseudoinverse square roots with image/kernel projectors, tensor
-powers of vectors, and the trace inner product. All functions are pure and
-operate on plain float64 arrays.
+few dense linear-algebra primitives needed: eigendecomposition,
+pseudoinverse square roots with image/kernel projectors, and tensor powers of
+vectors. All functions are pure and operate on plain float64 arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenseBlowup, DimMismatch, InvalidOperator, NotPositiveSemidefinite
+from .errors import DenseBlowup, InvalidOperator, NotPositiveSemidefinite
 
 #: Relative eigenvalue cutoff below which a pseudoinverse treats a direction
 #: as part of the kernel.
@@ -68,20 +67,6 @@ def eig_sym(a) -> SpectralDecomposition:
     sym = symmetrize(a)
     eigenvalues, eigenvectors = np.linalg.eigh(sym)
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-def psd_sqrt(a, neg_tol: float = NEG_EIG_TOL) -> np.ndarray:
-    """Positive square root of a positive semidefinite matrix.
-
-    Eigenvalues in ``[-neg_tol, 0)`` are clipped to zero; anything more
-    negative raises :class:`NotPositiveSemidefinite`.
-    """
-    dec = eig_sym(a)
-    low = float(dec.eigenvalues[0]) if dec.eigenvalues.size else 0.0
-    if low < -neg_tol:
-        raise NotPositiveSemidefinite(f"eigenvalue {low:.3e} below -{neg_tol:.0e}")
-    w = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    return symmetrize((dec.eigenvectors * w) @ dec.eigenvectors.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,11 +134,3 @@ def tensor_power(v, n: int, dense_dim_limit: int = DENSE_DIM_LIMIT) -> np.ndarra
         out = np.kron(out, v)
     return out
 
-
-def trace_product(a, b) -> float:
-    """Trace inner product ``sum_ij A[i,j] * B[i,j]`` (= tr(AB) for symmetric A, B)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimMismatch(f"operand shapes differ: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))

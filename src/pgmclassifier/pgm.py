@@ -57,7 +57,7 @@ _POWER_FLUSH = 1e-300
 #: floats for m training states, whatever the number of input rows.
 SCORE_BLOCK = 4096
 
-PRIOR_MODES = ("uniform", "empirical", "explicit")
+PRIOR_MODES = ("uniform", "empirical")
 
 
 def stable_power(c, n: int) -> np.ndarray:
@@ -87,9 +87,9 @@ def round_scores(f) -> np.ndarray:
     return np.round(np.asarray(f, dtype=float), SCORE_DECIMALS)
 
 
-def argmax_smallest(f) -> int:
-    """Index of the largest rounded score, smallest index winning ties."""
-    return int(np.argmax(round_scores(f)))
+def labels_from_scores(scores) -> np.ndarray:
+    """Per row, the index of the largest rounded score; the smallest index wins ties."""
+    return np.argmax(round_scores(scores), axis=1).astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,18 +180,13 @@ def empirical_priors(class_counts) -> Priors:
     return Priors(mode="empirical", values=counts / counts.sum())
 
 
-def explicit_priors(values) -> Priors:
-    """User-supplied priors, validated for positivity and normalization."""
-    return Priors(mode="explicit", values=np.asarray(values, dtype=float))
-
-
 def make_priors(mode: str, train: LabeledStateSet) -> Priors:
     """Build priors of the requested mode from a training set."""
     if mode == "uniform":
         return uniform_priors(train.n_classes)
     if mode == "empirical":
         return empirical_priors(train.class_counts)
-    raise InvalidOperator(f"prior mode {mode!r} needs explicit values")
+    raise InvalidOperator(f"unknown prior mode {mode!r}, expected one of {PRIOR_MODES}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,11 +439,8 @@ def predict_batch(model, x_batch):
     x_batch = np.asarray(x_batch, dtype=float)
     if x_batch.ndim != 2:
         raise DimMismatch(f"expected a 2-d feature array, got shape {x_batch.shape}")
-    if x_batch.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, model.n_classes))
     scores = score_states(model, _to_states(model, x_batch))
-    labels = np.argmax(round_scores(scores), axis=1).astype(np.int64)
-    return labels, scores
+    return labels_from_scores(scores), scores
 
 
 @dataclass(frozen=True)
@@ -466,7 +458,7 @@ class PgmConfig:
             raise InvalidOperator(
                 f"unknown engine {self.engine!r}, expected auto, dense or gram"
             )
-        if self.prior_mode not in ("uniform", "empirical"):
+        if self.prior_mode not in PRIOR_MODES:
             raise InvalidOperator(
                 f"unknown prior mode {self.prior_mode!r}, expected uniform or empirical"
             )

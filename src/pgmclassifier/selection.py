@@ -7,9 +7,10 @@ train/test splits of the dataset; within each split a grid search over
 cross-validation on the training part, optimizing macro one-vs-rest AUC;
 the per-split winner refitted on the whole training part and evaluated on
 the held-out test part. The final configuration is the one winning most
-splits, ties broken by mean test AUC and then by grid order. Quality
-metrics derived from cross-validation are averaged within each split first
-and across splits second.
+splits, ties broken by mean test AUC and then by grid order. Each split runs
+one cross-validation loop: the winner's quality metrics come from the
+validation scores its grid search already produced, averaged within each
+split first and across splits second.
 
 Everything is a deterministic function of (data, config, master seed):
 per-repetition seeds come from a fixed 64-bit mixing function, and parallel
@@ -39,6 +40,7 @@ from .pgm import (
     build_pgm,
     encode_training_set,
     fit_pgm,
+    labels_from_scores,
     predict_batch,
     score_states,
 )
@@ -243,15 +245,18 @@ class GridResult:
     """Cross-validation outcome of one grid point.
 
     ``values[r, j]`` is the validation macro one-vs-rest AUC of repetition
-    r, fold j; ``mean`` averages folds within each repetition first.
-    Failed points carry the first error message and rank None.
+    r, fold j, and ``fold_scores[r][j]`` the ``(n_val, n_classes)`` scores
+    it was computed from; ``mean`` averages folds within each repetition
+    first. Failed points carry the first error message, rank None and no
+    values or scores.
     """
 
     point: GridPoint
     grid_index: int
-    values: np.ndarray | None
-    mean: float | None
-    rank: int | None
+    values: np.ndarray | None = None
+    fold_scores: tuple | None = None
+    mean: float | None = None
+    rank: int | None = None
     error: str | None = None
 
     @property
@@ -285,6 +290,18 @@ def _round12(x: float) -> float:
     return float(round(x, 12))
 
 
+def _cv_folds(labels, k: int, cv_repetitions: int, seed: int):
+    """The ``(train, validation)`` index pairs of repetition r, fold j at ``[r][j]``.
+
+    Repetition r deals its folds with the derived seed mix(seed, r), so the
+    plan depends only on (labels, k, seed).
+    """
+    return [
+        list(stratified_kfold(labels, k, derive_seed(seed, r)).splits())
+        for r in range(cv_repetitions)
+    ]
+
+
 def grid_search(
     features,
     labels,
@@ -310,7 +327,9 @@ def grid_search(
     per copy count. Tasks run in parallel up to ``workers`` threads
     (default 1) and are reduced in grid order, making the ranking
     worker-count independent. Points whose any cell fails are excluded
-    from the ranking and returned at the tail with the error.
+    from the ranking and returned at the tail with the error. Ranked points
+    keep their validation scores, so callers can derive further fold
+    metrics without refitting.
 
     Returns a tuple of :class:`GridResult`, ranked entries first
     (descending mean, ties by grid order).
@@ -326,8 +345,7 @@ def grid_search(
     groups: dict = {}
     for gi, config in enumerate(configs):
         groups.setdefault((config.encoding, config.prior_mode), []).append(gi)
-    plans = [stratified_kfold(labels, k, derive_seed(seed, r)) for r in range(cv_repetitions)]
-    fold_pairs = [list(plan.splits()) for plan in plans]
+    fold_pairs = _cv_folds(labels, k, cv_repetitions, seed)
 
     def run_group(task):
         members, ri, fi = task
@@ -339,21 +357,20 @@ def grid_search(
             )
             val_states = encode(features[val_idx], shared.encoding, params)
         except _CELL_ERRORS as exc:
-            return [(None, _describe(exc))] * len(members)
+            return [(None, None, _describe(exc))] * len(members)
         outcomes = []
         for gi in members:
             config = configs[gi]
             try:
                 model = build_pgm(train, priors, config.copies, config.engine, config.rank_tol)
-                value = _macro_validation_auc(
-                    score_states(model, val_states), labels[val_idx], n_classes
-                )
+                scores = score_states(model, val_states)
+                value = _macro_validation_auc(scores, labels[val_idx], n_classes)
                 if value is None:
-                    outcomes.append((None, "validation AUC undefined for every class"))
+                    outcomes.append((None, None, "validation AUC undefined for every class"))
                 else:
-                    outcomes.append((value, None))
+                    outcomes.append((value, scores, None))
             except _CELL_ERRORS as exc:
-                outcomes.append((None, _describe(exc)))
+                outcomes.append((None, None, _describe(exc)))
         return outcomes
 
     tasks = [
@@ -370,13 +387,15 @@ def grid_search(
             outcomes = list(pool.map(run_group, tasks))
 
     values = np.full((len(grid), cv_repetitions, k), np.nan)
+    fold_scores = [[[None] * k for _ in range(cv_repetitions)] for _ in grid]
     errors: dict[int, str] = {}
     for (members, ri, fi), group_outcomes in zip(tasks, outcomes):
-        for gi, (value, error) in zip(members, group_outcomes):
+        for gi, (value, scores, error) in zip(members, group_outcomes):
             if error is not None:
                 errors.setdefault(gi, error)
             else:
                 values[gi, ri, fi] = value
+                fold_scores[gi][ri][fi] = scores
 
     ranked_indices = [gi for gi in range(len(grid)) if gi not in errors]
     means = {gi: float(values[gi].mean(axis=1).mean()) for gi in ranked_indices}
@@ -386,14 +405,14 @@ def grid_search(
             point=grid[gi],
             grid_index=gi,
             values=values[gi].copy(),
+            fold_scores=tuple(map(tuple, fold_scores[gi])),
             mean=means[gi],
             rank=rank,
         )
         for rank, gi in enumerate(ranked_indices)
     ]
     results.extend(
-        GridResult(point=grid[gi], grid_index=gi, values=None, mean=None, rank=None, error=errors[gi])
-        for gi in sorted(errors)
+        GridResult(point=grid[gi], grid_index=gi, error=errors[gi]) for gi in sorted(errors)
     )
     return tuple(results)
 
@@ -405,41 +424,6 @@ def _mean_ignoring_none(dicts):
         defined = [d[key] for d in dicts if d[key] is not None]
         out[key] = float(np.mean(defined)) if defined else None
     return out
-
-
-def cross_validated_metrics(
-    features,
-    labels,
-    n_classes: int,
-    config: PgmConfig,
-    *,
-    k: int = 5,
-    cv_repetitions: int = 10,
-    seed: int,
-    positive_class: int | None = None,
-):
-    """Full metric suite of one configuration under the CV plan of grid_search.
-
-    Per repetition, fold metrics are averaged over folds; the returned dict
-    then averages those repetition means, matching the protocol's
-    within-split aggregation order. Metrics undefined on some folds are
-    averaged over the folds where they are defined.
-    """
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels)
-    rep_means = []
-    for r in range(cv_repetitions):
-        plan = stratified_kfold(labels, k, derive_seed(seed, r))
-        fold_metrics = []
-        for train_idx, val_idx in plan.splits():
-            model = fit_pgm(features[train_idx], labels[train_idx], n_classes, config)
-            predicted, scores = predict_batch(model, features[val_idx])
-            report = report_from_predictions(
-                labels[val_idx], predicted, scores, n_classes, positive_class
-            )
-            fold_metrics.append(report.flat())
-        rep_means.append(_mean_ignoring_none(fold_metrics))
-    return _mean_ignoring_none(rep_means)
 
 
 @dataclass(frozen=True)
@@ -575,10 +559,13 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
 
     For each split: grid-search the training part (seed mixed with the
     split's repetition id), refit the winning configuration on the whole
-    training part, and evaluate it on the test part. Cross-validation
-    metrics of the winner are averaged within the split before the final
-    across-split aggregation. Any split whose every grid point fails aborts
-    the protocol with a diagnostic naming the split.
+    training part, and evaluate it on the test part. The winner's
+    cross-validation metrics come from the validation scores its grid
+    search already computed, with no refit: fold reports are averaged over
+    folds, then over repetitions, before the final across-split
+    aggregation; metrics undefined on some folds are averaged over the
+    folds where they are defined. Any split whose every grid point fails
+    aborts the protocol with a diagnostic naming the split.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
@@ -589,9 +576,10 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
     for split in splits:
         cv_seed = derive_seed(config.seed, split.repetition_id)
         tr, te = split.train_indices, split.test_indices
+        train_labels = labels[tr]
         ranking = grid_search(
             features[tr],
-            labels[tr],
+            train_labels,
             n_classes,
             config.grid,
             k=config.k,
@@ -610,21 +598,26 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
         fit_config = best.point.to_config(
             normalizer=config.normalizer, engine=config.engine, rank_tol=config.rank_tol
         )
-        model = fit_pgm(features[tr], labels[tr], n_classes, fit_config)
+        model = fit_pgm(features[tr], train_labels, n_classes, fit_config)
         predicted, scores = predict_batch(model, features[te])
         test_report = report_from_predictions(
             labels[te], predicted, scores, n_classes, config.positive_class
         )
-        cv_metrics = cross_validated_metrics(
-            features[tr],
-            labels[tr],
-            n_classes,
-            fit_config,
-            k=config.k,
-            cv_repetitions=config.cv_repetitions,
-            seed=cv_seed,
-            positive_class=config.positive_class,
-        )
+        fold_pairs = _cv_folds(train_labels, config.k, config.cv_repetitions, cv_seed)
+        rep_means = []
+        for rep_pairs, rep_scores in zip(fold_pairs, best.fold_scores):
+            fold_metrics = [
+                report_from_predictions(
+                    train_labels[val_idx],
+                    labels_from_scores(val_scores),
+                    val_scores,
+                    n_classes,
+                    config.positive_class,
+                ).flat()
+                for (_, val_idx), val_scores in zip(rep_pairs, rep_scores)
+            ]
+            rep_means.append(_mean_ignoring_none(fold_metrics))
+        cv_metrics = _mean_ignoring_none(rep_means)
         records.append(
             SplitRecord(
                 repetition_id=split.repetition_id,

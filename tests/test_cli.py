@@ -492,6 +492,65 @@ class TestPredictCommand:
         assert "'f1'" in result.stderr
 
 
+def _set(*path_and_value):
+    """Set the field at a key path to a value, or to ``value(old)`` if callable."""
+    *path, value = path_and_value
+
+    def mutate(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value(obj[path[-1]]) if callable(value) else value
+
+    return mutate
+
+
+def _poison_first(value):
+    """Replace the first scalar of a nested list with ``value``."""
+
+    def poison(nested):
+        if not isinstance(nested, list):
+            return value
+        return [poison(nested[0])] + nested[1:]
+
+    return poison
+
+
+#: One corrupted field per case, applied to a saved two-class model.
+CORRUPTIONS = {
+    "gram-truncated-M": ("gram", _set("payload", "M", lambda rows: rows[:-1])),
+    "gram-M-not-square": ("gram", _set("payload", "M", lambda rows: [r[:-1] for r in rows])),
+    "gram-short-weights": ("gram", _set("payload", "weights", lambda w: w[:-1])),
+    "gram-negative-weight": ("gram", _set("payload", "weights", _poison_first(-0.5))),
+    "gram-copies-0": ("gram", _set("copies", 0)),
+    "gram-nan-in-M": ("gram", _set("payload", "M", _poison_first(float("nan")))),
+    "gram-label-7": ("gram", _set("payload", "labels", _poison_first(7))),
+    "gram-explicit-priors": ("gram", _set("priors", "mode", "explicit")),
+    "dense-truncated-povm": ("dense", _set("payload", "povm", lambda f: [f[0][:-1]] + f[1:])),
+    "dense-wrong-dim": ("dense", _set("payload", "dim", lambda dim: dim + 1)),
+    "dense-inf-in-povm": ("dense", _set("payload", "povm", _poison_first(float("inf")))),
+    "dense-copies-0": ("dense", _set("copies", 0)),
+}
+
+
+class TestCorruptedModel:
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_predict_exits_2_with_diagnostic(self, runner, tmp_path, binary_csv, case):
+        engine, mutate = CORRUPTIONS[case]
+        model_path, _ = train_model(
+            runner, tmp_path, binary_csv, "--copies", "2", "--engine", engine
+        )
+        obj = json.loads(model_path.read_text())
+        mutate(obj)
+        model_path.write_text(json.dumps(obj))
+        out = tmp_path / "preds.csv"
+        result = runner.invoke(
+            main, ["predict", str(model_path), str(binary_csv), "--out", str(out)]
+        )
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert f"error: {model_path}:" in result.stderr
+        assert not out.exists()
+
+
 class TestEvaluateCommand:
     def test_separated_data_scores_perfectly(self, runner, tmp_path, blob_csv):
         model_path, _ = train_model(runner, tmp_path, blob_csv, "--alpha", "0.5")

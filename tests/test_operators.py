@@ -4,15 +4,12 @@ import pytest
 from pgmclassifier import (
     DENSE_DIM_LIMIT,
     DenseBlowup,
-    DimMismatch,
     InvalidOperator,
     NotPositiveSemidefinite,
     eig_sym,
     pinv_sqrt,
-    psd_sqrt,
     symmetrize,
     tensor_power,
-    trace_product,
 )
 
 
@@ -48,25 +45,6 @@ class TestEigSym:
         assert np.all(np.diff(dec.eigenvalues) >= 0)
         gram = dec.eigenvectors.T @ dec.eigenvectors
         assert np.abs(gram - np.eye(5)).max() <= 1e-12
-
-
-class TestPsdSqrt:
-    def test_diagonal_case(self):
-        np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_squares_back(self, rng):
-        b = rng.normal(size=(5, 3))
-        a = b @ b.T
-        root = psd_sqrt(a)
-        assert np.abs(root @ root - a).max() <= 1e-10
-
-    def test_clips_tiny_negative_eigenvalues(self):
-        root = psd_sqrt(np.diag([1.0, -1e-9]))
-        np.testing.assert_allclose(root, np.diag([1.0, 0.0]))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveSemidefinite):
-            psd_sqrt(np.diag([1.0, -0.5]))
 
 
 class TestPinvSqrt:
@@ -135,15 +113,3 @@ class TestTensorPower:
         with pytest.raises(ValueError):
             tensor_power(np.ones(2), 0)
 
-
-class TestTraceProduct:
-    def test_naive_loop_oracle(self, rng):
-        a = symmetrize(rng.normal(size=(4, 4)))
-        b = symmetrize(rng.normal(size=(4, 4)))
-        naive = sum(a[i, j] * b[j, i] for i in range(4) for j in range(4))
-        assert abs(trace_product(a, b) - naive) <= 1e-12
-        assert abs(trace_product(a, b) - np.trace(a @ b)) <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimMismatch):
-            trace_product(np.eye(2), np.eye(3))

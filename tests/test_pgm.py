@@ -14,14 +14,13 @@ from pgmclassifier import (
     LabelOutOfRange,
     PgmConfig,
     Priors,
-    argmax_smallest,
     build_dense_pgm,
     build_ensemble,
     build_gram_pgm,
     copies_centroid,
     empirical_priors,
-    explicit_priors,
     fit_pgm,
+    labels_from_scores,
     mixture,
     predict_batch,
     quantum_centroid,
@@ -30,7 +29,7 @@ from pgmclassifier import (
     stable_power,
     uniform_priors,
 )
-from pgmclassifier.pgm import SCORE_BLOCK
+from pgmclassifier.pgm import SCORE_BLOCK, make_priors
 
 _FLUSH = 1e-300
 
@@ -81,11 +80,11 @@ class TestPriors:
         np.testing.assert_allclose(empirical_priors([3, 1]).values, [0.75, 0.25])
 
     def test_explicit_validation(self):
-        explicit_priors([0.3, 0.7])
+        Priors(mode="uniform", values=np.array([0.3, 0.7]))
         with pytest.raises(InvalidOperator):
-            explicit_priors([0.5, 0.6])
+            Priors(mode="uniform", values=np.array([0.5, 0.6]))
         with pytest.raises(InvalidOperator):
-            explicit_priors([1.5, -0.5])
+            Priors(mode="uniform", values=np.array([1.5, -0.5]))
 
 
 class TestQuantumCentroid:
@@ -296,20 +295,24 @@ class TestScoreAndClassify:
         assert abs(success - 0.8535533906) <= 1e-10
 
     def test_argmax_takes_largest(self):
-        assert argmax_smallest([0.2, 0.5, 0.3]) == 1
+        labels = labels_from_scores([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
+        np.testing.assert_array_equal(labels, [1, 0])
+        assert labels.dtype == np.int64
 
     def test_exact_tie_takes_smallest_index(self):
-        assert argmax_smallest([0.5, 0.5]) == 0
+        np.testing.assert_array_equal(labels_from_scores([[0.5, 0.5], [0.0, 1.0]]), [0, 1])
 
     def test_near_tie_rounds_before_comparison(self):
-        assert argmax_smallest([0.5, 0.5 + 1e-13]) == 0
-        assert argmax_smallest([0.5, 0.5 + 5e-12]) == 1
+        np.testing.assert_array_equal(
+            labels_from_scores([[0.5, 0.5 + 1e-13], [0.5, 0.5 + 5e-12]]), [0, 1]
+        )
         np.testing.assert_array_equal(round_scores([0.5, 0.5 + 1e-13]), [0.5, 0.5])
 
     def test_single_class_classifies_zero(self, rng):
         train = random_labeled_states(rng, 1, 2, 3)
         model = build_dense_pgm(train)
-        assert argmax_smallest(score_states(model, random_unit_states(rng, 1, 2))[0]) == 0
+        scores = score_states(model, random_unit_states(rng, 4, 2))
+        np.testing.assert_array_equal(labels_from_scores(scores), [0, 0, 0, 0])
 
     def test_dim_mismatch(self, rng):
         train = random_labeled_states(rng, 2, 3, 4)
@@ -350,13 +353,15 @@ class TestInvariants:
         train = LabeledStateSet(
             states=np.vstack([psi, psi]), labels=np.array([0, 1]), n_classes=2
         )
-        skewed = build_dense_pgm(train, priors=explicit_priors([0.2, 0.8]))
-        f = score_states(skewed, psi[None, :])[0]
-        assert argmax_smallest(f) == 1
-        assert f[1] > f[0]
+        priors = empirical_priors([1, 4])
+        np.testing.assert_allclose(priors.values, [0.2, 0.8])
+        skewed = build_dense_pgm(train, priors=priors)
+        f = score_states(skewed, psi[None, :])
+        np.testing.assert_array_equal(labels_from_scores(f), [1])
+        assert f[0, 1] > f[0, 0]
         even = build_dense_pgm(train)
-        g = score_states(even, psi[None, :])[0]
-        assert argmax_smallest(g) == 0
+        g = score_states(even, psi[None, :])
+        np.testing.assert_array_equal(labels_from_scores(g), [0])
 
     def test_orthogonal_supports_classified_perfectly(self, rng):
         states = np.eye(6)
@@ -463,3 +468,10 @@ class TestBuilderValidation:
     def test_prior_object_validation(self):
         with pytest.raises(InvalidOperator):
             Priors(mode="weighted", values=np.array([1.0]))
+        with pytest.raises(InvalidOperator):
+            Priors(mode="explicit", values=np.array([1.0]))
+
+    def test_make_priors_rejects_unknown_mode(self, rng):
+        train = random_labeled_states(rng, 2, 3, 6)
+        with pytest.raises(InvalidOperator, match="unknown prior mode 'explicit'"):
+            make_priors("explicit", train)

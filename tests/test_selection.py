@@ -6,12 +6,10 @@ from pgmclassifier import (
     ClassSmallerThanK,
     DenseBlowup,
     GridPoint,
-    PgmConfig,
     PgmError,
     ProtocolConfig,
     StratificationImpossible,
     auc_ovr,
-    cross_validated_metrics,
     default_grid,
     derive_seed,
     fit_pgm,
@@ -24,6 +22,7 @@ from pgmclassifier import (
     stratified_holdout,
     stratified_kfold,
 )
+from pgmclassifier import selection
 from pgmclassifier.selection import _resolve_workers
 
 
@@ -270,6 +269,7 @@ class TestGridSearch:
                     model = fit_pgm(features[train_idx], labels[train_idx], 3, config)
                     engines.add(model.engine)
                     _, scores = predict_batch(model, features[val_idx])
+                    np.testing.assert_array_equal(result.fold_scores[r][j], scores)
                     expected[r, j] = np.mean(
                         [auc_ovr(scores[:, i], labels[val_idx] == i) for i in range(3)]
                     )
@@ -289,6 +289,7 @@ class TestGridSearch:
         assert results[1].grid_index == 0
         assert results[1].failed
         assert results[1].rank is None
+        assert results[1].fold_scores is None
         assert "DenseBlowup" in results[1].error
 
     def test_validation(self):
@@ -352,30 +353,13 @@ class TestSelectRobustConfig:
             select_robust_config([], [], self.GRID)
 
 
-class TestCrossValidatedMetrics:
-    def test_matches_explicit_two_stage_loop(self):
-        features, labels = small_blob_problem()
-        config = PgmConfig(copies=2)
-        got = cross_validated_metrics(
-            features, labels, 3, config, k=3, cv_repetitions=2, seed=31
-        )
-        rep_means = []
-        for r in range(2):
-            plan = stratified_kfold(labels, 3, derive_seed(31, r))
-            folds = []
-            for train_idx, val_idx in plan.splits():
-                model = fit_pgm(features[train_idx], labels[train_idx], 3, config)
-                predicted, scores = predict_batch(model, features[val_idx])
-                report = report_from_predictions(
-                    labels[val_idx], predicted, scores, 3
-                )
-                folds.append(report.flat())
-            rep_means.append(
-                {key: np.mean([f[key] for f in folds]) for key in folds[0]}
-            )
-        for key, value in got.items():
-            expected = np.mean([m[key] for m in rep_means])
-            assert value == pytest.approx(expected, abs=1e-12), key
+def mean_ignoring_none(dicts):
+    """Per key, the mean over the dicts where the value is not None (else None)."""
+    out = {}
+    for key in dicts[0]:
+        defined = [d[key] for d in dicts if d[key] is not None]
+        out[key] = float(np.mean(defined)) if defined else None
+    return out
 
 
 def tiny_protocol_config(**overrides):
@@ -471,6 +455,58 @@ class TestRunProtocol:
         )
         with pytest.raises(PgmError, match="split 0"):
             run_protocol(features, labels, 3, splits, config)
+
+    @pytest.mark.parametrize("n_classes, positive_class", [(3, None), (2, 1)])
+    def test_cv_metrics_match_explicit_two_stage_loop(self, n_classes, positive_class):
+        features, labels = small_blob_problem()
+        # Shuffled rows, so a fold's true labels depend on which rows it holds.
+        order = np.random.default_rng(5).permutation(labels.size)
+        order = order[labels[order] < n_classes]
+        features, labels = features[order], labels[order]
+        splits = stratified_holdout(labels, 0.2, 2, seed=31)
+        # Under auto, copies 1 and 2 fit dense and copies 9 fits gram.
+        config = tiny_protocol_config(
+            grid=make_grid(alphas=(0.5, 2.0), copies=(1, 2, 9)),
+            cv_repetitions=2,
+            engine="auto",
+            positive_class=positive_class,
+        )
+        result = run_protocol(features, labels, n_classes, splits, config)
+        for split, record in zip(splits, result.records):
+            tr = split.train_indices
+            fit_config = record.winner.to_config(engine="auto")
+            cv_seed = derive_seed(config.seed, split.repetition_id)
+            rep_means = []
+            for r in range(config.cv_repetitions):
+                plan = stratified_kfold(labels[tr], config.k, derive_seed(cv_seed, r))
+                folds = []
+                for train_idx, val_idx in plan.splits():
+                    model = fit_pgm(
+                        features[tr][train_idx], labels[tr][train_idx], n_classes, fit_config
+                    )
+                    predicted, scores = predict_batch(model, features[tr][val_idx])
+                    folds.append(
+                        report_from_predictions(
+                            labels[tr][val_idx], predicted, scores, n_classes, positive_class
+                        ).flat()
+                    )
+                rep_means.append(mean_ignoring_none(folds))
+            assert record.cv_metrics == mean_ignoring_none(rep_means)
+
+    def test_one_fit_per_split(self, monkeypatch):
+        features, labels = small_blob_problem()
+        splits = stratified_holdout(labels, 0.2, 3, seed=8)
+        calls = []
+        real_fit = selection.fit_pgm
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "fit_pgm", counting_fit)
+        config = tiny_protocol_config(cv_repetitions=2)
+        run_protocol(features, labels, 3, splits, config)
+        assert len(calls) == len(splits)
 
     def test_requires_splits(self):
         features, labels = small_blob_problem()
