@@ -62,6 +62,9 @@ click.UsageError.exit_code = 1
 _ENGINES = ("auto", "dense", "gram")
 _PRIORS = ("uniform", "empirical")
 
+#: Largest deviation from 1 accepted in a saved model's score row sum.
+_SCORE_SUM_TOL = 1e-8
+
 
 def _data_errors(func):
     """Translate library data/consistency errors into exit code 2."""
@@ -103,6 +106,22 @@ def _positive_index(positive_class: str | None, classes) -> int | None:
             f"unknown positive class {positive_class!r}, expected one of {list(classes)}"
         )
     return classes.index(positive_class)
+
+
+def _predict_saved(model_file, model, features):
+    """``predict_batch``, refusing score rows that are not probability distributions.
+
+    Every fitted model scores rows that are finite and sum to 1 within
+    :data:`_SCORE_SUM_TOL`; a model file edited after saving may not.
+    """
+    predicted, scores = predict_batch(model, features)
+    bad = np.flatnonzero(~(np.abs(scores.sum(axis=1) - 1.0) <= _SCORE_SUM_TOL))
+    if bad.size:
+        raise SchemaMismatch(
+            f"{model_file}: the scores of dataset row {bad[0] + 1} sum to "
+            f"{float(scores[bad[0]].sum())!r}, not 1; the model is inconsistent"
+        )
+    return predicted, scores
 
 
 def _workers_from_env() -> int | None:
@@ -335,7 +354,7 @@ def predict(model_file, dataset, label_column, out):
     loaded = load_model(model_file)
     data = load_dataset(dataset, label_column)
     features = features_for_model(data, loaded.feature_columns)
-    predicted, scores = predict_batch(loaded.model, features)
+    predicted, scores = _predict_saved(model_file, loaded.model, features)
     names = [loaded.classes[i] for i in predicted]
     write_predictions_csv(out, names, scores, loaded.classes)
     click.echo(f"wrote {len(names)} predictions to {out}")
@@ -364,7 +383,7 @@ def evaluate(model_file, dataset, label_column, positive_class, out, out_csv):
     to_model = np.array([class_index[name] for name in data.classes], dtype=np.int64)
     true = to_model[data.label_indices]
     features = features_for_model(data, loaded.feature_columns)
-    predicted, scores = predict_batch(loaded.model, features)
+    predicted, scores = _predict_saved(model_file, loaded.model, features)
     report = report_from_predictions(
         true, predicted, scores, len(loaded.classes), positive
     )

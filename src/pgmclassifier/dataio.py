@@ -348,9 +348,7 @@ def save_model(path, model, classes, feature_columns) -> None:
         obj["payload"] = {
             "train_states": model.train_states.tolist(),
             "labels": model.labels.tolist(),
-            "weights": model.weights.tolist(),
             "M": model.M.tolist(),
-            "P": model.P.tolist(),
         }
     else:
         raise SchemaMismatch(f"cannot persist model of type {type(model).__name__}")
@@ -399,34 +397,37 @@ def load_model(path) -> LoadedModel:
             model = GramPgmModel(
                 train_states=np.array(payload["train_states"], dtype=float),
                 labels=np.array(payload["labels"], dtype=np.int64),
-                weights=np.array(payload["weights"], dtype=float),
                 n_classes=len(classes),
                 priors=priors,
                 copies=copies,
                 M=np.array(payload["M"], dtype=float),
-                P=np.array(payload["P"], dtype=float),
                 encoding=encoding,
                 normalizer=normalizer,
             )
         else:
             model = None
-    except (KeyError, TypeError, ValueError, PgmError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, PgmError) as exc:
         raise SchemaMismatch(f"{path}: malformed model file ({exc!r})") from None
     if model is None:
         raise SchemaMismatch(f"{path}: unknown engine tag {engine!r}")
-    _check_model(path, model, classes)
+    _check_model(path, model, classes, feature_columns)
     return LoadedModel(model=model, classes=classes, feature_columns=feature_columns)
 
 
-def _check_model(path, model, classes) -> None:
+def _check_model(path, model, classes, feature_columns) -> None:
     def fail(message):
         raise SchemaMismatch(f"{path}: {message}")
 
     n = len(classes)
+    n_features = len(feature_columns)
     if model.n_classes != n:
         fail(f"{n} class names for {model.n_classes} model classes")
     if model.copies < 1:
         fail(f"copy count must be at least 1, got {model.copies}")
+    if isinstance(model, GramPgmModel) and model.train_states.ndim != 2:
+        fail(f"train_states of shape {model.train_states.shape}, expected 2-d")
+    if model.dim != n_features + 1:
+        fail(f"state dimension {model.dim} for {n_features} feature columns")
     if isinstance(model, DensePgmModel):
         arrays = {"povm": model.povm}
         # Any dim of 2 or more lifts past a storable side within 64 copies,
@@ -435,12 +436,9 @@ def _check_model(path, model, classes) -> None:
         if model.povm.shape != (n, side, side):
             fail(f"povm of shape {model.povm.shape}, expected {(n, side, side)}")
     else:
-        names = ("train_states", "labels", "weights", "M", "P")
-        arrays = {name: getattr(model, name) for name in names}
-        if model.train_states.ndim != 2:
-            fail(f"train_states of shape {model.train_states.shape}, expected 2-d")
+        arrays = {"train_states": model.train_states, "labels": model.labels, "M": model.M}
         m = model.train_states.shape[0]
-        for name, shape in {"labels": (m,), "weights": (m,), "M": (m, m), "P": (m, m)}.items():
+        for name, shape in {"labels": (m,), "M": (m, m)}.items():
             if arrays[name].shape != shape:
                 fail(f"{name} of shape {arrays[name].shape}, expected {shape}")
         if m and (model.labels.min() < 0 or model.labels.max() >= n):
@@ -448,14 +446,20 @@ def _check_model(path, model, classes) -> None:
                 f"training labels must lie in [0, {n}), "
                 f"got range [{model.labels.min()}, {model.labels.max()}]"
             )
-        if not np.all(model.weights > 0.0):
-            fail("weights must be positive")
+        missing = np.flatnonzero(np.bincount(model.labels, minlength=n) == 0)
+        if missing.size:
+            fail(f"class {classes[missing[0]]!r} has no training states")
     if model.priors.values.shape != (n,):
         fail(f"{model.priors.values.size} priors for {n} classes")
     arrays.update(location=model.normalizer.location, scale=model.normalizer.scale)
+    for name in ("location", "scale"):
+        if arrays[name].shape != (n_features,):
+            fail(f"normalizer {name} of shape {arrays[name].shape}, expected {(n_features,)}")
     for name, array in arrays.items():
         if not np.all(np.isfinite(array)):
             fail(f"{name} has non-finite entries")
+    if not np.all(model.normalizer.scale > 0.0):
+        fail("normalizer scale must be positive")
 
 
 def _metric_and_class(key: str, classes) -> tuple:

@@ -3,7 +3,7 @@
 Everything downstream (state encodings, centroids, the measurement
 construction) works with real symmetric matrices, so this module collects the
 few dense linear-algebra primitives needed: eigendecomposition,
-pseudoinverse square roots with image/kernel projectors, and tensor powers of
+pseudoinverse square roots with kernel projectors, and tensor powers of
 vectors. All functions are pure and operate on plain float64 arrays.
 """
 
@@ -71,66 +71,64 @@ def eig_sym(a) -> SpectralDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class PinvSqrt:
-    """Pseudoinverse square root together with image and kernel projectors.
+    """Pseudoinverse square root with an orthonormal basis of the kept image.
 
     ``inv_sqrt`` acts as the inverse square root on the image of the input
-    and as zero on its kernel; ``im + ker`` is the identity.
+    and as zero on its kernel, onto which ``ker`` projects. The projector is
+    formed only when asked for, so callers that need just ``inv_sqrt`` do
+    not pay for it.
     """
 
     inv_sqrt: np.ndarray
-    im: np.ndarray
-    ker: np.ndarray
+    image_basis: np.ndarray
+
+    @property
+    def ker(self) -> np.ndarray:
+        basis = self.image_basis
+        return symmetrize(np.eye(basis.shape[0]) - basis @ basis.T)
 
 
-def pinv_sqrt(a, rank_tol: float = RANK_TOL) -> PinvSqrt:
+def pinv_sqrt(a) -> PinvSqrt:
     """Moore-Penrose inverse square root of a PSD matrix.
 
-    Eigenvalues at or below ``rank_tol`` times the largest eigenvalue are
-    treated as exactly zero and assigned to the kernel. The zero matrix is
-    valid input and yields ``im = 0``, ``ker = I``.
+    Eigenvalues at or below :data:`RANK_TOL` times the largest eigenvalue
+    are treated as exactly zero and assigned to the kernel. The zero matrix
+    is valid input and yields ``inv_sqrt = 0``, ``ker = I``.
 
     Parameters
     ----------
     a : array_like
         Symmetric PSD matrix (eigenvalues above ``-NEG_EIG_TOL``).
-    rank_tol : float
-        Relative rank cutoff, must be positive.
     """
-    if not rank_tol > 0.0:
-        raise ValueError("rank_tol must be positive")
     dec = eig_sym(a)
     low = float(dec.eigenvalues[0])
     if low < -NEG_EIG_TOL:
         raise NotPositiveSemidefinite(f"eigenvalue {low:.3e} below -{NEG_EIG_TOL:.0e}")
     w = np.clip(dec.eigenvalues, 0.0, None)
-    cut = rank_tol * float(w[-1])
-    keep = w > cut
+    keep = w > RANK_TOL * float(w[-1])
     vs = dec.eigenvectors[:, keep]
     inv_sqrt = symmetrize((vs * w[keep] ** -0.5) @ vs.T)
-    im = symmetrize(vs @ vs.T)
-    ker = symmetrize(np.eye(a.shape[0]) - im)
-    return PinvSqrt(inv_sqrt=inv_sqrt, im=im, ker=ker)
+    return PinvSqrt(inv_sqrt=inv_sqrt, image_basis=vs)
 
 
-def tensor_power(v, n: int, dense_dim_limit: int = DENSE_DIM_LIMIT) -> np.ndarray:
+def tensor_power(v, n: int) -> np.ndarray:
     """n-fold Kronecker power of a vector.
 
     The entry at multi-index ``(i_1, ..., i_n)`` is the product
     ``v[i_1] * ... * v[i_n]``; unit vectors stay unit. Raises
-    :class:`DenseBlowup` when ``len(v) ** n`` exceeds ``dense_dim_limit``.
+    :class:`DenseBlowup` when ``len(v) ** n`` exceeds :data:`DENSE_DIM_LIMIT`.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise InvalidOperator(f"expected a vector, got shape {v.shape}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"copy count must be a positive integer, got {n!r}")
-    if v.size**n > dense_dim_limit:
+    if v.size**n > DENSE_DIM_LIMIT:
         raise DenseBlowup(
             f"tensor power dimension {v.size}^{n} exceeds the dense limit "
-            f"{dense_dim_limit}; use the gram engine"
+            f"{DENSE_DIM_LIMIT}; use the gram engine"
         )
     out = v
     for _ in range(n - 1):
         out = np.kron(out, v)
     return out
-

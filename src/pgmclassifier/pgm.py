@@ -18,9 +18,11 @@ leaves the span of the m training states: with weights w_j = p_{label_j} /
 m_{label_j} and G_{jk} = sqrt(w_j w_k) (psi_j . psi_k)^n, the overlap vector
 v_j = sqrt(w_j) (psi_j . psi_x)^n gives
 
-    f_i = sum_{j: label_j = i} (G^{-1/2} v)_j^2  +  (1/l) (1 - v^T G^+ v),
+    f_i = sum_{j: label_j = i} (G^{-1/2} v)_j^2  +  (1/l) (1 - ||G^{-1/2} v||^2),
 
-so the cost scales with m and d regardless of the copy count.
+since (G^{-1/2})^2 = G^+ on the image of G. The cost scales with m and d
+regardless of the copy count, and each score row sums to one by
+construction.
 """
 
 from __future__ import annotations
@@ -37,14 +39,7 @@ from .errors import (
     InvalidOperator,
     LabelOutOfRange,
 )
-from .operators import (
-    DENSE_DIM_LIMIT,
-    RANK_TOL,
-    eig_sym,
-    pinv_sqrt,
-    symmetrize,
-    tensor_power,
-)
+from .operators import DENSE_DIM_LIMIT, pinv_sqrt, symmetrize, tensor_power
 
 #: Scores are rounded to this many decimal digits before any argmax or tie
 #: comparison, so near-ties resolve identically across platforms.
@@ -210,7 +205,7 @@ def quantum_centroid(states) -> np.ndarray:
     return symmetrize(states.T @ states / states.shape[0])
 
 
-def copies_centroid(states, n: int, dense_dim_limit: int = DENSE_DIM_LIMIT) -> np.ndarray:
+def copies_centroid(states, n: int) -> np.ndarray:
     """Centroid of the n-copy lifts ``(1/m) sum_j (psi_j^{tensor n})(...)^T``.
 
     This is the mean of lifted pure states, which differs from the n-fold
@@ -221,7 +216,7 @@ def copies_centroid(states, n: int, dense_dim_limit: int = DENSE_DIM_LIMIT) -> n
         raise EmptyClass("a class centroid needs at least one state")
     if n == 1:
         return quantum_centroid(states)
-    lifted = np.stack([tensor_power(row, n, dense_dim_limit) for row in states])
+    lifted = np.stack([tensor_power(row, n) for row in states])
     return quantum_centroid(lifted)
 
 
@@ -240,7 +235,6 @@ def build_ensemble(
     train: LabeledStateSet,
     priors: Priors | None = None,
     copies: int = 1,
-    dense_dim_limit: int = DENSE_DIM_LIMIT,
 ) -> ClassEnsemble:
     """Form the per-class (lifted) centroids and attach priors."""
     if priors is None:
@@ -251,7 +245,7 @@ def build_ensemble(
         )
     reps = np.stack(
         [
-            copies_centroid(train.states[train.labels == i], copies, dense_dim_limit)
+            copies_centroid(train.states[train.labels == i], copies)
             for i in range(train.n_classes)
         ]
     )
@@ -281,23 +275,30 @@ class DensePgmModel:
         return self.povm.shape[0]
 
 
+def gram_weights(labels, priors: Priors) -> np.ndarray:
+    """Per-state weights ``w_j = p_{label_j} / m_{label_j}``.
+
+    Labels must lie in ``[0, len(priors.values))`` with every class present.
+    """
+    counts = np.bincount(labels, minlength=priors.values.shape[0])
+    return priors.values[labels] / counts[labels]
+
+
 @dataclass(frozen=True, eq=False)
 class GramPgmModel:
     """Measurement held in factored form over the m training states.
 
-    ``M`` is the inverse square root and ``P`` the pseudoinverse of the
-    weighted overlap matrix G, both restricted to its image; the kernel
-    completion enters scoring through ``1 - v^T P v``.
+    ``M`` is the inverse square root of the weighted overlap matrix G,
+    restricted to its image; the kernel completion enters scoring through
+    ``1 - ||M v||^2``. The weights follow from ``labels`` and ``priors``.
     """
 
     train_states: np.ndarray
     labels: np.ndarray
-    weights: np.ndarray
     n_classes: int
     priors: Priors
     copies: int
     M: np.ndarray
-    P: np.ndarray
     encoding: EncodingConfig | None = None
     normalizer: NormalizerParams | None = None
 
@@ -307,13 +308,15 @@ class GramPgmModel:
     def dim(self) -> int:
         return self.train_states.shape[1]
 
+    @property
+    def weights(self) -> np.ndarray:
+        return gram_weights(self.labels, self.priors)
+
 
 def build_dense_pgm(
     train: LabeledStateSet,
     priors: Priors | None = None,
     copies: int = 1,
-    rank_tol: float = RANK_TOL,
-    dense_dim_limit: int = DENSE_DIM_LIMIT,
 ) -> DensePgmModel:
     """Construct the POVM explicitly: ``F_i = S p_i rho_i S + P_ker / l``.
 
@@ -321,14 +324,15 @@ def build_dense_pgm(
     completeness defect ``sum_i F_i - I`` vanishes by construction because
     ``S sigma S`` is exactly the image projector.
     """
-    ensemble = build_ensemble(train, priors, copies, dense_dim_limit)
+    ensemble = build_ensemble(train, priors, copies)
     sigma = mixture(ensemble)
-    dec = pinv_sqrt(sigma, rank_tol)
+    dec = pinv_sqrt(sigma)
     s = dec.inv_sqrt
     l = train.n_classes
+    completion = dec.ker / l
     povm = np.stack(
         [
-            symmetrize(s @ (ensemble.priors.values[i] * ensemble.reps[i]) @ s) + dec.ker / l
+            symmetrize(s @ (ensemble.priors.values[i] * ensemble.reps[i]) @ s) + completion
             for i in range(l)
         ]
     )
@@ -341,13 +345,11 @@ def build_gram_pgm(
     train: LabeledStateSet,
     priors: Priors | None = None,
     copies: int = 1,
-    rank_tol: float = RANK_TOL,
 ) -> GramPgmModel:
     """Construct the measurement in the span of the training states.
 
-    Builds G_{jk} = sqrt(w_j w_k) (psi_j . psi_k)^n and derives both
-    ``M = G^{-1/2}`` and ``P = G^+`` from one eigendecomposition so the
-    score formula's projector and kernel terms stay mutually consistent.
+    Builds G_{jk} = sqrt(w_j w_k) (psi_j . psi_k)^n and its Moore-Penrose
+    inverse square root ``M`` with the same rank cut as the dense engine.
     """
     if priors is None:
         priors = uniform_priors(train.n_classes)
@@ -357,25 +359,16 @@ def build_gram_pgm(
         )
     if copies < 1:
         raise ValueError(f"copy count must be a positive integer, got {copies!r}")
-    weights = priors.values[train.labels] / train.class_counts[train.labels]
-    sqw = np.sqrt(weights)
+    sqw = np.sqrt(gram_weights(train.labels, priors))
     overlaps = train.states @ train.states.T
     gram = sqw[:, None] * stable_power(overlaps, copies) * sqw[None, :]
-    dec = eig_sym(gram)
-    w = np.clip(dec.eigenvalues, 0.0, None)
-    keep = w > rank_tol * float(w[-1])
-    vs = dec.eigenvectors[:, keep]
-    m_mat = symmetrize((vs * w[keep] ** -0.5) @ vs.T)
-    p_mat = symmetrize((vs * 1.0 / w[keep]) @ vs.T)
     return GramPgmModel(
         train_states=train.states,
         labels=train.labels,
-        weights=weights,
         n_classes=train.n_classes,
         priors=priors,
         copies=copies,
-        M=m_mat,
-        P=p_mat,
+        M=pinv_sqrt(gram).inv_sqrt,
     )
 
 
@@ -422,9 +415,7 @@ def _score_gram_block(model: GramPgmModel, block, out) -> None:
     usq *= usq
     for i in range(model.n_classes):
         out[:, i] = usq[model.labels == i].sum(axis=0)
-    pv = model.P @ v
-    pv *= v
-    kernel_mass = 1.0 - np.sum(pv, axis=0)
+    kernel_mass = 1.0 - usq.sum(axis=0)
     out += kernel_mass[:, None] / model.n_classes
 
 
@@ -451,7 +442,6 @@ class PgmConfig:
     copies: int = 1
     prior_mode: str = "uniform"
     engine: str = "auto"
-    rank_tol: float = RANK_TOL
 
     def __post_init__(self):
         if self.engine not in ("auto", "dense", "gram"):
@@ -478,7 +468,7 @@ def encode_training_set(features, labels, n_classes: int, config: PgmConfig):
     return train, make_priors(config.prior_mode, train), params
 
 
-def build_pgm(train: LabeledStateSet, priors: Priors, copies: int, engine: str, rank_tol: float):
+def build_pgm(train: LabeledStateSet, priors: Priors, copies: int, engine: str):
     """Build the measurement for one copy count with the chosen engine.
 
     ``auto`` picks dense only while the lifted dimension stays within the
@@ -488,8 +478,8 @@ def build_pgm(train: LabeledStateSet, priors: Priors, copies: int, engine: str, 
         lifted_dim = float(train.dim) ** copies
         engine = "dense" if lifted_dim <= DENSE_DIM_LIMIT else "gram"
     if engine == "dense":
-        return build_dense_pgm(train, priors, copies, rank_tol)
-    return build_gram_pgm(train, priors, copies, rank_tol)
+        return build_dense_pgm(train, priors, copies)
+    return build_gram_pgm(train, priors, copies)
 
 
 def fit_pgm(features, labels, n_classes: int, config: PgmConfig = PgmConfig()):
@@ -500,5 +490,5 @@ def fit_pgm(features, labels, n_classes: int, config: PgmConfig = PgmConfig()):
     attaches the pipeline so that :func:`predict_batch` accepts raw features.
     """
     train, priors, params = encode_training_set(features, labels, n_classes, config)
-    model = build_pgm(train, priors, config.copies, config.engine, config.rank_tol)
+    model = build_pgm(train, priors, config.copies, config.engine)
     return attach_pipeline(model, config.encoding, params)

@@ -34,7 +34,6 @@ from .errors import (
     UndefinedAuc,
 )
 from .metrics import MetricReport, auc_ovr, report_from_predictions
-from .operators import RANK_TOL
 from .pgm import (
     PgmConfig,
     build_pgm,
@@ -198,12 +197,7 @@ class GridPoint:
     copies: int
     prior_mode: str = "uniform"
 
-    def to_config(
-        self,
-        normalizer: str = "zscore",
-        engine: str = "auto",
-        rank_tol: float = RANK_TOL,
-    ) -> PgmConfig:
+    def to_config(self, normalizer: str = "zscore", engine: str = "auto") -> PgmConfig:
         """Expand into a full fit configuration."""
         return PgmConfig(
             encoding=EncodingConfig(
@@ -212,7 +206,6 @@ class GridPoint:
             copies=self.copies,
             prior_mode=self.prior_mode,
             engine=engine,
-            rank_tol=rank_tol,
         )
 
 
@@ -313,7 +306,6 @@ def grid_search(
     seed: int,
     normalizer: str = "zscore",
     engine: str = "auto",
-    rank_tol: float = RANK_TOL,
     workers: int | None = None,
 ):
     """Rank grid points by repeated stratified k-fold validation AUC.
@@ -341,7 +333,7 @@ def grid_search(
         raise ValueError("grid must contain at least one point")
     if cv_repetitions < 1:
         raise ValueError(f"need at least one repetition, got {cv_repetitions!r}")
-    configs = [p.to_config(normalizer=normalizer, engine=engine, rank_tol=rank_tol) for p in grid]
+    configs = [p.to_config(normalizer=normalizer, engine=engine) for p in grid]
     groups: dict = {}
     for gi, config in enumerate(configs):
         groups.setdefault((config.encoding, config.prior_mode), []).append(gi)
@@ -362,7 +354,7 @@ def grid_search(
         for gi in members:
             config = configs[gi]
             try:
-                model = build_pgm(train, priors, config.copies, config.engine, config.rank_tol)
+                model = build_pgm(train, priors, config.copies, config.engine)
                 scores = score_states(model, val_states)
                 value = _macro_validation_auc(scores, labels[val_idx], n_classes)
                 if value is None:
@@ -495,7 +487,6 @@ class ProtocolConfig:
     cv_repetitions: int = 10
     normalizer: str = "zscore"
     engine: str = "auto"
-    rank_tol: float = RANK_TOL
     positive_class: int | None = None
     workers: int | None = None
 
@@ -587,7 +578,6 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
             seed=cv_seed,
             normalizer=config.normalizer,
             engine=config.engine,
-            rank_tol=config.rank_tol,
             workers=config.workers,
         )
         best = ranking[0]
@@ -595,9 +585,7 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
             raise PgmError(
                 f"split {split.repetition_id}: every grid point failed; first error: {best.error}"
             )
-        fit_config = best.point.to_config(
-            normalizer=config.normalizer, engine=config.engine, rank_tol=config.rank_tol
-        )
+        fit_config = best.point.to_config(normalizer=config.normalizer, engine=config.engine)
         model = fit_pgm(features[tr], train_labels, n_classes, fit_config)
         predicted, scores = predict_batch(model, features[te])
         test_report = report_from_predictions(

@@ -38,7 +38,7 @@ def unblocked_scores(model, states):
     usq = u * u
     for i in range(model.n_classes):
         scores[:, i] = usq[model.labels == i].sum(axis=0)
-    kernel_mass = 1.0 - np.sum(v * (model.P @ v), axis=0)
+    kernel_mass = 1.0 - np.sum(v * (model.M @ (model.M @ v)), axis=0)
     return scores + kernel_mass[:, None] / model.n_classes
 
 

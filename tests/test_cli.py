@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 from helpers import blob_features, write_dataset_csv
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pgmclassifier
 from pgmclassifier import load_model, predict_batch
@@ -519,16 +521,26 @@ def _poison_first(value):
 CORRUPTIONS = {
     "gram-truncated-M": ("gram", _set("payload", "M", lambda rows: rows[:-1])),
     "gram-M-not-square": ("gram", _set("payload", "M", lambda rows: [r[:-1] for r in rows])),
-    "gram-short-weights": ("gram", _set("payload", "weights", lambda w: w[:-1])),
-    "gram-negative-weight": ("gram", _set("payload", "weights", _poison_first(-0.5))),
     "gram-copies-0": ("gram", _set("copies", 0)),
     "gram-nan-in-M": ("gram", _set("payload", "M", _poison_first(float("nan")))),
     "gram-label-7": ("gram", _set("payload", "labels", _poison_first(7))),
+    "gram-huge-M-entry": ("gram", _set("payload", "M", _poison_first(1e300))),
+    "gram-one-class-labels": ("gram", _set("payload", "labels", lambda y: [0] * len(y))),
+    "gram-wide-train-states": (
+        "gram",
+        _set("payload", "train_states", lambda rows: [r + [0.0] for r in rows]),
+    ),
+    "gram-short-scale": ("gram", _set("normalizer", "scale", lambda s: s[:-1])),
+    "gram-negative-scale": ("gram", _set("normalizer", "scale", _poison_first(-1.0))),
+    "gram-zero-scale": ("gram", _set("normalizer", "scale", _poison_first(0.0))),
+    "gram-short-location": ("gram", _set("normalizer", "location", lambda s: s[:-1])),
     "gram-explicit-priors": ("gram", _set("priors", "mode", "explicit")),
     "dense-truncated-povm": ("dense", _set("payload", "povm", lambda f: [f[0][:-1]] + f[1:])),
     "dense-wrong-dim": ("dense", _set("payload", "dim", lambda dim: dim + 1)),
     "dense-inf-in-povm": ("dense", _set("payload", "povm", _poison_first(float("inf")))),
     "dense-copies-0": ("dense", _set("copies", 0)),
+    "dense-short-scale": ("dense", _set("normalizer", "scale", lambda s: s[:-1])),
+    "dense-shifted-effect": ("dense", _set("payload", "povm", _poison_first(0.5))),
 }
 
 
@@ -549,6 +561,100 @@ class TestCorruptedModel:
         assert result.exit_code == 2, (result.output, result.exception)
         assert f"error: {model_path}:" in result.stderr
         assert not out.exists()
+
+
+#: Numeric fields of a saved model, by engine, as key paths.
+MODEL_FIELDS = {
+    "gram": (
+        ("copies",),
+        ("encoding", "alpha"),
+        ("normalizer", "location"),
+        ("normalizer", "scale"),
+        ("priors", "values"),
+        ("payload", "train_states"),
+        ("payload", "labels"),
+        ("payload", "M"),
+    ),
+    "dense": (
+        ("copies",),
+        ("encoding", "alpha"),
+        ("normalizer", "location"),
+        ("normalizer", "scale"),
+        ("priors", "values"),
+        ("payload", "dim"),
+        ("payload", "povm"),
+    ),
+}
+
+
+@st.composite
+def model_mutations(draw):
+    """``(engine, key path, mutation, position)``: one field truncated or one entry replaced."""
+    engine = draw(st.sampled_from(sorted(MODEL_FIELDS)))
+    path = draw(st.sampled_from(MODEL_FIELDS[engine]))
+    mutation = draw(st.sampled_from(["truncate", 0, -1, float("nan"), float("inf"), 1e300]))
+    return engine, path, mutation, draw(st.integers(0, 10**6))
+
+
+def _replace_entry(value, position, new):
+    """Replace the scalar at flat row-major ``position`` (mod the entry count)."""
+    if not isinstance(value, list):
+        return new
+    entries = np.array(value, dtype=object)
+    entries.flat[position % entries.size] = new
+    return entries.tolist()
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """A trained gram and dense model (two classes, copies 2) and their data."""
+    root = tmp_path_factory.mktemp("saved-models")
+    rng = np.random.default_rng(6)
+    features = np.vstack([rng.normal(0.0, 1.0, (10, 2)), rng.normal(3.0, 1.0, (10, 2))])
+    data = write_dataset_csv(root / "data.csv", features, ["lo"] * 10 + ["hi"] * 10)
+    runner = CliRunner()
+    models = {}
+    for engine in MODEL_FIELDS:
+        models[engine] = json.loads(
+            train_model(runner, root, data, "--copies", "2", "--engine", engine)[0].read_text()
+        )
+    return root, data, models
+
+
+class TestMutatedModel:
+    @settings(max_examples=200, deadline=None)
+    @given(case=model_mutations())
+    def test_predict_exits_0_with_distributions_or_2(self, saved_models, case):
+        root, data, models = saved_models
+        engine, path, mutation, position = case
+        obj = json.loads(json.dumps(models[engine]))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if mutation == "truncate":
+            if isinstance(parent[path[-1]], list):
+                parent[path[-1]] = parent[path[-1]][:-1]
+            else:
+                del parent[path[-1]]
+        else:
+            parent[path[-1]] = _replace_entry(parent[path[-1]], position, mutation)
+        model_path = root / "mutated.json"
+        model_path.write_text(json.dumps(obj))
+        out = root / "preds.csv"
+        out.unlink(missing_ok=True)
+        result = CliRunner().invoke(
+            main, ["predict", str(model_path), str(data), "--out", str(out)]
+        )
+        assert result.exit_code in (0, 2), (result.output, result.exception)
+        if result.exit_code == 2:
+            assert result.stderr.startswith("error: ")
+            assert not out.exists()
+            return
+        rows = out.read_text().splitlines()[1:]
+        scores = np.array([[float(v) for v in row.split(",")[2:]] for row in rows])
+        assert scores.shape == (20, 2)
+        assert np.all(np.isfinite(scores))
+        assert np.abs(scores.sum(axis=1) - 1.0).max() <= 1e-8
 
 
 class TestEvaluateCommand:

@@ -333,6 +333,23 @@ class TestModelFile:
         np.testing.assert_array_equal(before[0], after[0])
         np.testing.assert_array_equal(before[1], after[1])
 
+    def test_gram_payload_is_one_factor_and_older_keys_are_ignored(self, tmp_path):
+        features, _, model = self.fit(9)
+        out = tmp_path / "model.json"
+        save_model(out, model, classes=("no", "yes"), feature_columns=("a", "b", "c"))
+        obj = json.loads(out.read_text())
+        assert set(obj["payload"]) == {"train_states", "labels", "M"}
+        # Files written before the payload shrank also carry P and weights.
+        obj["payload"]["P"] = (model.M @ model.M).tolist()
+        obj["payload"]["weights"] = model.weights[:-1].tolist()
+        write_json(out, obj)
+        loaded = load_model(out).model
+        np.testing.assert_array_equal(loaded.weights, model.weights)
+        before = predict_batch(model, features)
+        after = predict_batch(loaded, features)
+        np.testing.assert_array_equal(before[0], after[0])
+        np.testing.assert_array_equal(before[1], after[1])
+
     def test_pipeline_required(self, tmp_path):
         rng = np.random.default_rng(9)
         from helpers import random_labeled_states

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_labeled_states, random_unit_states, unblocked_scores
+from helpers import blob_features, random_labeled_states, random_unit_states, unblocked_scores
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -272,7 +272,65 @@ class TestGramPgm:
         gram = sqw[:, None] * overlaps**2 * sqw[None, :]
         projector = model.M @ gram @ model.M
         assert np.abs(projector @ projector - projector).max() <= 1e-8
-        assert np.abs(model.M @ gram @ model.M - gram @ model.P).max() <= 1e-8
+        assert np.abs(projector @ gram - gram).max() <= 1e-8
+
+
+class TestGramDenseOracle:
+    """Gram scores against the dense engine at numerically awkward inputs."""
+
+    @staticmethod
+    def max_gap(train, copies, tests):
+        dense = score_states(build_dense_pgm(train, copies=copies), tests)
+        gram = score_states(build_gram_pgm(train, copies=copies), tests)
+        return np.abs(dense - gram).max()
+
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_duplicate_training_rows(self, rng, copies):
+        base = random_labeled_states(rng, 3, 3, 8)
+        train = LabeledStateSet(
+            states=np.vstack([base.states, base.states[:4], base.states[:1]]),
+            labels=np.concatenate([base.labels, base.labels[:4], base.labels[:1]]),
+            n_classes=3,
+        )
+        assert self.max_gap(train, copies, random_unit_states(rng, 40, 3)) <= 1e-8
+
+    @pytest.mark.parametrize("m", [5, 12, 40])
+    def test_rank_deficient_gram_at_one_copy(self, rng, m):
+        train = random_labeled_states(rng, 3, 3, m)
+        gram = train.states @ train.states.T
+        assert np.linalg.matrix_rank(gram) == 3 < m
+        assert self.max_gap(train, 1, random_unit_states(rng, 40, 3)) <= 1e-8
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1e3])
+    @pytest.mark.parametrize("encoding", ["stereographic", "amplitude"])
+    @pytest.mark.parametrize("copies", [1, 2, 4])
+    def test_extreme_alpha(self, alpha, encoding, copies):
+        features, labels = blob_features(4.0, 15, seed=1)
+        scores = [
+            predict_batch(
+                fit_pgm(
+                    features,
+                    labels,
+                    3,
+                    PgmConfig(
+                        encoding=EncodingConfig(encoding=encoding, alpha=alpha),
+                        copies=copies,
+                        engine=engine,
+                    ),
+                ),
+                features,
+            )[1]
+            for engine in ("dense", "gram")
+        ]
+        assert np.abs(scores[0] - scores[1]).max() <= 1e-8
+
+    def test_sixty_copies_rows_sum_to_one(self, rng):
+        features, labels = blob_features(4.0, 20, d=30, seed=1)
+        model = fit_pgm(features, labels, 3, PgmConfig(copies=60, engine="gram"))
+        for x in (features, 3.0 * rng.normal(size=(200, 30))):
+            scores = predict_batch(model, x)[1]
+            assert np.all(np.isfinite(scores))
+            assert np.abs(scores.sum(axis=1) - 1.0).max() <= 1e-14
 
 
 class TestScoreAndClassify:
