@@ -30,7 +30,7 @@ from .errors import (
     SchemaMismatch,
 )
 from .metrics import MetricReport
-from .pgm import DensePgmModel, GramPgmModel, Priors
+from .pgm import MAX_COPIES, UNIT_NORM_TOL, DensePgmModel, GramPgmModel, Priors
 from .selection import GridPoint, ProtocolResult, SplitPlan
 
 FINGERPRINT_ALGORITHM = "sha256/lf-newlines"
@@ -422,8 +422,8 @@ def _check_model(path, model, classes, feature_columns) -> None:
     n_features = len(feature_columns)
     if model.n_classes != n:
         fail(f"{n} class names for {model.n_classes} model classes")
-    if model.copies < 1:
-        fail(f"copy count must be at least 1, got {model.copies}")
+    if not 1 <= model.copies <= MAX_COPIES:
+        fail(f"copy count must lie in [1, {MAX_COPIES}], got {model.copies}")
     if isinstance(model, GramPgmModel) and model.train_states.ndim != 2:
         fail(f"train_states of shape {model.train_states.shape}, expected 2-d")
     if model.dim != n_features + 1:
@@ -460,6 +460,15 @@ def _check_model(path, model, classes, feature_columns) -> None:
             fail(f"{name} has non-finite entries")
     if not np.all(model.normalizer.scale > 0.0):
         fail("normalizer scale must be positive")
+    if isinstance(model, GramPgmModel):
+        with np.errstate(over="ignore"):  # an overflowing norm fails the check below
+            off = np.abs(np.linalg.norm(model.train_states, axis=1) - 1.0)
+        if off.size and off.max() > UNIT_NORM_TOL:
+            fail(f"training state {int(np.argmax(off))} does not have unit norm")
+        if not np.array_equal(model.M, model.M.T):
+            fail("M is not symmetric")
+        if np.any(np.diagonal(model.M) < 0.0):
+            fail("M has a negative diagonal entry")
 
 
 def _metric_and_class(key: str, classes) -> tuple:

@@ -54,6 +54,15 @@ SCORE_BLOCK = 4096
 
 PRIOR_MODES = ("uniform", "empirical")
 
+#: Largest accepted copy count. The overlap of two unit states may exceed 1
+#: in magnitude by a few ulps, and ``stable_power`` raises it as
+#: ``exp(n * log|c|)``; up to this bound that exponent stays below 1e-9, far
+#: from overflow.
+MAX_COPIES = 10**6
+
+#: Largest deviation from 1 accepted in the norm of an encoded state.
+UNIT_NORM_TOL = 1e-10
+
 
 def stable_power(c, n: int) -> np.ndarray:
     """Elementwise ``c ** n`` computed as ``sign(c)^n * exp(n * log|c|)``.
@@ -121,10 +130,10 @@ class LabeledStateSet:
             )
         norms = np.linalg.norm(states, axis=1)
         off = np.abs(norms - 1.0)
-        if off.max() > 1e-10:
+        if off.max() > UNIT_NORM_TOL:
             bad = int(np.argmax(off))
             raise InvalidOperator(
-                f"state {bad} has norm {norms[bad]!r}, expected 1 within 1e-10"
+                f"state {bad} has norm {norms[bad]!r}, expected 1 within {UNIT_NORM_TOL:g}"
             )
         counts = np.bincount(labels, minlength=self.n_classes)
         missing = np.flatnonzero(counts == 0)
@@ -452,8 +461,10 @@ class PgmConfig:
             raise InvalidOperator(
                 f"unknown prior mode {self.prior_mode!r}, expected uniform or empirical"
             )
-        if not isinstance(self.copies, int) or self.copies < 1:
-            raise ValueError(f"copy count must be a positive integer, got {self.copies!r}")
+        if not isinstance(self.copies, int) or not 1 <= self.copies <= MAX_COPIES:
+            raise ValueError(
+                f"copy count must be an integer in [1, {MAX_COPIES}], got {self.copies!r}"
+            )
 
 
 def encode_training_set(features, labels, n_classes: int, config: PgmConfig):

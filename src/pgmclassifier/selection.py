@@ -13,15 +13,16 @@ validation scores its grid search already produced, averaged within each
 split first and across splits second.
 
 Everything is a deterministic function of (data, config, master seed):
-per-repetition seeds come from a fixed 64-bit mixing function, and parallel
-grid cells are reduced in a canonical order so results do not depend on the
-worker count.
+per-repetition seeds come from a fixed 64-bit mixing function, and grid
+tasks run in worker processes are reduced in task order so results do not
+depend on the worker count.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +85,16 @@ class FoldPlan:
             yield np.sort(train), self.folds[j]
 
 
+def _distinct(labels) -> list:
+    """The distinct labels, ascending.
+
+    Same as ``np.unique``, whose masked-array check imports ``numpy.ma``
+    (about 1 MB of resident memory) into a process that needs nothing else
+    from it.
+    """
+    return sorted(set(labels.tolist()))
+
+
 def _class_test_counts(labels: np.ndarray, classes: np.ndarray, test_fraction: float):
     counts = {int(c): int((labels == c).sum()) for c in classes}
     total_test = int(round(labels.size * test_fraction))
@@ -123,7 +134,7 @@ def stratified_holdout(labels, test_fraction: float, repetitions: int, seed: int
         raise ValueError(f"test fraction must lie in (0, 1), got {test_fraction!r}")
     if repetitions < 1:
         raise ValueError(f"need at least one repetition, got {repetitions!r}")
-    classes = np.unique(labels)
+    classes = _distinct(labels)
     small = [int(c) for c in classes if (labels == c).sum() < 2]
     if small:
         raise StratificationImpossible(
@@ -163,7 +174,7 @@ def stratified_kfold(train_labels, k: int, seed: int) -> FoldPlan:
     train_labels = np.asarray(train_labels)
     if k < 2:
         raise ValueError(f"k-fold needs k of at least 2, got {k!r}")
-    classes = np.unique(train_labels)
+    classes = _distinct(train_labels)
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
     for c in classes:
@@ -274,9 +285,55 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+#: Thread-count variables of the BLAS builds numpy may load. Worker
+#: processes start with each set to 1: their tasks are serial ``eigh`` calls
+#: on small matrices, where extra BLAS threads only contend for the cores
+#: the other workers use.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _resolve_workers(workers, n_tasks: int) -> int:
-    """Thread count for ``n_tasks`` tasks: ``workers`` (default 1), at most one per task."""
-    return max(1, min(int(workers or 1), n_tasks))
+    """Worker count for ``n_tasks`` tasks: ``workers``, by default one per
+    usable core, and at most one per task."""
+    if workers is None:
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # platforms without CPU affinity
+            workers = os.cpu_count() or 1
+    return max(1, min(int(workers), n_tasks))
+
+
+@contextmanager
+def _worker_map(workers, n_tasks: int):
+    """Yield a ``map(func, tasks)`` that runs on the resolved worker count.
+
+    One worker is the built-in ``map``, in-process. Otherwise the workers
+    are spawned processes, each with one BLAS thread: a spawned child
+    imports numpy while it re-imports the parent's main module, before any
+    initializer could run, so the thread variables are set in the
+    environment it inherits, and the parent's values are restored once the
+    pool is shut down. The process machinery is imported here, so serial
+    runs never load it.
+    """
+    n_workers = _resolve_workers(workers, n_tasks)
+    if n_workers == 1:
+        yield map
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(n_workers, mp_context=context) as pool:
+            yield pool.map
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def _round12(x: float) -> float:
@@ -295,6 +352,45 @@ def _cv_folds(labels, k: int, cv_repetitions: int, seed: int):
     ]
 
 
+def _evaluate_group(task):
+    """Validation outcomes of one (group, repetition, fold) task.
+
+    ``task`` is ``(train_x, train_y, val_x, val_y, n_classes, config,
+    copies)``: the fold's rows, the group's shared configuration and its copy
+    counts. The fold is encoded once, then one measurement per copy count is
+    built and scored. Returns one ``(value, scores, error)`` per copy count.
+    Module-level so that worker processes can unpickle it.
+    """
+    train_x, train_y, val_x, val_y, n_classes, config, copies = task
+    try:
+        train, priors, params = encode_training_set(train_x, train_y, n_classes, config)
+        val_states = encode(val_x, config.encoding, params)
+    except _CELL_ERRORS as exc:
+        return [(None, None, _describe(exc))] * len(copies)
+    outcomes = []
+    for n in copies:
+        try:
+            model = build_pgm(train, priors, n, config.engine)
+            scores = score_states(model, val_states)
+            value = _macro_validation_auc(scores, val_y, n_classes)
+            if value is None:
+                outcomes.append((None, None, "validation AUC undefined for every class"))
+            else:
+                outcomes.append((value, scores, None))
+        except _CELL_ERRORS as exc:
+            outcomes.append((None, None, _describe(exc)))
+    return outcomes
+
+
+def _point_groups(grid, normalizer: str, engine: str):
+    """Grid indices grouped by shared encoding and prior mode, in grid order."""
+    configs = [p.to_config(normalizer=normalizer, engine=engine) for p in grid]
+    groups: dict = {}
+    for gi, config in enumerate(configs):
+        groups.setdefault((config.encoding, config.prior_mode), []).append(gi)
+    return [(configs[members[0]], members) for members in groups.values()]
+
+
 def grid_search(
     features,
     labels,
@@ -307,6 +403,7 @@ def grid_search(
     normalizer: str = "zscore",
     engine: str = "auto",
     workers: int | None = None,
+    _map=None,
 ):
     """Rank grid points by repeated stratified k-fold validation AUC.
 
@@ -316,9 +413,12 @@ def grid_search(
     the grid, so all points see identical folds. Points sharing encoding,
     alpha and prior mode form a group: one task per (group, repetition,
     fold) encodes the fold once and then builds and scores one measurement
-    per copy count. Tasks run in parallel up to ``workers`` threads
-    (default 1) and are reduced in grid order, making the ranking
-    worker-count independent. Points whose any cell fails are excluded
+    per copy count. Tasks run on ``workers`` processes (default: one per
+    usable core, at most one per task), each with one BLAS thread; a single
+    worker runs in-process. Outcomes are reduced in task order, so the
+    ranking does not depend on the worker count. ``_map`` is the map of
+    an open ``_worker_map``, which :func:`run_protocol` shares across its
+    splits; ``workers`` is then unused. Points whose any cell fails are excluded
     from the ranking and returned at the tail with the error. Ranked points
     keep their validation scores, so callers can derive further fold
     metrics without refitting.
@@ -333,55 +433,37 @@ def grid_search(
         raise ValueError("grid must contain at least one point")
     if cv_repetitions < 1:
         raise ValueError(f"need at least one repetition, got {cv_repetitions!r}")
-    configs = [p.to_config(normalizer=normalizer, engine=engine) for p in grid]
-    groups: dict = {}
-    for gi, config in enumerate(configs):
-        groups.setdefault((config.encoding, config.prior_mode), []).append(gi)
+    groups = _point_groups(grid, normalizer, engine)
     fold_pairs = _cv_folds(labels, k, cv_repetitions, seed)
-
-    def run_group(task):
-        members, ri, fi = task
-        train_idx, val_idx = fold_pairs[ri][fi]
-        shared = configs[members[0]]
-        try:
-            train, priors, params = encode_training_set(
-                features[train_idx], labels[train_idx], n_classes, shared
-            )
-            val_states = encode(features[val_idx], shared.encoding, params)
-        except _CELL_ERRORS as exc:
-            return [(None, None, _describe(exc))] * len(members)
-        outcomes = []
-        for gi in members:
-            config = configs[gi]
-            try:
-                model = build_pgm(train, priors, config.copies, config.engine)
-                scores = score_states(model, val_states)
-                value = _macro_validation_auc(scores, labels[val_idx], n_classes)
-                if value is None:
-                    outcomes.append((None, None, "validation AUC undefined for every class"))
-                else:
-                    outcomes.append((value, scores, None))
-            except _CELL_ERRORS as exc:
-                outcomes.append((None, None, _describe(exc)))
-        return outcomes
-
-    tasks = [
-        (members, ri, fi)
-        for members in groups.values()
-        for ri in range(cv_repetitions)
-        for fi in range(k)
-    ]
-    n_workers = _resolve_workers(workers, len(tasks))
-    if n_workers == 1:
-        outcomes = [run_group(t) for t in tasks]
+    slots = []
+    tasks = []
+    for shared, members in groups:
+        copies = tuple(grid[gi].copies for gi in members)
+        for ri in range(cv_repetitions):
+            for fi in range(k):
+                train_idx, val_idx = fold_pairs[ri][fi]
+                slots.append((members, ri, fi))
+                tasks.append(
+                    (
+                        features[train_idx],
+                        labels[train_idx],
+                        features[val_idx],
+                        labels[val_idx],
+                        n_classes,
+                        shared,
+                        copies,
+                    )
+                )
+    if _map is None:
+        with _worker_map(workers, len(tasks)) as task_map:
+            outcomes = list(task_map(_evaluate_group, tasks))
     else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(run_group, tasks))
+        outcomes = list(_map(_evaluate_group, tasks))
 
     values = np.full((len(grid), cv_repetitions, k), np.nan)
     fold_scores = [[[None] * k for _ in range(cv_repetitions)] for _ in grid]
     errors: dict[int, str] = {}
-    for (members, ri, fi), group_outcomes in zip(tasks, outcomes):
+    for (members, ri, fi), group_outcomes in zip(slots, outcomes):
         for gi, (value, scores, error) in zip(members, group_outcomes):
             if error is not None:
                 errors.setdefault(gi, error)
@@ -556,66 +638,73 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
     folds, then over repetitions, before the final across-split
     aggregation; metrics undefined on some folds are averaged over the
     folds where they are defined. Any split whose every grid point fails
-    aborts the protocol with a diagnostic naming the split.
+    aborts the protocol with a diagnostic naming the split. The grid
+    searches of all splits share one pool of ``config.workers`` workers.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     splits = list(splits)
     if not splits:
         raise ValueError("protocol needs at least one split")
+    n_tasks = len(_point_groups(config.grid, config.normalizer, config.engine))
+    n_tasks *= config.cv_repetitions * config.k
     records = []
-    for split in splits:
-        cv_seed = derive_seed(config.seed, split.repetition_id)
-        tr, te = split.train_indices, split.test_indices
-        train_labels = labels[tr]
-        ranking = grid_search(
-            features[tr],
-            train_labels,
-            n_classes,
-            config.grid,
-            k=config.k,
-            cv_repetitions=config.cv_repetitions,
-            seed=cv_seed,
-            normalizer=config.normalizer,
-            engine=config.engine,
-            workers=config.workers,
-        )
-        best = ranking[0]
-        if best.failed:
-            raise PgmError(
-                f"split {split.repetition_id}: every grid point failed; first error: {best.error}"
+    with _worker_map(config.workers, n_tasks) as task_map:
+        for split in splits:
+            cv_seed = derive_seed(config.seed, split.repetition_id)
+            tr, te = split.train_indices, split.test_indices
+            train_labels = labels[tr]
+            ranking = grid_search(
+                features[tr],
+                train_labels,
+                n_classes,
+                config.grid,
+                k=config.k,
+                cv_repetitions=config.cv_repetitions,
+                seed=cv_seed,
+                normalizer=config.normalizer,
+                engine=config.engine,
+                _map=task_map,
             )
-        fit_config = best.point.to_config(normalizer=config.normalizer, engine=config.engine)
-        model = fit_pgm(features[tr], train_labels, n_classes, fit_config)
-        predicted, scores = predict_batch(model, features[te])
-        test_report = report_from_predictions(
-            labels[te], predicted, scores, n_classes, config.positive_class
-        )
-        fold_pairs = _cv_folds(train_labels, config.k, config.cv_repetitions, cv_seed)
-        rep_means = []
-        for rep_pairs, rep_scores in zip(fold_pairs, best.fold_scores):
-            fold_metrics = [
-                report_from_predictions(
-                    train_labels[val_idx],
-                    labels_from_scores(val_scores),
-                    val_scores,
-                    n_classes,
-                    config.positive_class,
-                ).flat()
-                for (_, val_idx), val_scores in zip(rep_pairs, rep_scores)
-            ]
-            rep_means.append(_mean_ignoring_none(fold_metrics))
-        cv_metrics = _mean_ignoring_none(rep_means)
-        records.append(
-            SplitRecord(
-                repetition_id=split.repetition_id,
-                winner_index=best.grid_index,
-                winner=best.point,
-                cv_objective=best.mean,
-                cv_metrics=cv_metrics,
-                test_report=test_report,
+            best = ranking[0]
+            if best.failed:
+                raise PgmError(
+                    f"split {split.repetition_id}: every grid point failed; "
+                    f"first error: {best.error}"
+                )
+            fit_config = best.point.to_config(
+                normalizer=config.normalizer, engine=config.engine
             )
-        )
+            model = fit_pgm(features[tr], train_labels, n_classes, fit_config)
+            predicted, scores = predict_batch(model, features[te])
+            test_report = report_from_predictions(
+                labels[te], predicted, scores, n_classes, config.positive_class
+            )
+            fold_pairs = _cv_folds(train_labels, config.k, config.cv_repetitions, cv_seed)
+            rep_means = []
+            for rep_pairs, rep_scores in zip(fold_pairs, best.fold_scores):
+                fold_metrics = [
+                    report_from_predictions(
+                        train_labels[val_idx],
+                        labels_from_scores(val_scores),
+                        val_scores,
+                        n_classes,
+                        config.positive_class,
+                    ).flat()
+                    for (_, val_idx), val_scores in zip(rep_pairs, rep_scores)
+                ]
+                rep_means.append(_mean_ignoring_none(fold_metrics))
+            cv_metrics = _mean_ignoring_none(rep_means)
+            records.append(
+                SplitRecord(
+                    repetition_id=split.repetition_id,
+                    winner_index=best.grid_index,
+                    winner=best.point,
+                    cv_objective=best.mean,
+                    cv_metrics=cv_metrics,
+                    test_report=test_report,
+                )
+            )
     selection = select_robust_config(
         [rec.winner_index for rec in records],
         [rec.test_report.macro_auc for rec in records],

@@ -2,6 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import time
+import uuid
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 import pgmclassifier
 from pgmclassifier import load_model, predict_batch
 from pgmclassifier.cli import main
+from pgmclassifier.pgm import MAX_COPIES
 
 
 @pytest.fixture
@@ -65,6 +69,21 @@ def train_model(runner, tmp_path, dataset, *extra):
     )
     assert result.exit_code == 0, result.output + result.stderr
     return out, result
+
+
+def processes_with_env(entry: str) -> list:
+    """Ids of the live processes whose environment holds ``entry``."""
+    proc = Path("/proc")
+    if not proc.is_dir():
+        pytest.skip("needs /proc to list processes")
+    found = []
+    for path in proc.glob("[0-9]*/environ"):
+        try:
+            if entry.encode() in path.read_bytes().split(b"\0"):
+                found.append(int(path.parent.name))
+        except OSError:
+            pass
+    return found
 
 
 class TestSplitsCommand:
@@ -245,6 +264,73 @@ class TestGridsearchCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_worker_counts_agree_at_blas_sensitive_size(self, runner, tmp_path):
+        # 471 rows: fold-train m is about 300, where OpenBLAS's eigh returns
+        # different bits at one and at two threads. One worker runs
+        # in-process with the default BLAS threads; two and three run in
+        # processes with one BLAS thread each.
+        features, labels = blob_features(1.5, 157, d=4, seed=8)
+        dataset = write_dataset_csv(
+            tmp_path / "wide.csv", features, np.array(["ant", "bee", "cat"])[labels]
+        )
+        splits = make_splits(runner, tmp_path, dataset, repetitions=1, test_fraction=0.2)
+        outputs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"report_{workers}.json"
+            out_csv = tmp_path / f"report_{workers}.csv"
+            result = runner.invoke(
+                main,
+                [
+                    "gridsearch",
+                    str(dataset),
+                    str(splits),
+                    "--grid",
+                    "encodings=stereographic,amplitude;alphas=0.5,1;copies=1,5,15",
+                    "--cv-reps",
+                    "1",
+                    "--engine",
+                    "gram",
+                    "--seed",
+                    "9",
+                    "--out",
+                    str(out),
+                    "--out-csv",
+                    str(out_csv),
+                ],
+                env={"PGM_WORKERS": workers},
+                catch_exceptions=False,
+            )
+            assert result.exit_code == 0, result.output + result.stderr
+            outputs.append((out.read_bytes(), out_csv.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_parallel_run_leaves_clean_stderr_and_no_processes(self, tmp_path, blob_csv):
+        splits = make_splits(CliRunner(), tmp_path, blob_csv)
+        marker = uuid.uuid4().hex
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(pgmclassifier.__file__).parents[1]),
+            PGM_WORKERS="2",
+            PGM_TEST_RUN=marker,
+        )
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "pgmclassifier.cli", "gridsearch", str(blob_csv),
+                str(splits), "--grid", "encodings=amplitude;alphas=1;copies=1,2",
+                "--k", "3", "--cv-reps", "2", "--seed", "4", "--out", "report.json",
+            ],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        for text in ("resource_tracker", "leaked", "Warning"):
+            assert text not in run.stderr
+        # Every process the run started inherited the marker; give the last
+        # ones a moment to finish exiting.
+        deadline = time.monotonic() + 10.0
+        while processes_with_env(f"PGM_TEST_RUN={marker}") and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert processes_with_env(f"PGM_TEST_RUN={marker}") == []
+
     def test_fingerprint_mismatch_is_data_error(self, runner, tmp_path, blob_csv, binary_csv):
         splits = make_splits(runner, tmp_path, binary_csv)
         result = runner.invoke(
@@ -269,6 +355,7 @@ class TestGridsearchCommand:
             "encodings=fourier;alphas=1;copies=1",
             "alphas=-1",
             "copies=0",
+            "copies=1000001",
             "bogus=1",
             "alphas",
         ],
@@ -379,6 +466,22 @@ class TestTrainCommand:
             ],
         )
         assert result.exit_code == 1
+
+    def test_copies_above_bound_is_usage_error(self, runner, tmp_path, blob_csv):
+        result = runner.invoke(
+            main,
+            [
+                "train",
+                str(blob_csv),
+                "--copies",
+                str(MAX_COPIES + 1),
+                "--out-model",
+                str(tmp_path / "m.json"),
+            ],
+        )
+        assert result.exit_code == 1
+        assert "--copies" in result.stderr
+        assert not (tmp_path / "m.json").exists()
 
     def test_copies_must_be_positive(self, runner, tmp_path, blob_csv):
         result = runner.invoke(
@@ -517,8 +620,27 @@ def _poison_first(value):
     return poison
 
 
+def _set_entry(i, j, value):
+    """Replace entry ``[i][j]`` of a nested list with ``value``."""
+
+    def edit(rows):
+        rows = [list(row) for row in rows]
+        rows[i][j] = value
+        return rows
+
+    return edit
+
+
 #: One corrupted field per case, applied to a saved two-class model.
 CORRUPTIONS = {
+    "gram-asymmetric-M": ("gram", _set("payload", "M", _set_entry(0, 1, 0.0))),
+    "gram-negative-M-diagonal": ("gram", _set("payload", "M", _set_entry(0, 0, -1.0))),
+    "gram-non-unit-train-state": (
+        "gram",
+        _set("payload", "train_states", _set_entry(0, 0, 0.0)),
+    ),
+    "gram-huge-copies": ("gram", _set("copies", 1e300)),
+    "dense-huge-copies": ("dense", _set("copies", 1e300)),
     "gram-truncated-M": ("gram", _set("payload", "M", lambda rows: rows[:-1])),
     "gram-M-not-square": ("gram", _set("payload", "M", lambda rows: [r[:-1] for r in rows])),
     "gram-copies-0": ("gram", _set("copies", 0)),
@@ -561,6 +683,29 @@ class TestCorruptedModel:
         assert result.exit_code == 2, (result.output, result.exception)
         assert f"error: {model_path}:" in result.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("engine", ["gram", "dense"])
+    def test_huge_copy_count_is_refused_before_numpy_sees_it(
+        self, runner, tmp_path, binary_csv, engine
+    ):
+        model_path, _ = train_model(
+            runner, tmp_path, binary_csv, "--copies", "2", "--engine", engine
+        )
+        obj = json.loads(model_path.read_text())
+        obj["copies"] = 1e300
+        model_path.write_text(json.dumps(obj))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(
+                main,
+                ["predict", str(model_path), str(binary_csv), "--out", str(tmp_path / "p.csv")],
+            )
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            f"error: {model_path}: copy count must lie in [1, {MAX_COPIES}], "
+            f"got {int(1e300)}"
+        ]
+        assert caught == []
 
 
 #: Numeric fields of a saved model, by engine, as key paths.
@@ -889,6 +1034,37 @@ class TestWithoutScipy:
         )
         assert evaluation.returncode == 0, evaluation.stderr
         assert json.loads((tmp_path / "eval.json").read_text())["kind"] == "evaluate"
+
+
+class TestProcessMachineryIsLazy:
+    """Importing the CLI, or a one-worker gridsearch, loads no process pool."""
+
+    SCRIPT = (
+        "import sys; from pgmclassifier.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:], prog_name='pgm')\n"
+        "finally:\n"
+        "    print(sorted(m for m in ('multiprocessing', 'concurrent.futures')"
+        " if m in sys.modules))"
+    )
+
+    def test_serial_gridsearch(self, tmp_path, blob_csv):
+        splits = make_splits(CliRunner(), tmp_path, blob_csv)
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(pgmclassifier.__file__).parents[1]),
+            PGM_WORKERS="1",
+        )
+        run = subprocess.run(
+            [
+                sys.executable, "-c", self.SCRIPT, "gridsearch", str(blob_csv), str(splits),
+                "--grid", "encodings=amplitude;alphas=1;copies=1,2", "--k", "3",
+                "--cv-reps", "1", "--seed", "4", "--out", "report.json",
+            ],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]"
 
 
 class TestHelp:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from helpers import blob_features
@@ -183,6 +185,15 @@ def small_blob_problem():
     return features, labels
 
 
+def assert_fold_scores_close(a, b):
+    """Two grid results hold the same validation scores within 1e-12."""
+    assert len(a.fold_scores) == len(b.fold_scores)
+    for rep_a, rep_b in zip(a.fold_scores, b.fold_scores):
+        assert len(rep_a) == len(rep_b)
+        for scores_a, scores_b in zip(rep_a, rep_b):
+            np.testing.assert_allclose(scores_a, scores_b, rtol=0.0, atol=1e-12)
+
+
 class TestGridSearch:
     def test_single_point_ranks_first(self):
         features, labels = small_blob_problem()
@@ -249,6 +260,28 @@ class TestGridSearch:
             assert a.grid_index == b.grid_index
             assert a.mean == b.mean
             np.testing.assert_array_equal(a.values, b.values)
+            assert_fold_scores_close(a, b)
+
+    def test_worker_count_does_not_change_results_at_blas_sensitive_size(self):
+        # Fold-train m = 300. At this size OpenBLAS's eigh returns different
+        # bits at one and at two threads, so the in-process run (default
+        # BLAS threads) and the one-thread worker processes differ in the
+        # last digits of their scores but not in values or ranks.
+        features, labels = blob_features(1.5, 125, d=4, seed=8)
+        grid = make_grid(alphas=(0.5,), copies=(1, 5, 15))
+        runs = [
+            grid_search(
+                features, labels, 3, grid, k=5, cv_repetitions=1, seed=4,
+                engine="gram", workers=w,
+            )
+            for w in (1, 2, 3)
+        ]
+        assert runs[0][0].fold_scores[0][0].shape[0] == 75
+        for other in runs[1:]:
+            for a, b in zip(runs[0], other):
+                assert (a.grid_index, a.rank) == (b.grid_index, b.rank)
+                np.testing.assert_array_equal(a.values, b.values)
+                assert_fold_scores_close(a, b)
 
     @pytest.mark.parametrize("engine", ["gram", "auto"])
     def test_matches_explicit_per_cell_loop(self, engine):
@@ -276,13 +309,13 @@ class TestGridSearch:
             np.testing.assert_array_equal(result.values, expected)
         assert engines == ({"gram"} if engine == "gram" else {"dense", "gram"})
 
-    def test_infeasible_point_marked_failed(self):
+    def check_infeasible_point_marked_failed(self, workers):
         features, labels = small_blob_problem()
         good = GridPoint("stereographic", 1.0, 1)
         bad = GridPoint("stereographic", 1.0, 8)
         results = grid_search(
             features, labels, 3, (bad, good), k=3, cv_repetitions=1, seed=11,
-            engine="dense",
+            engine="dense", workers=workers,
         )
         assert results[0].grid_index == 1
         assert not results[0].failed
@@ -291,6 +324,13 @@ class TestGridSearch:
         assert results[1].rank is None
         assert results[1].fold_scores is None
         assert "DenseBlowup" in results[1].error
+
+    def test_infeasible_point_marked_failed(self):
+        self.check_infeasible_point_marked_failed(workers=1)
+
+    def test_infeasible_point_marked_failed_in_worker_process(self):
+        # The error is raised inside a child and still marks only its point.
+        self.check_infeasible_point_marked_failed(workers=2)
 
     def test_validation(self):
         features, labels = small_blob_problem()
@@ -303,8 +343,10 @@ class TestGridSearch:
 
 
 class TestResolveWorkers:
-    def test_default_is_serial(self):
-        assert _resolve_workers(None, 60) == 1
+    def test_default_is_usable_core_count(self):
+        cores = len(os.sched_getaffinity(0))
+        assert _resolve_workers(None, 60) == min(cores, 60)
+        assert _resolve_workers(None, 1) == 1
 
     def test_explicit_count_kept(self):
         assert _resolve_workers(2, 60) == 2
