@@ -7,18 +7,20 @@ explicit --seed; there is no hidden entropy, so identical inputs always
 produce identical output files.
 
 The PGM_WORKERS environment variable sets the number of grid-search worker
-processes; the default is one per usable core. Each worker is a spawned
-process with one BLAS thread, since grid tasks are dominated by small
-serial ``eigh`` calls that gain nothing from more threads; one worker runs
-in-process. On a 2-vCPU machine with OpenBLAS, a gram-engine gridsearch of
-the default grid on 143 x 4 data (one split, one CV repetition) took a
-median of 1.63 s with the default two workers against 1.95 s serially
-in-process (ten runs each); about 0.35 s of each pooled run goes to
-starting the workers. Reports are byte-identical across worker counts:
+processes; the default is one per usable core (the CPU affinity mask; a
+cgroup CPU quota is not read, so set PGM_WORKERS under one). Every grid
+task runs in a spawned worker process with one BLAS thread, a single
+worker included: grid tasks are dominated by small serial ``eigh`` calls
+that gain nothing from more threads, and the same thread count in every
+worker makes the validation scores bit-identical across worker counts.
+On a 2-vCPU machine with OpenBLAS, a gram-engine gridsearch of the default
+grid on 143 x 4 data (one split, one CV repetition) took a median of
+1.96 s with the default two workers and 2.67 s with one, against 2.31 s
+for the same run in-process before grid search used processes (ten
+interleaved runs each); each worker costs about 0.35 s to start and
+39 MB of memory. Reports are byte-identical across worker counts:
 outcomes are reduced in task order, and reports depend on scores only
-through ranks and through the argmax of scores rounded to 12 decimals. The
-scores themselves may differ in the last bits between one worker, which
-keeps the default BLAS threads, and several.
+through ranks and through the argmax of scores rounded to 12 decimals.
 """
 
 from __future__ import annotations

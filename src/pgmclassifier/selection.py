@@ -285,16 +285,18 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-#: Thread-count variables of the BLAS builds numpy may load. Worker
-#: processes start with each set to 1: their tasks are serial ``eigh`` calls
-#: on small matrices, where extra BLAS threads only contend for the cores
-#: the other workers use.
+#: Thread-count variables of the BLAS builds numpy may load. Every grid task
+#: runs in a spawned worker process started with each set to 1: the tasks
+#: are serial ``eigh`` calls on small matrices, where extra BLAS threads only
+#: contend for the cores the other workers use, and one BLAS thread in every
+#: worker makes the scores independent of the worker count.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _resolve_workers(workers, n_tasks: int) -> int:
     """Worker count for ``n_tasks`` tasks: ``workers``, by default one per
-    usable core, and at most one per task."""
+    usable core (the CPU affinity mask, not a cgroup CPU quota), and at most
+    one per task."""
     if workers is None:
         try:
             workers = len(os.sched_getaffinity(0))
@@ -303,31 +305,47 @@ def _resolve_workers(workers, n_tasks: int) -> int:
     return max(1, min(int(workers), n_tasks))
 
 
-@contextmanager
-def _worker_map(workers, n_tasks: int):
-    """Yield a ``map(func, tasks)`` that runs on the resolved worker count.
+#: ``(features, labels)`` of the rows a worker process's tasks index, set
+#: once per worker by the pool's initializer.
+_worker_data = None
 
-    One worker is the built-in ``map``, in-process. Otherwise the workers
-    are spawned processes, each with one BLAS thread: a spawned child
-    imports numpy while it re-imports the parent's main module, before any
-    initializer could run, so the thread variables are set in the
-    environment it inherits, and the parent's values are restored once the
-    pool is shut down. The process machinery is imported here, so serial
-    runs never load it.
+
+def _receive_data(features, labels):
+    global _worker_data
+    _worker_data = (features, labels)
+
+
+@contextmanager
+def _task_outcomes(workers, features, labels, tasks):
+    """Yield an iterator over the outcomes of ``tasks``, in task order.
+
+    The tasks run in ``_resolve_workers(workers, len(tasks))`` spawned
+    worker processes, a single worker included, so every score is computed
+    with one BLAS thread whatever the worker count. Each worker receives
+    ``features`` and ``labels`` once, at start-up, and its tasks carry only
+    row indices. A spawned child imports numpy while it re-imports the
+    parent's main module, before any initializer could run, so the thread
+    variables are set in the environment it inherits, and the parent's
+    values are restored once the pool is shut down. The process machinery
+    is imported here, so importing the package does not load it.
     """
-    n_workers = _resolve_workers(workers, n_tasks)
-    if n_workers == 1:
-        yield map
-        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(n_workers, mp_context=context) as pool:
-            yield pool.map
+        with ProcessPoolExecutor(
+            _resolve_workers(workers, len(tasks)),
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_receive_data,
+            initargs=(features, labels),
+        ) as pool:
+            try:
+                yield pool.map(_evaluate_group, tasks)
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # drop the tasks not yet started
+                raise
     finally:
         for name, value in saved.items():
             if value is None:
@@ -340,31 +358,23 @@ def _round12(x: float) -> float:
     return float(round(x, 12))
 
 
-def _cv_folds(labels, k: int, cv_repetitions: int, seed: int):
-    """The ``(train, validation)`` index pairs of repetition r, fold j at ``[r][j]``.
-
-    Repetition r deals its folds with the derived seed mix(seed, r), so the
-    plan depends only on (labels, k, seed).
-    """
-    return [
-        list(stratified_kfold(labels, k, derive_seed(seed, r)).splits())
-        for r in range(cv_repetitions)
-    ]
-
-
 def _evaluate_group(task):
     """Validation outcomes of one (group, repetition, fold) task.
 
-    ``task`` is ``(train_x, train_y, val_x, val_y, n_classes, config,
-    copies)``: the fold's rows, the group's shared configuration and its copy
-    counts. The fold is encoded once, then one measurement per copy count is
-    built and scored. Returns one ``(value, scores, error)`` per copy count.
-    Module-level so that worker processes can unpickle it.
+    ``task`` is ``(train_rows, val_rows, n_classes, config, copies)``: the
+    fold's rows of the worker's data, the group's shared configuration and
+    its copy counts. The fold is encoded once, then one measurement per copy
+    count is built and scored. Returns one ``(value, scores, error)`` per
+    copy count. Module-level so that worker processes can unpickle it.
     """
-    train_x, train_y, val_x, val_y, n_classes, config, copies = task
+    train_rows, val_rows, n_classes, config, copies = task
+    features, labels = _worker_data
+    val_y = labels[val_rows]
     try:
-        train, priors, params = encode_training_set(train_x, train_y, n_classes, config)
-        val_states = encode(val_x, config.encoding, params)
+        train, priors, params = encode_training_set(
+            features[train_rows], labels[train_rows], n_classes, config
+        )
+        val_states = encode(features[val_rows], config.encoding, params)
     except _CELL_ERRORS as exc:
         return [(None, None, _describe(exc))] * len(copies)
     outcomes = []
@@ -391,85 +401,62 @@ def _point_groups(grid, normalizer: str, engine: str):
     return [(configs[members[0]], members) for members in groups.values()]
 
 
-def grid_search(
-    features,
-    labels,
-    n_classes: int,
-    grid,
-    *,
-    k: int = 5,
-    cv_repetitions: int = 10,
-    seed: int,
-    normalizer: str = "zscore",
-    engine: str = "auto",
-    workers: int | None = None,
-    _map=None,
-):
-    """Rank grid points by repeated stratified k-fold validation AUC.
+@dataclass(frozen=True, eq=False)
+class _GridPlan:
+    """One grid search: its point groups, its fold plan and its tasks.
 
-    Every (grid point, repetition, fold) cell fits on the other folds and
-    scores the validation fold; the point's mean averages folds within a
-    repetition first. Fold plans depend only on (labels, k, seed), not on
-    the grid, so all points see identical folds. Points sharing encoding,
-    alpha and prior mode form a group: one task per (group, repetition,
-    fold) encodes the fold once and then builds and scores one measurement
-    per copy count. Tasks run on ``workers`` processes (default: one per
-    usable core, at most one per task), each with one BLAS thread; a single
-    worker runs in-process. Outcomes are reduced in task order, so the
-    ranking does not depend on the worker count. ``_map`` is the map of
-    an open ``_worker_map``, which :func:`run_protocol` shares across its
-    splits; ``workers`` is then unused. Points whose any cell fails are excluded
-    from the ranking and returned at the tail with the error. Ranked points
-    keep their validation scores, so callers can derive further fold
-    metrics without refitting.
-
-    Returns a tuple of :class:`GridResult`, ranked entries first
-    (descending mean, ties by grid order).
+    ``folds[r][j]`` is the ``(train, validation)`` pair of repetition r,
+    fold j, as positions in the searched rows; repetition r deals its folds
+    with the derived seed mix(seed, r), so the plan depends only on (labels,
+    k, seed). The tasks, one per (group, repetition, fold), are in task
+    order: groups, then repetitions, then folds.
     """
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels)
-    grid = tuple(grid)
+
+    grid: tuple
+    groups: list
+    folds: list
+    tasks: list
+
+
+def _plan_grid(rows, labels, n_classes, grid, *, k, cv_repetitions, seed, normalizer, engine):
+    """Plan a grid search over the data rows ``rows``, whose labels are
+    ``labels``; the tasks index the data by those rows."""
     if not grid:
         raise ValueError("grid must contain at least one point")
     if cv_repetitions < 1:
         raise ValueError(f"need at least one repetition, got {cv_repetitions!r}")
     groups = _point_groups(grid, normalizer, engine)
-    fold_pairs = _cv_folds(labels, k, cv_repetitions, seed)
-    slots = []
-    tasks = []
-    for shared, members in groups:
-        copies = tuple(grid[gi].copies for gi in members)
-        for ri in range(cv_repetitions):
-            for fi in range(k):
-                train_idx, val_idx = fold_pairs[ri][fi]
-                slots.append((members, ri, fi))
-                tasks.append(
-                    (
-                        features[train_idx],
-                        labels[train_idx],
-                        features[val_idx],
-                        labels[val_idx],
-                        n_classes,
-                        shared,
-                        copies,
-                    )
-                )
-    if _map is None:
-        with _worker_map(workers, len(tasks)) as task_map:
-            outcomes = list(task_map(_evaluate_group, tasks))
-    else:
-        outcomes = list(_map(_evaluate_group, tasks))
+    folds = [
+        list(stratified_kfold(labels, k, derive_seed(seed, r)).splits())
+        for r in range(cv_repetitions)
+    ]
+    tasks = [
+        (rows[tr], rows[val], n_classes, config, tuple(grid[gi].copies for gi in members))
+        for config, members in groups
+        for rep_pairs in folds
+        for tr, val in rep_pairs
+    ]
+    return _GridPlan(grid, groups, folds, tasks)
 
+
+def _rank_grid(plan: _GridPlan, outcomes):
+    """Rank the points of ``plan`` from its task outcomes, taken in task
+    order from the iterator ``outcomes``, which is advanced by exactly one
+    item per task."""
+    grid = plan.grid
+    cv_repetitions, k = len(plan.folds), len(plan.folds[0])
     values = np.full((len(grid), cv_repetitions, k), np.nan)
     fold_scores = [[[None] * k for _ in range(cv_repetitions)] for _ in grid]
     errors: dict[int, str] = {}
-    for (members, ri, fi), group_outcomes in zip(slots, outcomes):
-        for gi, (value, scores, error) in zip(members, group_outcomes):
-            if error is not None:
-                errors.setdefault(gi, error)
-            else:
-                values[gi, ri, fi] = value
-                fold_scores[gi][ri][fi] = scores
+    for _, members in plan.groups:
+        for ri in range(cv_repetitions):
+            for fi in range(k):
+                for gi, (value, scores, error) in zip(members, next(outcomes)):
+                    if error is not None:
+                        errors.setdefault(gi, error)
+                    else:
+                        values[gi, ri, fi] = value
+                        fold_scores[gi][ri][fi] = scores
 
     ranked_indices = [gi for gi in range(len(grid)) if gi not in errors]
     means = {gi: float(values[gi].mean(axis=1).mean()) for gi in ranked_indices}
@@ -489,6 +476,49 @@ def grid_search(
         GridResult(point=grid[gi], grid_index=gi, error=errors[gi]) for gi in sorted(errors)
     )
     return tuple(results)
+
+
+def grid_search(
+    features,
+    labels,
+    n_classes: int,
+    grid,
+    *,
+    k: int = 5,
+    cv_repetitions: int = 10,
+    seed: int,
+    normalizer: str = "zscore",
+    engine: str = "auto",
+    workers: int | None = None,
+):
+    """Rank grid points by repeated stratified k-fold validation AUC.
+
+    Every (grid point, repetition, fold) cell fits on the other folds and
+    scores the validation fold; the point's mean averages folds within a
+    repetition first. Fold plans depend only on (labels, k, seed), not on
+    the grid, so all points see identical folds. Points sharing encoding,
+    alpha and prior mode form a group: one task per (group, repetition,
+    fold) encodes the fold once and then builds and scores one measurement
+    per copy count. Tasks run in ``workers`` spawned processes (default: one
+    per usable core, at most one per task), each with one BLAS thread, so a
+    script calling this must guard its top level with
+    ``if __name__ == "__main__":``. Outcomes are reduced in task order, so
+    the results do not depend on the worker count. Points whose any cell
+    fails are excluded from the ranking and returned at the tail with the
+    error. Ranked points keep their validation scores, so callers can derive
+    further fold metrics without refitting.
+
+    Returns a tuple of :class:`GridResult`, ranked entries first
+    (descending mean, ties by grid order).
+    """
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels)
+    plan = _plan_grid(
+        np.arange(labels.size), labels, n_classes, tuple(grid), k=k,
+        cv_repetitions=cv_repetitions, seed=seed, normalizer=normalizer, engine=engine,
+    )
+    with _task_outcomes(workers, features, labels, plan.tasks) as outcomes:
+        return _rank_grid(plan, outcomes)
 
 
 def _mean_ignoring_none(dicts):
@@ -638,54 +668,57 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
     folds, then over repetitions, before the final across-split
     aggregation; metrics undefined on some folds are averaged over the
     folds where they are defined. Any split whose every grid point fails
-    aborts the protocol with a diagnostic naming the split. The grid
-    searches of all splits share one pool of ``config.workers`` workers.
+    aborts the protocol with a diagnostic naming the split.
+
+    The tasks of every split's grid search run in one pool of
+    ``config.workers`` spawned processes, as in :func:`grid_search` (a
+    calling script needs the same ``__main__`` guard), and each split is
+    ranked, refitted and evaluated as soon as its own tasks are done, so
+    the parent holds about one split's validation scores at a time.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     splits = list(splits)
     if not splits:
         raise ValueError("protocol needs at least one split")
-    n_tasks = len(_point_groups(config.grid, config.normalizer, config.engine))
-    n_tasks *= config.cv_repetitions * config.k
+    plans = [
+        _plan_grid(
+            split.train_indices,
+            labels[split.train_indices],
+            n_classes,
+            tuple(config.grid),
+            k=config.k,
+            cv_repetitions=config.cv_repetitions,
+            seed=derive_seed(config.seed, split.repetition_id),
+            normalizer=config.normalizer,
+            engine=config.engine,
+        )
+        for split in splits
+    ]
+    tasks = [task for plan in plans for task in plan.tasks]
     records = []
-    with _worker_map(config.workers, n_tasks) as task_map:
-        for split in splits:
-            cv_seed = derive_seed(config.seed, split.repetition_id)
-            tr, te = split.train_indices, split.test_indices
-            train_labels = labels[tr]
-            ranking = grid_search(
-                features[tr],
-                train_labels,
-                n_classes,
-                config.grid,
-                k=config.k,
-                cv_repetitions=config.cv_repetitions,
-                seed=cv_seed,
-                normalizer=config.normalizer,
-                engine=config.engine,
-                _map=task_map,
-            )
-            best = ranking[0]
+    with _task_outcomes(config.workers, features, labels, tasks) as outcomes:
+        for split, plan in zip(splits, plans):
+            best = _rank_grid(plan, outcomes)[0]
             if best.failed:
                 raise PgmError(
                     f"split {split.repetition_id}: every grid point failed; "
                     f"first error: {best.error}"
                 )
+            tr, te = split.train_indices, split.test_indices
             fit_config = best.point.to_config(
                 normalizer=config.normalizer, engine=config.engine
             )
-            model = fit_pgm(features[tr], train_labels, n_classes, fit_config)
+            model = fit_pgm(features[tr], labels[tr], n_classes, fit_config)
             predicted, scores = predict_batch(model, features[te])
             test_report = report_from_predictions(
                 labels[te], predicted, scores, n_classes, config.positive_class
             )
-            fold_pairs = _cv_folds(train_labels, config.k, config.cv_repetitions, cv_seed)
             rep_means = []
-            for rep_pairs, rep_scores in zip(fold_pairs, best.fold_scores):
+            for rep_pairs, rep_scores in zip(plan.folds, best.fold_scores):
                 fold_metrics = [
                     report_from_predictions(
-                        train_labels[val_idx],
+                        labels[tr[val_idx]],
                         labels_from_scores(val_scores),
                         val_scores,
                         n_classes,

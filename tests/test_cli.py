@@ -264,12 +264,11 @@ class TestGridsearchCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_worker_counts_agree_at_blas_sensitive_size(self, runner, tmp_path):
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_worker_counts_agree_at_blas_sensitive_size(self, runner, tmp_path, d):
         # 471 rows: fold-train m is about 300, where OpenBLAS's eigh returns
-        # different bits at one and at two threads. One worker runs
-        # in-process with the default BLAS threads; two and three run in
-        # processes with one BLAS thread each.
-        features, labels = blob_features(1.5, 157, d=4, seed=8)
+        # different bits at one and at two threads.
+        features, labels = blob_features(1.5, 157, d=d, seed=8)
         dataset = write_dataset_csv(
             tmp_path / "wide.csv", features, np.array(["ant", "bee", "cat"])[labels]
         )
@@ -1037,7 +1036,8 @@ class TestWithoutScipy:
 
 
 class TestProcessMachineryIsLazy:
-    """Importing the CLI, or a one-worker gridsearch, loads no process pool."""
+    """Importing the CLI, or a command without a grid search, loads no
+    process pool."""
 
     SCRIPT = (
         "import sys; from pgmclassifier.cli import main\n"
@@ -1048,19 +1048,14 @@ class TestProcessMachineryIsLazy:
         " if m in sys.modules))"
     )
 
-    def test_serial_gridsearch(self, tmp_path, blob_csv):
-        splits = make_splits(CliRunner(), tmp_path, blob_csv)
-        env = dict(
-            os.environ,
-            PYTHONPATH=str(Path(pgmclassifier.__file__).parents[1]),
-            PGM_WORKERS="1",
-        )
+    @pytest.mark.parametrize("command", ["--help", "train"])
+    def test_command_without_grid_search(self, tmp_path, blob_csv, command):
+        args = [command]
+        if command == "train":
+            args += [str(blob_csv), "--out-model", "model.json"]
+        env = dict(os.environ, PYTHONPATH=str(Path(pgmclassifier.__file__).parents[1]))
         run = subprocess.run(
-            [
-                sys.executable, "-c", self.SCRIPT, "gridsearch", str(blob_csv), str(splits),
-                "--grid", "encodings=amplitude;alphas=1;copies=1,2", "--k", "3",
-                "--cv-reps", "1", "--seed", "4", "--out", "report.json",
-            ],
+            [sys.executable, "-c", self.SCRIPT, *args],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert run.returncode == 0, run.stderr
