@@ -427,11 +427,23 @@ def evaluate(model_file, dataset, label_column, positive_class, out, out_csv):
     click.echo(f"wrote report to {out}")
 
 
-def _load_evaluation(path) -> dict:
+def _load_evaluation(path):
+    """``(auc_by_class, flat)`` of an evaluation report, each value null or a number in [0, 1]."""
     obj = read_json(path, REPORT_FORMAT)
     if obj.get("kind") != "evaluate":
         raise SchemaMismatch(f"{path}: expected an evaluation report, got {obj.get('kind')!r}")
-    return obj
+    try:
+        aucs = {cls: entry["auc"] for cls, entry in obj["metrics"]["per_class"].items()}
+        flat = obj["flat"]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise SchemaMismatch(f"{path}: malformed evaluation report ({exc!r})") from None
+    for name, table in (("per-class AUCs", aucs), ("flat metrics", flat)):
+        if not isinstance(table, dict) or not all(
+            value is None or (type(value) in (int, float) and 0.0 <= value <= 1.0)
+            for value in table.values()
+        ):
+            raise SchemaMismatch(f"{path}: {name} must be null or numbers in [0, 1]")
+    return aucs, flat
 
 
 @main.command()
@@ -441,21 +453,14 @@ def _load_evaluation(path) -> dict:
 @_data_errors
 def compare(report_a, report_b, out):
     """Emit the win-loss matrix and metric differences of two evaluations."""
-    obj_a = _load_evaluation(report_a)
-    obj_b = _load_evaluation(report_b)
+    auc_a, flat_a = _load_evaluation(report_a)
+    auc_b, flat_b = _load_evaluation(report_b)
     name_a = Path(report_a).stem
     name_b = Path(report_b).stem
     if name_a == name_b:
         name_a, name_b = f"{name_a}_a", f"{name_b}_b"
-    auc_by_model = {
-        name: {
-            cls: entry["auc"]
-            for cls, entry in obj["metrics"]["per_class"].items()
-        }
-        for name, obj in ((name_a, obj_a), (name_b, obj_b))
-    }
-    wl = win_loss(auc_by_model)
-    diff = metric_difference(obj_a["flat"], obj_b["flat"])
+    wl = win_loss({name_a: auc_a, name_b: auc_b})
+    diff = metric_difference(flat_a, flat_b)
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["table", "row", "column", "value"])

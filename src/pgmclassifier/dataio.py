@@ -30,7 +30,15 @@ from .errors import (
     SchemaMismatch,
 )
 from .metrics import MetricReport
-from .pgm import MAX_COPIES, UNIT_NORM_TOL, DensePgmModel, GramPgmModel, Priors
+from .pgm import (
+    MAX_COPIES,
+    DensePgmModel,
+    GramPgmModel,
+    LabeledStateSet,
+    Priors,
+    attach_pipeline,
+    build_gram_pgm,
+)
 from .selection import GridPoint, ProtocolResult, SplitPlan
 
 FINGERPRINT_ALGORITHM = "sha256/lf-newlines"
@@ -48,11 +56,6 @@ def fingerprint_bytes(raw: bytes) -> dict:
     """Content hash of canonicalized bytes, tagged with the algorithm name."""
     digest = hashlib.sha256(canonical_bytes(raw)).hexdigest()
     return {"algorithm": FINGERPRINT_ALGORITHM, "value": digest}
-
-
-def fingerprint_file(path) -> dict:
-    with open(path, "rb") as fh:
-        return fingerprint_bytes(fh.read())
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,12 +228,11 @@ def read_json(path, expected_format: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
             raise SchemaMismatch(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(obj, dict) or obj.get("format") != expected_format:
-        raise SchemaMismatch(
-            f"{path}: expected format {expected_format!r}, got {obj.get('format')!r}"
-        )
+    tag = obj.get("format") if isinstance(obj, dict) else None
+    if tag != expected_format:
+        raise SchemaMismatch(f"{path}: expected format {expected_format!r}, got {tag!r}")
     return obj
 
 
@@ -264,28 +266,50 @@ def write_splits(path, plans, *, fingerprint: dict, test_fraction: float, seed: 
 
 
 def read_splits(path) -> SplitsData:
+    """Parse a split file; a field no split writer could produce raises :class:`SchemaMismatch`.
+
+    Seeds, repetition ids and row indices must be JSON integers (a fraction
+    or a boolean is refused, not truncated) and repetition ids distinct;
+    :func:`check_splits` then ties the plans to a dataset.
+    """
     obj = read_json(path, SPLITS_FORMAT)
+
+    def check(ok, message):
+        if not ok:
+            raise SchemaMismatch(f"{path}: {message}")
+
     try:
-        plans = tuple(
-            SplitPlan(
-                repetition_id=int(rep["repetition"]),
-                train_indices=np.array(rep["train"], dtype=np.int64),
-                test_indices=np.array(rep["test"], dtype=np.int64),
-                seed=int(rep["seed"]),
+        fingerprint, seed = obj["fingerprint"], obj["seed"]
+        fraction, reps = obj["test_fraction"], obj["repetitions"]
+        check(type(seed) is int, "seed must be an integer")
+        check(
+            isinstance(fingerprint, dict) and all(type(v) is str for v in fingerprint.values()),
+            "fingerprint must be an object of strings",
+        )
+        check(
+            type(fraction) in (int, float) and 0 < fraction < 1, "test_fraction must lie in (0, 1)"
+        )
+        check(isinstance(reps, list) and reps, "split file contains no repetitions")
+        plans = []
+        for i, rep in enumerate(reps):
+            fields = [rep["repetition"], rep["seed"], *rep["train"], *rep["test"]]
+            check(
+                all(type(v) is int for v in fields),
+                f"repetitions[{i}]: ids, seeds and row indices must be integers",
             )
-            for rep in obj["repetitions"]
-        )
-        data = SplitsData(
-            fingerprint=dict(obj["fingerprint"]),
-            seed=int(obj["seed"]),
-            test_fraction=float(obj["test_fraction"]),
-            plans=plans,
-        )
-    except (KeyError, TypeError) as exc:
+            plans.append(
+                SplitPlan(
+                    repetition_id=rep["repetition"],
+                    train_indices=np.array(rep["train"], dtype=np.int64),
+                    test_indices=np.array(rep["test"], dtype=np.int64),
+                    seed=rep["seed"],
+                )
+            )
+    except (KeyError, TypeError, OverflowError) as exc:
         raise SchemaMismatch(f"{path}: malformed split file ({exc!r})") from None
-    if not data.plans:
-        raise SchemaMismatch(f"{path}: split file contains no repetitions")
-    return data
+    ids = [plan.repetition_id for plan in plans]
+    check(len(set(ids)) == len(ids), "repetition ids must be distinct")
+    return SplitsData(fingerprint, seed, float(fraction), tuple(plans))
 
 
 def check_splits(splits: SplitsData, dataset: Dataset) -> None:
@@ -348,7 +372,6 @@ def save_model(path, model, classes, feature_columns) -> None:
         obj["payload"] = {
             "train_states": model.train_states.tolist(),
             "labels": model.labels.tolist(),
-            "M": model.M.tolist(),
         }
     else:
         raise SchemaMismatch(f"cannot persist model of type {type(model).__name__}")
@@ -365,8 +388,17 @@ class LoadedModel:
 
 
 def load_model(path) -> LoadedModel:
-    """Reload a saved model; a field no fit could produce raises :class:`SchemaMismatch`."""
+    """Reload a saved model; a field no fit could produce raises :class:`SchemaMismatch`.
+
+    Counts, shapes and finiteness are checked before any numpy work. A Gram
+    model is then rebuilt from its training states by the fit's own
+    :class:`LabeledStateSet` and :func:`build_gram_pgm`; the ``M``, ``P``
+    and ``weights`` keys of older files are ignored.
+    """
     obj = read_json(path, MODEL_FORMAT)
+    engine = obj.get("engine")
+    if engine not in ("dense", "gram"):
+        raise SchemaMismatch(f"{path}: unknown engine tag {engine!r}")
     try:
         encoding = EncodingConfig(**obj["encoding"])
         norm = obj["normalizer"]
@@ -383,92 +415,53 @@ def load_model(path) -> LoadedModel:
         classes = tuple(obj["classes"])
         feature_columns = tuple(obj["feature_columns"])
         payload = obj["payload"]
-        engine = obj["engine"]
         if engine == "dense":
-            model = DensePgmModel(
-                povm=np.array(payload["povm"], dtype=float),
-                priors=priors,
-                copies=copies,
-                dim=int(payload["dim"]),
-                encoding=encoding,
-                normalizer=normalizer,
-            )
-        elif engine == "gram":
-            model = GramPgmModel(
-                train_states=np.array(payload["train_states"], dtype=float),
-                labels=np.array(payload["labels"], dtype=np.int64),
-                n_classes=len(classes),
-                priors=priors,
-                copies=copies,
-                M=np.array(payload["M"], dtype=float),
-                encoding=encoding,
-                normalizer=normalizer,
-            )
+            stored = {"povm": np.array(payload["povm"], dtype=float)}
+            dim = int(payload["dim"])
         else:
-            model = None
+            stored = {"train_states": np.array(payload["train_states"], dtype=float, ndmin=1)}
+            labels = np.array(payload["labels"])  # LabeledStateSet refuses a non-integer dtype
+            dim = stored["train_states"].shape[-1]
     except (KeyError, TypeError, ValueError, OverflowError, PgmError) as exc:
         raise SchemaMismatch(f"{path}: malformed model file ({exc!r})") from None
-    if model is None:
-        raise SchemaMismatch(f"{path}: unknown engine tag {engine!r}")
-    _check_model(path, model, classes, feature_columns)
-    return LoadedModel(model=model, classes=classes, feature_columns=feature_columns)
 
-
-def _check_model(path, model, classes, feature_columns) -> None:
     def fail(message):
         raise SchemaMismatch(f"{path}: {message}")
 
     n = len(classes)
     n_features = len(feature_columns)
-    if model.n_classes != n:
-        fail(f"{n} class names for {model.n_classes} model classes")
-    if not 1 <= model.copies <= MAX_COPIES:
-        fail(f"copy count must lie in [1, {MAX_COPIES}], got {model.copies}")
-    if isinstance(model, GramPgmModel) and model.train_states.ndim != 2:
-        fail(f"train_states of shape {model.train_states.shape}, expected 2-d")
-    if model.dim != n_features + 1:
-        fail(f"state dimension {model.dim} for {n_features} feature columns")
-    if isinstance(model, DensePgmModel):
-        arrays = {"povm": model.povm}
+    if not 1 <= copies <= MAX_COPIES:
+        fail(f"copy count must lie in [1, {MAX_COPIES}], got {copies}")
+    if dim != n_features + 1:
+        fail(f"state dimension {dim} for {n_features} feature columns")
+    if engine == "dense":
         # Any dim of 2 or more lifts past a storable side within 64 copies,
         # so the capped exponent decides the check without a huge power.
-        side = model.dim ** min(model.copies, 64)
-        if model.povm.shape != (n, side, side):
-            fail(f"povm of shape {model.povm.shape}, expected {(n, side, side)}")
-    else:
-        arrays = {"train_states": model.train_states, "labels": model.labels, "M": model.M}
-        m = model.train_states.shape[0]
-        for name, shape in {"labels": (m,), "M": (m, m)}.items():
-            if arrays[name].shape != shape:
-                fail(f"{name} of shape {arrays[name].shape}, expected {shape}")
-        if m and (model.labels.min() < 0 or model.labels.max() >= n):
-            fail(
-                f"training labels must lie in [0, {n}), "
-                f"got range [{model.labels.min()}, {model.labels.max()}]"
-            )
-        missing = np.flatnonzero(np.bincount(model.labels, minlength=n) == 0)
-        if missing.size:
-            fail(f"class {classes[missing[0]]!r} has no training states")
-    if model.priors.values.shape != (n,):
-        fail(f"{model.priors.values.size} priors for {n} classes")
-    arrays.update(location=model.normalizer.location, scale=model.normalizer.scale)
+        side = dim ** min(copies, 64)
+        shape = stored["povm"].shape
+        if shape != (n, side, side):
+            fail(f"povm of shape {shape} for {n} class names, expected {(n, side, side)}")
+    if priors.values.shape != (n,):
+        fail(f"{priors.values.size} priors for {n} classes")
+    stored.update(location=normalizer.location, scale=normalizer.scale)
     for name in ("location", "scale"):
-        if arrays[name].shape != (n_features,):
-            fail(f"normalizer {name} of shape {arrays[name].shape}, expected {(n_features,)}")
-    for name, array in arrays.items():
+        if stored[name].shape != (n_features,):
+            fail(f"normalizer {name} of shape {stored[name].shape}, expected {(n_features,)}")
+    for name, array in stored.items():
         if not np.all(np.isfinite(array)):
             fail(f"{name} has non-finite entries")
-    if not np.all(model.normalizer.scale > 0.0):
+    if not np.all(normalizer.scale > 0.0):
         fail("normalizer scale must be positive")
-    if isinstance(model, GramPgmModel):
-        with np.errstate(over="ignore"):  # an overflowing norm fails the check below
-            off = np.abs(np.linalg.norm(model.train_states, axis=1) - 1.0)
-        if off.size and off.max() > UNIT_NORM_TOL:
-            fail(f"training state {int(np.argmax(off))} does not have unit norm")
-        if not np.array_equal(model.M, model.M.T):
-            fail("M is not symmetric")
-        if np.any(np.diagonal(model.M) < 0.0):
-            fail("M has a negative diagonal entry")
+    if engine == "dense":
+        model = DensePgmModel(stored["povm"], priors, copies, dim)
+    else:
+        try:
+            train = LabeledStateSet(stored["train_states"], labels, n)
+            model = build_gram_pgm(train, priors, copies)
+        except PgmError as exc:
+            raise SchemaMismatch(f"{path}: {exc}") from None
+    model = attach_pipeline(model, encoding, normalizer)
+    return LoadedModel(model=model, classes=classes, feature_columns=feature_columns)
 
 
 def _metric_and_class(key: str, classes) -> tuple:

@@ -24,6 +24,9 @@ NORMALIZERS = ("none", "zscore", "minmax")
 #: Relative spread below which a column counts as constant and keeps scale 1.
 _DEGENERATE_SCALE_TOL = 1e-12
 
+#: Largest deviation from 1 accepted in the norm of an encoded state.
+UNIT_NORM_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class NormalizerParams:
@@ -66,15 +69,18 @@ def fit_normalizer(x, kind: str = "zscore") -> NormalizerParams:
     if x.shape[0] < 1:
         raise InvalidFeature("cannot fit a normalizer on an empty matrix")
     d = x.shape[1]
-    if kind == "none":
-        location = np.zeros(d)
-        scale = np.ones(d)
-    elif kind == "zscore":
-        location = x.mean(axis=0)
-        scale = x.std(axis=0)
-    else:
-        location = x.min(axis=0)
-        scale = x.max(axis=0) - location
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "none":
+            location = np.zeros(d)
+            scale = np.ones(d)
+        elif kind == "zscore":
+            location = x.mean(axis=0)
+            scale = x.std(axis=0)
+        else:
+            location = x.min(axis=0)
+            scale = x.max(axis=0) - location
+    if not np.all(np.isfinite(location) & np.isfinite(scale)):
+        raise InvalidFeature(f"feature values too large for {kind} statistics, which overflow")
     floor = _DEGENERATE_SCALE_TOL * np.maximum(1.0, np.abs(location))
     scale = np.where(scale <= floor, 1.0, scale)
     return NormalizerParams(kind=kind, location=location, scale=scale)
@@ -121,6 +127,19 @@ def encode_stereographic(x) -> np.ndarray:
 _ENCODERS = {"amplitude": encode_amplitude, "stereographic": encode_stereographic}
 
 
+def check_unit_rows(states, error, row_name: str) -> None:
+    """Raise ``error`` naming the first row whose norm is not 1 within :data:`UNIT_NORM_TOL`.
+
+    A NaN entry fails, and so does an overflowing norm, read as inf without a numpy warning.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(states, axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
+    if bad.size:
+        norm = float(norms[bad[0]])
+        raise error(f"{row_name} {bad[0]} has norm {norm!r}, expected 1 within {UNIT_NORM_TOL:g}")
+
+
 @dataclass(frozen=True)
 class EncodingConfig:
     """Complete preprocessing recipe: normalizer kind, alpha, encoding name."""
@@ -147,9 +166,14 @@ class EncodingConfig:
 def encode(x, config: EncodingConfig, params: NormalizerParams) -> np.ndarray:
     """Run the full pipeline: normalize, rescale by alpha, encode to states.
 
-    Returns a matrix of shape ``(m, d + 1)`` whose rows are unit vectors.
+    Returns a matrix of shape ``(m, d + 1)`` whose rows are unit vectors; a
+    row whose scaled values overflow the encoding (from about 1e154 on)
+    raises :class:`InvalidFeature` instead, without a numpy warning.
     """
-    return _ENCODERS[config.encoding](rescale(apply_normalizer(x, params), config.alpha))
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _ENCODERS[config.encoding](rescale(apply_normalizer(x, params), config.alpha))
+    check_unit_rows(states, InvalidFeature, f"{config.encoding} encoding overflows: row index")
+    return states
 
 
 def fit_encode(x, config: EncodingConfig):

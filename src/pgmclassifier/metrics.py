@@ -123,18 +123,6 @@ def one_vs_rest_rates(cm, class_index: int) -> BinaryRates:
     )
 
 
-def binary_rates(cm, positive_class: int) -> BinaryRates:
-    """Two-class rates with a designated positive class.
-
-    Specificity is the recall of the other class; true negatives are its
-    correctly predicted samples.
-    """
-    cm = np.asarray(cm)
-    if cm.shape != (2, 2):
-        raise DimMismatch(f"binary rates need a 2x2 confusion matrix, got {cm.shape}")
-    return one_vs_rest_rates(cm, positive_class)
-
-
 def rankdata(values) -> np.ndarray:
     """1-based ranks of a 1-d array, tied values sharing their mid-rank.
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .encoding import EncodingConfig, NormalizerParams, encode, fit_encode
+from .encoding import EncodingConfig, NormalizerParams, check_unit_rows, encode, fit_encode
 from .errors import (
     DimMismatch,
     EmptyClass,
@@ -60,9 +60,6 @@ PRIOR_MODES = ("uniform", "empirical")
 #: from overflow.
 MAX_COPIES = 10**6
 
-#: Largest deviation from 1 accepted in the norm of an encoded state.
-UNIT_NORM_TOL = 1e-10
-
 
 def stable_power(c, n: int) -> np.ndarray:
     """Elementwise ``c ** n`` computed as ``sign(c)^n * exp(n * log|c|)``.
@@ -87,8 +84,12 @@ def stable_power(c, n: int) -> np.ndarray:
 
 
 def round_scores(f) -> np.ndarray:
-    """Round scores to :data:`SCORE_DECIMALS` digits for reproducible ties."""
-    return np.round(np.asarray(f, dtype=float), SCORE_DECIMALS)
+    """Round scores to :data:`SCORE_DECIMALS` digits for reproducible ties.
+
+    A score too large to scale (an edited model's) rounds to an infinity, without a warning.
+    """
+    with np.errstate(over="ignore"):
+        return np.round(np.asarray(f, dtype=float), SCORE_DECIMALS)
 
 
 def labels_from_scores(scores) -> np.ndarray:
@@ -128,13 +129,7 @@ class LabeledStateSet:
                 f"labels must lie in [0, {self.n_classes}), "
                 f"got range [{labels.min()}, {labels.max()}]"
             )
-        norms = np.linalg.norm(states, axis=1)
-        off = np.abs(norms - 1.0)
-        if off.max() > UNIT_NORM_TOL:
-            bad = int(np.argmax(off))
-            raise InvalidOperator(
-                f"state {bad} has norm {norms[bad]!r}, expected 1 within {UNIT_NORM_TOL:g}"
-            )
+        check_unit_rows(states, InvalidOperator, "state")
         counts = np.bincount(labels, minlength=self.n_classes)
         missing = np.flatnonzero(counts == 0)
         if missing.size:

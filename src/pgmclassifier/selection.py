@@ -521,15 +521,6 @@ def grid_search(
         return _rank_grid(plan, outcomes)
 
 
-def _mean_ignoring_none(dicts):
-    keys = dicts[0].keys()
-    out = {}
-    for key in keys:
-        defined = [d[key] for d in dicts if d[key] is not None]
-        out[key] = float(np.mean(defined)) if defined else None
-    return out
-
-
 @dataclass(frozen=True)
 class SelectionReport:
     """Audit trail of the robust-configuration choice.
@@ -726,8 +717,8 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
                     ).flat()
                     for (_, val_idx), val_scores in zip(rep_pairs, rep_scores)
                 ]
-                rep_means.append(_mean_ignoring_none(fold_metrics))
-            cv_metrics = _mean_ignoring_none(rep_means)
+                rep_means.append(_aggregate(fold_metrics).mean)
+            cv_metrics = _aggregate(rep_means).mean
             records.append(
                 SplitRecord(
                     repetition_id=split.repetition_id,

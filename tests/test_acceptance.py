@@ -21,7 +21,6 @@ from pgmclassifier import (
     ProtocolConfig,
     accuracy,
     auc_ovr,
-    binary_rates,
     build_dense_pgm,
     build_gram_pgm,
     copies_centroid,
@@ -29,6 +28,7 @@ from pgmclassifier import (
     fit_pgm,
     macro_accuracy,
     make_grid,
+    one_vs_rest_rates,
     predict_batch,
     quantum_centroid,
     report_from_predictions,
@@ -298,7 +298,7 @@ def test_criterion_10_metric_oracles():
         assert auc_ovr(scores, membership) == brute_force_auc(scores, membership)
         checked += 1
 
-    rates = binary_rates(np.array([[6, 4], [2, 8]]), positive_class=0)
+    rates = one_vs_rest_rates(np.array([[6, 4], [2, 8]]), 0)
     assert rates.precision == 0.75
     assert rates.recall == 0.6
     assert rates.specificity == 0.8

@@ -632,20 +632,20 @@ def _set_entry(i, j, value):
 
 #: One corrupted field per case, applied to a saved two-class model.
 CORRUPTIONS = {
-    "gram-asymmetric-M": ("gram", _set("payload", "M", _set_entry(0, 1, 0.0))),
-    "gram-negative-M-diagonal": ("gram", _set("payload", "M", _set_entry(0, 0, -1.0))),
     "gram-non-unit-train-state": (
         "gram",
         _set("payload", "train_states", _set_entry(0, 0, 0.0)),
     ),
     "gram-huge-copies": ("gram", _set("copies", 1e300)),
     "dense-huge-copies": ("dense", _set("copies", 1e300)),
-    "gram-truncated-M": ("gram", _set("payload", "M", lambda rows: rows[:-1])),
-    "gram-M-not-square": ("gram", _set("payload", "M", lambda rows: [r[:-1] for r in rows])),
     "gram-copies-0": ("gram", _set("copies", 0)),
-    "gram-nan-in-M": ("gram", _set("payload", "M", _poison_first(float("nan")))),
     "gram-label-7": ("gram", _set("payload", "labels", _poison_first(7))),
-    "gram-huge-M-entry": ("gram", _set("payload", "M", _poison_first(1e300))),
+    "gram-fractional-label": ("gram", _set("payload", "labels", _poison_first(0.5))),
+    "gram-nan-train-state": (
+        "gram",
+        _set("payload", "train_states", _poison_first(float("nan"))),
+    ),
+    "gram-huge-train-state": ("gram", _set("payload", "train_states", _poison_first(1e300))),
     "gram-one-class-labels": ("gram", _set("payload", "labels", lambda y: [0] * len(y))),
     "gram-wide-train-states": (
         "gram",
@@ -680,7 +680,8 @@ class TestCorruptedModel:
             main, ["predict", str(model_path), str(binary_csv), "--out", str(out)]
         )
         assert result.exit_code == 2, (result.output, result.exception)
-        assert f"error: {model_path}:" in result.stderr
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(f"error: {model_path}:")
         assert not out.exists()
 
     @pytest.mark.parametrize("engine", ["gram", "dense"])
@@ -706,6 +707,65 @@ class TestCorruptedModel:
         ]
         assert caught == []
 
+    def test_stored_factor_keys_are_ignored(self, runner, tmp_path, binary_csv):
+        """Older files carry the factor ``M``, and older ones still ``P`` and
+        ``weights``; edited or deleted, these keys leave predictions unchanged."""
+        model_path, _ = train_model(
+            runner, tmp_path, binary_csv, "--copies", "2", "--engine", "gram"
+        )
+        model = load_model(model_path).model
+        obj = json.loads(model_path.read_text())
+        out = tmp_path / "preds.csv"
+
+        def predict(payload):
+            edited = tmp_path / "edited.json"
+            edited.write_text(json.dumps({**obj, "payload": payload}))
+            result = runner.invoke(
+                main, ["predict", str(edited), str(binary_csv), "--out", str(out)]
+            )
+            assert result.exit_code == 0, result.stderr
+            return out.read_bytes()
+
+        expected = predict(obj["payload"])
+        older = {
+            **obj["payload"],
+            "M": model.M.tolist(),
+            "P": (model.M @ model.M).tolist(),
+            "weights": model.weights.tolist(),
+        }
+        assert predict(older) == expected
+        for key in ("M", "P", "weights"):
+            for value in (float("nan"), 1e300):
+                assert predict({**older, key: _poison_first(value)(older[key])}) == expected
+            assert predict({k: v for k, v in older.items() if k != key}) == expected
+
+
+class TestOverflowingFeatures:
+    """A row whose scaled features overflow its encoding is refused, never scored."""
+
+    @pytest.mark.parametrize("edit", ["feature-1e200", "alpha-1e300"])
+    @pytest.mark.parametrize("encoding", ["amplitude", "stereographic"])
+    @pytest.mark.parametrize("engine", ["gram", "dense"])
+    def test_predict_exits_2(self, runner, tmp_path, binary_csv, engine, encoding, edit):
+        model_path, _ = train_model(
+            runner, tmp_path, binary_csv, "--encoding", encoding, "--engine", engine
+        )
+        data, bad_row = binary_csv, 0
+        if edit == "alpha-1e300":
+            obj = json.loads(model_path.read_text())
+            obj["encoding"]["alpha"] = 1e300
+            model_path.write_text(json.dumps(obj))
+        else:
+            features = np.array([[0.5, 1.0], [1e200, 1.0], [2.0, 3.0]])
+            data = write_dataset_csv(tmp_path / "huge.csv", features, ["lo", "hi", "lo"])
+            bad_row = 1
+        out = tmp_path / "preds.csv"
+        result = runner.invoke(main, ["predict", str(model_path), str(data), "--out", str(out)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(f"error: {encoding} encoding overflows: row index {bad_row} ")
+        assert not out.exists()
+
 
 #: Numeric fields of a saved model, by engine, as key paths.
 MODEL_FIELDS = {
@@ -717,7 +777,6 @@ MODEL_FIELDS = {
         ("priors", "values"),
         ("payload", "train_states"),
         ("payload", "labels"),
-        ("payload", "M"),
     ),
     "dense": (
         ("copies",),
@@ -799,6 +858,207 @@ class TestMutatedModel:
         assert scores.shape == (20, 2)
         assert np.all(np.isfinite(scores))
         assert np.abs(scores.sum(axis=1) - 1.0).max() <= 1e-8
+
+
+#: Replacement values for one field of a split file or report, besides deleting it.
+FIELD_VALUES = (0, -1, 0.5, 10**30, float("nan"), float("inf"), "x", None, True, [], [0, [1]], {})
+
+
+@st.composite
+def field_mutations(draw, paths):
+    """``(key path, mutation, position)``: one field deleted or replaced."""
+    path = draw(st.sampled_from(paths))
+    mutation = draw(st.sampled_from(("delete",) + FIELD_VALUES))
+    return path, mutation, draw(st.integers(0, 10**6))
+
+
+def _mutated(obj, case):
+    """A copy of ``obj`` with one field deleted or replaced.
+
+    A ``"*"`` step of the key path picks a list entry or an object key by
+    the case's position.
+    """
+    path, mutation, position = case
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for i, step in enumerate(path):
+        if step == "*":
+            keys = sorted(parent) if isinstance(parent, dict) else range(len(parent))
+            step = keys[position % len(keys)]
+        if i == len(path) - 1:
+            if mutation == "delete":
+                del parent[step]
+            else:
+                parent[step] = mutation
+        else:
+            parent = parent[step]
+    return obj
+
+
+def _exit_0_or_2(result, out):
+    """Exit 2 with an ``error:`` diagnostic and no output, or exit 0; True on exit 0."""
+    assert result.exit_code in (0, 2), (result.output, result.exception)
+    if result.exit_code == 2:
+        assert result.stderr.startswith("error: "), result.stderr
+        assert not out.exists()
+    return result.exit_code == 0
+
+
+@pytest.fixture(scope="module")
+def split_inputs(tmp_path_factory):
+    """A three-class dataset and a two-repetition split file for it."""
+    root = tmp_path_factory.mktemp("split-inputs")
+    features, labels = blob_features(8.0, 6, seed=42)
+    data = write_dataset_csv(root / "data.csv", features, np.array(["a", "b", "c"])[labels])
+    splits = make_splits(CliRunner(), root, data)
+    return root, data, json.loads(splits.read_text())
+
+
+SPLIT_FIELDS = (
+    ("fingerprint",),
+    ("fingerprint", "*"),
+    ("seed",),
+    ("test_fraction",),
+    ("repetitions",),
+    ("repetitions", "*"),
+    ("repetitions", "*", "repetition"),
+    ("repetitions", "*", "seed"),
+    ("repetitions", "*", "train"),
+    ("repetitions", "*", "train", "*"),
+    ("repetitions", "*", "test", "*"),
+)
+
+
+class TestMutatedSplitFile:
+    @settings(max_examples=60, deadline=None)
+    @given(case=field_mutations(SPLIT_FIELDS))
+    def test_gridsearch_exits_0_with_report_or_2(self, split_inputs, case):
+        root, data, splits = split_inputs
+        mutated = _mutated(splits, case)
+        splits_path = root / "mutated.json"
+        splits_path.write_text(json.dumps(mutated))
+        out = root / "report.json"
+        out.unlink(missing_ok=True)
+        result = CliRunner().invoke(
+            main,
+            [
+                "gridsearch",
+                str(data),
+                str(splits_path),
+                "--grid",
+                "encodings=amplitude;alphas=1;copies=1",
+                "--k",
+                "2",
+                "--cv-reps",
+                "1",
+                "--seed",
+                "1",
+                "--out",
+                str(out),
+            ],
+            env={"PGM_WORKERS": "1"},
+        )
+        if _exit_0_or_2(result, out):
+            report = json.loads(out.read_text())
+            assert report["kind"] == "protocol"
+            assert len(report["splits"]) == len(mutated["repetitions"])
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ((("repetitions", 1, "repetition"), 0, 0), "repetition ids must be distinct"),
+            ((("repetitions", 0, "train", 0), 0.5, 0), "row indices must be integers"),
+            ((("repetitions", 0, "test", 0), 10**30, 0), "OverflowError"),
+            ((("repetitions", 0, "train"), [[0, 1]], 0), "row indices must be integers"),
+            ((("repetitions", 0, "repetition"), "0", 0), "row indices must be integers"),
+            ((("fingerprint",), "abc", 0), "fingerprint must be an object of strings"),
+        ],
+    )
+    def test_malformed_field_names_the_file(self, split_inputs, case, message):
+        root, data, splits = split_inputs
+        splits_path = root / "malformed.json"
+        splits_path.write_text(json.dumps(_mutated(splits, case)))
+        result = CliRunner().invoke(
+            main,
+            ["gridsearch", str(data), str(splits_path), "--seed", "1", "--out", str(root / "r")],
+        )
+        assert result.exit_code == 2
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(f"error: {splits_path}: ")
+        assert message in line
+
+
+@pytest.fixture(scope="module")
+def evaluation_reports(tmp_path_factory):
+    """Two evaluation reports of different models on the same three-class data."""
+    root = tmp_path_factory.mktemp("evaluation-reports")
+    features, labels = blob_features(2.0, 8, seed=5)
+    data = write_dataset_csv(root / "data.csv", features, np.array(["a", "b", "c"])[labels])
+    runner = CliRunner()
+    reports = []
+    for name, alpha in (("a", "0.5"), ("b", "4")):
+        (root / name).mkdir()
+        model, _ = train_model(runner, root / name, data, "--alpha", alpha)
+        out = root / f"{name}.json"
+        result = runner.invoke(
+            main, ["evaluate", str(model), str(data), "--out", str(out)], catch_exceptions=False
+        )
+        assert result.exit_code == 0
+        reports.append(json.loads(out.read_text()))
+    return root, reports
+
+
+REPORT_FIELDS = (
+    ("kind",),
+    ("metrics",),
+    ("metrics", "per_class"),
+    ("metrics", "per_class", "*"),
+    ("metrics", "per_class", "*", "auc"),
+    ("flat",),
+    ("flat", "*"),
+)
+
+
+class TestMutatedReport:
+    @settings(max_examples=100, deadline=None)
+    @given(case=field_mutations(REPORT_FIELDS), which=st.integers(0, 1))
+    def test_compare_exits_0_with_table_or_2(self, evaluation_reports, case, which):
+        root, reports = evaluation_reports
+        paths = [root / "first.json", root / "second.json"]
+        for i, (path, report) in enumerate(zip(paths, reports)):
+            path.write_text(json.dumps(_mutated(report, case) if i == which else report))
+        out = root / "cmp.csv"
+        out.unlink(missing_ok=True)
+        result = CliRunner().invoke(
+            main, ["compare", str(paths[0]), str(paths[1]), "--out", str(out)]
+        )
+        if _exit_0_or_2(result, out):
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            assert rows
+            for table, _, _, value in rows:
+                assert table in ("win_loss", "difference")
+                assert value == "" or abs(float(value)) <= 1.0
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            (("flat",), "delete", 0),
+            (("metrics",), "delete", 0),
+            (("metrics", "per_class", "*", "auc"), "0.9", 0),
+            (("flat", "*"), "0.9", 0),
+        ],
+    )
+    def test_malformed_report_names_the_file(self, evaluation_reports, case):
+        root, reports = evaluation_reports
+        bad, good = root / "bad.json", root / "good.json"
+        bad.write_text(json.dumps(_mutated(reports[0], case)))
+        good.write_text(json.dumps(reports[1]))
+        result = CliRunner().invoke(
+            main, ["compare", str(good), str(bad), "--out", str(root / "c.csv")]
+        )
+        assert result.exit_code == 2
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(f"error: {bad}: ")
 
 
 class TestEvaluateCommand:

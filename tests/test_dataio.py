@@ -20,7 +20,6 @@ from pgmclassifier import (
     check_splits,
     features_for_model,
     fingerprint_bytes,
-    fingerprint_file,
     fit_pgm,
     load_dataset,
     load_model,
@@ -221,7 +220,7 @@ class TestFingerprint:
     def test_file_matches_bytes(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_bytes(b"f0\n1.0\n")
-        assert fingerprint_file(path) == fingerprint_bytes(b"f0\n1.0\n")
+        assert load_dataset(path).fingerprint == fingerprint_bytes(b"f0\n1.0\n")
 
     def test_dataset_keeps_raw_fingerprint(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -338,12 +337,15 @@ class TestModelFile:
         out = tmp_path / "model.json"
         save_model(out, model, classes=("no", "yes"), feature_columns=("a", "b", "c"))
         obj = json.loads(out.read_text())
-        assert set(obj["payload"]) == {"train_states", "labels", "M"}
-        # Files written before the payload shrank also carry P and weights.
+        assert set(obj["payload"]) == {"train_states", "labels"}
+        # Older files also carry the factor M, and older ones still P and
+        # weights; load rebuilds M from the training states and ignores them.
+        obj["payload"]["M"] = (2.0 * model.M).tolist()
         obj["payload"]["P"] = (model.M @ model.M).tolist()
         obj["payload"]["weights"] = model.weights[:-1].tolist()
         write_json(out, obj)
         loaded = load_model(out).model
+        np.testing.assert_array_equal(loaded.M, model.M)
         np.testing.assert_array_equal(loaded.weights, model.weights)
         before = predict_batch(model, features)
         after = predict_batch(loaded, features)

@@ -44,6 +44,12 @@ class TestFitNormalizer:
         with pytest.raises(InvalidFeature):
             fit_normalizer(np.zeros((2, 2)), "robust")
 
+    @pytest.mark.parametrize("kind", ["zscore", "minmax"])
+    def test_overflowing_statistics_are_refused(self, kind):
+        x = np.array([[1e308, 0.0], [-1e308, 1.0]])
+        with pytest.raises(InvalidFeature, match=f"too large for {kind} statistics"):
+            fit_normalizer(x, kind)
+
     def test_rejects_empty(self):
         with pytest.raises(InvalidFeature):
             fit_normalizer(np.zeros((0, 2)), "zscore")
@@ -176,6 +182,20 @@ class TestPipeline:
         states, params = fit_encode(x, cfg)
         staged = encode_stereographic(rescale(apply_normalizer(x, params), 2.0))
         np.testing.assert_array_equal(states, staged)
+
+    @pytest.mark.parametrize("encoding", ["amplitude", "stereographic"])
+    def test_overflowing_row_is_refused_by_index(self, encoding):
+        cfg = EncodingConfig(encoding=encoding, alpha=1.0, normalizer="none")
+        params = fit_normalizer(np.zeros((1, 2)), "none")
+        large = np.array([[0.5, -1.0], [1e150, 3.0]])
+        states = encode(large, cfg, params)
+        encoder = {"amplitude": encode_amplitude, "stereographic": encode_stereographic}
+        np.testing.assert_array_equal(states, encoder[encoding](large))
+        assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() <= 1e-15
+        message = f"{encoding} encoding overflows: row index 1 "
+        for huge in (1e200, -1e200, 1e308):
+            with pytest.raises(InvalidFeature, match=message):
+                encode(np.array([[0.5, -1.0], [huge, 3.0], [huge, 0.0]]), cfg, params)
 
     def test_config_validation(self):
         with pytest.raises(InvalidFeature):

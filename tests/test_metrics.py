@@ -16,7 +16,6 @@ from pgmclassifier import (
     UndefinedAuc,
     accuracy,
     auc_ovr,
-    binary_rates,
     confusion,
     macro_accuracy,
     metric_difference,
@@ -101,7 +100,7 @@ class TestAccuracy:
 class TestBinaryRates:
     def test_worked_example(self):
         cm = np.array([[6, 4], [2, 8]])
-        rates = binary_rates(cm, positive_class=0)
+        rates = one_vs_rest_rates(cm, 0)
         assert rates.precision == pytest.approx(0.75, abs=1e-12)
         assert rates.recall == pytest.approx(0.6, abs=1e-12)
         assert rates.specificity == pytest.approx(0.8, abs=1e-12)
@@ -110,7 +109,7 @@ class TestBinaryRates:
 
     def test_f1_is_harmonic_mean(self):
         cm = np.array([[6, 4], [2, 8]])
-        rates = binary_rates(cm, positive_class=0)
+        rates = one_vs_rest_rates(cm, 0)
         harmonic = 2 / (1 / rates.precision + 1 / rates.recall)
         assert rates.f1 == pytest.approx(harmonic, abs=1e-12)
 
@@ -131,10 +130,6 @@ class TestBinaryRates:
         assert rates.precision == pytest.approx(4 / 5, abs=1e-12)
         assert rates.recall == pytest.approx(4 / 5, abs=1e-12)
         assert rates.specificity == pytest.approx(6 / 7, abs=1e-12)
-
-    def test_requires_two_by_two(self):
-        with pytest.raises(DimMismatch):
-            binary_rates(np.zeros((3, 3)), 0)
 
 
 class TestAuc:

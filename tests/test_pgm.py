@@ -71,6 +71,12 @@ class TestLabeledStateSet:
                 states=np.array([[1.0, 1.0]]), labels=np.array([0]), n_classes=1
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    def test_rejects_non_finite_and_overflowing_states(self, bad):
+        states = np.array([[1.0, 0.0], [bad, 0.0]])
+        with pytest.raises(InvalidOperator, match="state 1 has norm"):
+            LabeledStateSet(states=states, labels=np.array([0, 0]), n_classes=1)
+
 
 class TestPriors:
     def test_uniform(self):
