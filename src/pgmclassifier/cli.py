@@ -15,9 +15,12 @@ that gain nothing from more threads, and the same thread count in every
 worker makes the validation scores bit-identical across worker counts.
 On a 2-vCPU machine with OpenBLAS, a gram-engine gridsearch of the default
 grid on 143 x 4 data (one split, one CV repetition) took a median of
-1.96 s with the default two workers and 2.67 s with one, against 2.31 s
-for the same run in-process before grid search used processes (ten
-interleaved runs each); each worker costs about 0.35 s to start and
+1.91 s with the default two workers and 2.73 s with one (seven
+interleaved runs each); the same run in-process, before grid search used
+processes, took 2.31 s in an earlier measurement on that machine. A
+spawned pool took 0.26-0.37 s from its start to its first result (median
+0.31 s of nine, a fresh interpreter importing numpy and the package;
+the figure moves with the host's load), and each worker takes about
 39 MB of memory. Reports are byte-identical across worker counts:
 outcomes are reduced in task order, and reports depend on scores only
 through ranks and through the argmax of scores rounded to 12 decimals.

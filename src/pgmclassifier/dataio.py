@@ -32,6 +32,7 @@ from .errors import (
 from .metrics import MetricReport
 from .pgm import (
     MAX_COPIES,
+    SCORE_BLOCK,
     DensePgmModel,
     GramPgmModel,
     LabeledStateSet,
@@ -49,6 +50,8 @@ REPORT_FORMAT = "pgm-report/1"
 
 def canonical_bytes(raw: bytes) -> bytes:
     """Normalize CRLF and lone CR line endings to LF."""
+    if b"\r" not in raw:
+        return raw
     return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
@@ -94,27 +97,25 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
     rejected with a row/column diagnostic (rows counted from 1, excluding
     the header). The label column is optional so prediction inputs may omit
     it; when present, labels are arbitrary nonempty strings.
+
+    Quote-free text is split on newlines and commas (:func:`_split_quote_free`),
+    any other text is read by ``csv.reader``; both give the same cells, which
+    one vectorized parse turns into the feature matrix. A file it refuses is
+    read again by ``csv.reader`` and :func:`_parse_checked` names the fault.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = canonical_bytes(raw).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"{path}: not valid UTF-8 ({exc})") from None
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or not any(rows[0]):
+    text, fingerprint = _read_text(path)
+    header, cells = _split_quote_free(text) or _split_csv(path, text)
+    if not any(header):
         raise DatasetFormatError(f"{path}: missing header row")
-    header = rows[0]
     if len(set(header)) != len(header):
         dup = sorted({name for name in header if header.count(name) > 1})
         raise DatasetFormatError(f"{path}: duplicate column name {dup[0]!r}")
     has_labels = label_column in header
     label_pos = header.index(label_column) if has_labels else -1
     feature_names = tuple(name for i, name in enumerate(header) if i != label_pos)
-    body = rows[1:]
-    parsed = _parse_fast(body, len(header), label_pos, len(feature_names))
+    parsed = None if cells is None else _parse_fast(cells, len(header), label_pos)
     if parsed is None:
-        parsed = _parse_checked(path, header, body, label_pos)
+        parsed = _parse_checked(path, header, _csv_rows(path, text)[1:], label_pos)
     matrix, labels = parsed
     if has_labels:
         classes = tuple(sorted(set(labels)))
@@ -130,36 +131,90 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
         labels=tuple(labels) if has_labels else None,
         classes=classes,
         label_indices=label_indices,
-        fingerprint=fingerprint_bytes(raw),
+        fingerprint=fingerprint,
     )
 
 
-def _parse_fast(body, width: int, label_pos: int, n_features: int):
-    """``(features, labels)`` in one vectorized parse, or None on any bad row or cell.
+def _read_text(path):
+    """``(text, fingerprint)`` of a UTF-8 file, both taken after line endings become LF.
 
-    Runs every feature cell through ``float`` in one pass; a cell ``float``
-    rejects, a non-finite value, an empty label or a short or long row makes
-    it give up, and :func:`_parse_checked` then names the offending cell.
+    The bytes are dropped on return, so parsing the text does not hold them.
     """
-    if any(len(row) != width for row in body):
+    with open(path, "rb") as fh:
+        canonical = canonical_bytes(fh.read())
+    try:
+        return canonical.decode("utf-8"), fingerprint_bytes(canonical)
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not valid UTF-8 ({exc})") from None
+
+
+def _split_quote_free(text: str):
+    """``(header, body cells)`` of quote-free LF text by ``str.split``, or None.
+
+    Text is quote-free when it holds no ``"``, no NUL, no empty line (one
+    final newline aside) and no line longer than ``csv.field_size_limit()``;
+    ``csv.reader`` then splits it exactly as ``str.split`` does on newlines
+    and commas. Every line must have as many commas as the header, so a
+    short row and a long row never trade cells; any other text gives None.
+    """
+    if '"' in text or "\0" in text:
         return None
-    if label_pos < 0:
-        labels = []
-        cells = itertools.chain.from_iterable(body)
-    else:
-        labels = [row[label_pos] for row in body]
+    if text.endswith("\n"):
+        text = text[:-1]
+    lines = text.split("\n")
+    if "" in lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    commas = lines[0].count(",")
+    if any(line.count(",") != commas for line in lines):
+        return None
+    del lines
+    cells = text.replace("\n", ",").split(",")
+    header = cells[: commas + 1]
+    del cells[: commas + 1]
+    return header, cells
+
+
+def _split_csv(path, text: str):
+    """``(header, body cells)`` by ``csv.reader``; cells are None unless every row fits."""
+    rows = _csv_rows(path, text)
+    header, body = (rows[0], rows[1:]) if rows else ([], [])
+    if any(len(row) != len(header) for row in body):
+        return header, None
+    return header, list(itertools.chain.from_iterable(body))
+
+
+def _csv_rows(path, text: str) -> list:
+    """All rows by ``csv.reader``; a ``csv.Error`` becomes :class:`DatasetFormatError`."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise DatasetFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _parse_fast(cells: list, width: int, label_pos: int):
+    """``(features, labels)`` of a flat row-major cell list in one vectorized parse, or None.
+
+    ``cells`` holds ``width`` cells per row and loses its label column in
+    place. Every feature cell goes through ``float`` in one pass; a cell
+    ``float`` rejects, a non-finite value or an empty label makes it give
+    up, and :func:`_parse_checked` then names the offending cell.
+    """
+    n_rows = len(cells) // width
+    n_features = width if label_pos < 0 else width - 1
+    labels = []
+    if label_pos >= 0:
+        labels = cells[label_pos::width]
         if "" in labels:
             return None
-        cells = itertools.chain.from_iterable(
-            row[:label_pos] + row[label_pos + 1 :] for row in body
-        )
+        del cells[label_pos::width]
     try:
-        flat = np.fromiter(map(float, cells), dtype=float, count=len(body) * n_features)
+        flat = np.fromiter(map(float, cells), dtype=float, count=len(cells))
     except ValueError:
         return None
     if not np.isfinite(flat).all():
         return None
-    return flat.reshape(len(body), n_features), labels
+    return flat.reshape(n_rows, n_features), labels
 
 
 def _parse_checked(path, header, body, label_pos: int):
@@ -238,12 +293,13 @@ def read_json(path, expected_format: str) -> dict:
 
 @dataclass(frozen=True)
 class SplitsData:
-    """Deserialized split file: plans plus provenance."""
+    """Deserialized split file: plans plus provenance and the path it was read from."""
 
     fingerprint: dict
     seed: int
     test_fraction: float
     plans: tuple
+    path: str
 
 
 def write_splits(path, plans, *, fingerprint: dict, test_fraction: float, seed: int) -> None:
@@ -309,14 +365,14 @@ def read_splits(path) -> SplitsData:
         raise SchemaMismatch(f"{path}: malformed split file ({exc!r})") from None
     ids = [plan.repetition_id for plan in plans]
     check(len(set(ids)) == len(ids), "repetition ids must be distinct")
-    return SplitsData(fingerprint, seed, float(fraction), tuple(plans))
+    return SplitsData(fingerprint, seed, float(fraction), tuple(plans), str(path))
 
 
 def check_splits(splits: SplitsData, dataset: Dataset) -> None:
     """Verify the split file belongs to the dataset and indexes it validly."""
     if splits.fingerprint != dataset.fingerprint:
         raise FingerprintMismatch(
-            "split file fingerprint does not match the dataset "
+            f"{splits.path}: split file fingerprint does not match the dataset "
             f"({splits.fingerprint.get('value', '?')[:12]} vs "
             f"{dataset.fingerprint['value'][:12]})"
         )
@@ -325,7 +381,7 @@ def check_splits(splits: SplitsData, dataset: Dataset) -> None:
         combined = np.concatenate([plan.train_indices, plan.test_indices])
         if combined.size != m or not np.array_equal(np.sort(combined), np.arange(m)):
             raise SchemaMismatch(
-                f"repetition {plan.repetition_id}: train/test indices are not a "
+                f"{splits.path}: repetition {plan.repetition_id}: train/test indices are not a "
                 f"disjoint exhaustive partition of {m} rows"
             )
 
@@ -675,12 +731,21 @@ def write_predictions_csv(path, predicted_names, scores, classes) -> None:
 
     The bytes are those of ``csv.writer`` with scores as ``repr`` text; each
     distinct name is quoted once and score rows are joined directly, since
-    ``repr`` of a float never needs quoting.
+    ``repr`` of a float never needs quoting. Rows are built and written
+    :data:`~pgmclassifier.pgm.SCORE_BLOCK` at a time, one string per block.
     """
     scores = np.asarray(scores, dtype=float)
+    if len(predicted_names) != scores.shape[0]:
+        raise ValueError(
+            f"{len(predicted_names)} predicted names for {scores.shape[0]} score rows"
+        )
     fields = {name: _csv_field(name) for name in dict.fromkeys(predicted_names)}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["row", "predicted"] + [f"score_{name}" for name in classes])
-        for i, (name, row) in enumerate(zip(predicted_names, scores.tolist(), strict=True)):
-            fh.write(",".join([str(i), fields[name], *map(repr, row)]) + "\n")
+        for start in range(0, scores.shape[0], SCORE_BLOCK):
+            stop = min(start + SCORE_BLOCK, scores.shape[0])
+            columns = [map(repr, column) for column in scores[start:stop].T.tolist()]
+            names = map(fields.__getitem__, predicted_names[start:stop])
+            rows = zip(map(str, range(start, stop)), names, *columns)
+            fh.write("".join([",".join(row) + "\n" for row in rows]))

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -583,6 +584,58 @@ class TestPredictCommand:
         )
         assert result.exit_code == 0
         assert out.read_text() == "row,predicted,score_ant,score_bee,score_cat\n"
+
+    def test_spelling_of_the_dataset_does_not_change_results(self, runner, tmp_path):
+        features, labels = blob_features(4.0, 100, d=3, seed=5)
+        rows = [["f0", "f1", "f2", "label"]] + [
+            [repr(v) for v in row] + [name]
+            for row, name in zip(features.tolist(), np.array(["ant", "bee", "cat"])[labels])
+        ]
+        plain = tmp_path / "plain.csv"
+        with open(plain, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        quoted = tmp_path / "quoted.csv"
+        with open(quoted, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\r\n", quoting=csv.QUOTE_ALL).writerows(rows)
+        assert b'"' not in plain.read_bytes() and b"\r\n" in quoted.read_bytes()
+        model_path, _ = train_model(runner, tmp_path, plain, "--copies", "3")
+        outputs = {}
+        for name, dataset in (("plain", plain), ("quoted", quoted)):
+            for command in ("predict", "evaluate"):
+                out = tmp_path / f"{name}_{command}.out"
+                result = runner.invoke(
+                    main,
+                    [command, str(model_path), str(dataset), "--out", str(out)],
+                    catch_exceptions=False,
+                )
+                assert result.exit_code == 0, result.output + result.stderr
+                outputs[name, command] = out
+        predictions = outputs["plain", "predict"].read_bytes()
+        assert predictions == outputs["quoted", "predict"].read_bytes()
+        assert len(predictions.splitlines()) == 301
+        plain_eval, quoted_eval = (
+            json.loads(outputs[name, "evaluate"].read_text()) for name in ("plain", "quoted")
+        )
+        assert plain_eval["metrics"] == quoted_eval["metrics"]
+        assert plain_eval["metrics"]["n_samples"] == 300
+
+    @pytest.mark.parametrize("command", ["splits", "predict"])
+    def test_field_over_the_csv_size_limit_is_data_error(
+        self, runner, tmp_path, blob_csv, command
+    ):
+        model_path, _ = train_model(runner, tmp_path, blob_csv)
+        bad = tmp_path / "big.csv"
+        bad.write_text(f"f0,f1,label\n1.0,2.0,ant\n{'1' * 140_001},2.0,bee\n")
+        out = str(tmp_path / "out")
+        args = {
+            "splits": ["splits", str(bad), "--seed", "1", "--out", out],
+            "predict": ["predict", str(model_path), str(bad), "--out", out],
+        }[command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            f"error: {bad}: line 3: field larger than field limit ({csv.field_size_limit()})"
+        ]
 
     def test_missing_feature_column_is_data_error(self, runner, tmp_path, blob_csv):
         model_path, _ = train_model(runner, tmp_path, blob_csv)

@@ -4,6 +4,7 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgmclassifier import (
+    Dataset,
     DatasetFormatError,
     EncodingConfig,
     FingerprintMismatch,
@@ -33,6 +35,7 @@ from pgmclassifier import (
     write_predictions_csv,
     write_splits,
 )
+from pgmclassifier import dataio
 from pgmclassifier.dataio import (
     evaluation_csv_rows,
     evaluation_report_dict,
@@ -43,6 +46,7 @@ from pgmclassifier.dataio import (
     report_dict,
     write_json,
 )
+from pgmclassifier.pgm import SCORE_BLOCK
 
 
 @pytest.fixture
@@ -149,9 +153,63 @@ def csv_datasets(draw):
     return buf.getvalue().encode("utf-8"), at
 
 
+#: Labels a quote-free file can hold: no ``"`` and no ``,``, padded or not.
+#: Line breaks other than LF and CR are plain text to ``csv.reader``.
+_PLAIN_LABELS = st.sampled_from(["a", "z", " padded ", "b c", "\u00e9", "x\u2028y", "\x0c"])
+
+#: One optional fault per file: a cell no dataset accepts, an empty label, a
+#: short or long row, or an empty line.
+_FAULTS = st.sampled_from(["none", "cell", "label", "short", "long", "blank"])
+
+
+@st.composite
+def quote_free_datasets(draw):
+    """``(raw bytes, label position or None, fault)`` for a small quote-free CSV.
+
+    Line endings are LF, CRLF or lone CR, with or without a final one; files
+    may be header-only, lack the label column or have a single column.
+    """
+    n_features = draw(st.integers(0, 3))
+    wheres = ["first", "middle", "last"] + (["none"] if n_features else [])
+    where = draw(st.sampled_from(wheres))
+    at = {"none": None, "first": 0, "middle": n_features // 2, "last": n_features}[where]
+    rows = [[f"f{i}" for i in range(n_features)]]
+    rows += [[draw(_CELLS) for _ in range(n_features)] for _ in range(draw(st.integers(0, 5)))]
+    if at is not None:
+        rows[0].insert(at, "label")
+        for row in rows[1:]:
+            row.insert(at, draw(_PLAIN_LABELS))
+    fault = draw(_FAULTS) if len(rows) > 1 else "none"
+    r = draw(st.integers(1, len(rows) - 1)) if fault != "none" else 0
+    c = draw(st.integers(0, len(rows[0]) - 1))
+    if fault == "cell" and c != at:
+        rows[r][c] = draw(st.sampled_from(["", "nan", "-inf", "x", "1.5.0"]))
+    elif fault == "label" and at is not None:
+        rows[r][at] = ""
+    elif fault == "short":
+        del rows[r][c]
+    elif fault == "long":
+        rows[r].insert(c, draw(_CELLS))
+    elif fault == "blank":
+        rows.insert(r, [])
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(",".join(row) for row in rows)
+    if draw(st.booleans()):
+        text += newline
+    return text.encode("utf-8"), at, fault
+
+
+def load_outcome(path):
+    """``load_dataset(path)``, or the message of the :class:`DatasetFormatError` it raises."""
+    try:
+        return load_dataset(path)
+    except DatasetFormatError as exc:
+        return str(exc)
+
+
 def reference_parse(raw, at):
     """Features, labels and LF-normalized fingerprint, parsed cell by cell."""
-    lf = raw.replace(b"\r\n", b"\n")
+    lf = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     header, *body = csv.reader(io.StringIO(lf.decode("utf-8")))
     names = tuple(name for i, name in enumerate(header) if i != at)
     features = np.array(
@@ -182,6 +240,57 @@ class TestLoadDatasetEquivalence:
             assert ds.classes == tuple(sorted(set(labels)))
             assert [ds.classes[i] for i in ds.label_indices] == list(labels)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=quote_free_datasets())
+    def test_quote_free_files_match_the_csv_reader_route(self, case):
+        raw, at, fault = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_bytes(raw)
+            outcome = load_outcome(path)
+            with mock.patch.object(dataio, "_split_quote_free", lambda text: None):
+                reference = load_outcome(path)
+        text = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode("utf-8")
+        split = dataio._split_quote_free(text)
+        assert split is not None or fault != "none"
+        if split is not None:
+            header, *body = csv.reader(io.StringIO(text))
+            assert all(len(row) == len(header) for row in body)
+            assert split == (header, [cell for row in body for cell in row])
+        if isinstance(reference, str):
+            assert outcome == reference
+            return
+        assert isinstance(outcome, Dataset)
+        names, features, labels, digest = reference_parse(raw, at)
+        for ds in (outcome, reference):
+            assert ds.feature_names == names
+            assert ds.features.shape == features.shape
+            assert ds.features.tobytes() == features.tobytes()
+            assert ds.labels == labels
+            assert ds.fingerprint["value"] == digest
+
+    def test_quoted_cells_parse_to_the_same_bits(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("f0,f1,label\n1.5,-0,a\n1e-17,0.30000000000000004,b c\n")
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text(
+            '"f0","f1","label"\n"1.5","-0","a"\n"1e-17","0.30000000000000004","b c"\n'
+        )
+        a, b = load_dataset(plain), load_dataset(quoted)
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels == b.labels == ("a", "b c")
+        assert a.feature_names == b.feature_names
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
+    def test_field_over_the_size_limit_is_a_format_error(self, tmp_path, quote):
+        path = tmp_path / "big.csv"
+        path.write_text(f"f0,label\n1.0,a\n{quote}{'1' * 140_001}{quote},b\n")
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == (
+            f"{path}: line 3: field larger than field limit ({csv.field_size_limit()})"
+        )
+
     def test_first_bad_cell_in_row_major_order_is_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,label\n1.0,2.0,a\n3.0,nan,b\n,4.0,a\n")
@@ -196,6 +305,9 @@ class TestLoadDatasetEquivalence:
         [
             ("1.0,2.0,3.0,a\n4.0,b\n", "row 1 has 4 fields, expected 3"),
             ("3.0,nan,b\n4.0,b\n", "row 1 column 'f1': expected a finite number, got 'nan'"),
+            ("1.0,a\n2.0,3.0,4.0,b\n", "row 1 has 2 fields, expected 3"),
+            ("1.0,2.0,a\n\n3.0,4.0,b\n", "row 2 has 0 fields, expected 3"),
+            ("1.0,2.0,a\n3.0,4.0,b\n\n", "row 3 has 0 fields, expected 3"),
         ],
     )
     def test_ragged_rows_never_shift_cells(self, tmp_path, body, message):
@@ -251,11 +363,14 @@ class TestSplitsFile:
         ds = load_dataset(dataset_path)
         plans = stratified_holdout(ds.label_indices, 0.25, 1, seed=10)
         out = tmp_path / "splits.json"
-        write_splits(
-            out, plans, fingerprint=fingerprint_bytes(b"other"), test_fraction=0.25, seed=10
-        )
-        with pytest.raises(FingerprintMismatch):
+        other = fingerprint_bytes(b"other")
+        write_splits(out, plans, fingerprint=other, test_fraction=0.25, seed=10)
+        with pytest.raises(FingerprintMismatch) as info:
             check_splits(read_splits(out), ds)
+        assert str(info.value) == (
+            f"{out}: split file fingerprint does not match the dataset "
+            f"({other['value'][:12]} vs {ds.fingerprint['value'][:12]})"
+        )
 
     def test_invalid_partition(self, tmp_path, dataset_path):
         ds = load_dataset(dataset_path)
@@ -265,8 +380,12 @@ class TestSplitsFile:
         obj = json.loads(out.read_text())
         obj["repetitions"][0]["test"] = obj["repetitions"][0]["test"][:-1]
         write_json(out, obj)
-        with pytest.raises(SchemaMismatch, match="partition"):
+        with pytest.raises(SchemaMismatch) as info:
             check_splits(read_splits(out), ds)
+        assert str(info.value) == (
+            f"{out}: repetition 0: train/test indices are not a "
+            f"disjoint exhaustive partition of {ds.n_samples} rows"
+        )
 
     def test_wrong_format_tag(self, tmp_path):
         out = tmp_path / "splits.json"
@@ -522,6 +641,29 @@ class TestCsvWriters:
         out = tmp_path / "preds.csv"
         write_predictions_csv(out, [], np.zeros((0, 2)), ("a", "b"))
         assert out.read_text() == "row,predicted,score_a,score_b\n"
+
+    @pytest.mark.parametrize(
+        "n_rows", [0, 1, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 2 * SCORE_BLOCK + 3]
+    )
+    def test_predictions_csv_blocks_match_csv_writer(self, tmp_path, n_rows):
+        classes = ("a,b", 'say "hi"', "c")
+        rng = np.random.default_rng(n_rows)
+        scores = rng.dirichlet(np.ones(3), size=n_rows)
+        scores[::7, 0] = 0.1 + 0.2
+        names = [classes[i] for i in rng.integers(0, 3, n_rows)]
+        out = tmp_path / "preds.csv"
+        write_predictions_csv(out, names, scores, classes)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["row", "predicted"] + [f"score_{name}" for name in classes])
+        for i in range(n_rows):
+            writer.writerow([i, names[i]] + [repr(float(v)) for v in scores[i]])
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("n_names", [2, 4])
+    def test_predictions_csv_row_count_mismatch_raises(self, tmp_path, n_names):
+        with pytest.raises(ValueError, match=f"{n_names} predicted names for 3 score rows"):
+            write_predictions_csv(tmp_path / "p.csv", ["a"] * n_names, np.zeros((3, 2)), ("a", "b"))
 
     def test_predictions_csv_matches_csv_writer(self, tmp_path):
         classes = ("a,b", 'say "hi"')
