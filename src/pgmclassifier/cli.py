@@ -58,7 +58,13 @@ from .dataio import (
     write_splits,
 )
 from .encoding import ENCODINGS, NORMALIZERS, EncodingConfig
-from .errors import ClassSetMismatch, DatasetFormatError, PgmError, SchemaMismatch
+from .errors import (
+    ClassSetMismatch,
+    DatasetFormatError,
+    EmptyEvaluation,
+    PgmError,
+    SchemaMismatch,
+)
 from .metrics import metric_difference, report_from_predictions, win_loss
 from .pgm import MAX_COPIES, PgmConfig, fit_pgm, predict_batch
 from .selection import (
@@ -94,13 +100,13 @@ def _data_errors(func):
     return wrapper
 
 
-def _require_labels(dataset: Dataset, path: str) -> None:
+def _require_labels(dataset: Dataset, path: str, label_column: str) -> None:
     if dataset.classes is None:
-        raise DatasetFormatError(f"{path}: no label column {dataset.label_column!r}")
+        raise DatasetFormatError(f"{path}: no label column {label_column!r}")
 
 
-def _require_trainable(dataset: Dataset, path: str) -> None:
-    _require_labels(dataset, path)
+def _require_trainable(dataset: Dataset, path: str, label_column: str) -> None:
+    _require_labels(dataset, path, label_column)
     if dataset.n_classes < 2:
         raise DatasetFormatError(
             f"{path}: training needs at least 2 distinct labels, "
@@ -234,7 +240,7 @@ def main():
 def splits(dataset, label_column, test_fraction, repetitions, seed, out):
     """Draw repeated stratified train/test splits and write a split file."""
     data = load_dataset(dataset, label_column)
-    _require_trainable(data, dataset)
+    _require_trainable(data, dataset, label_column)
     plans = stratified_holdout(data.label_indices, test_fraction, repetitions, seed)
     write_splits(
         out,
@@ -284,7 +290,7 @@ def gridsearch(
 ):
     """Run the full protocol: per-split grid search, evaluation, selection."""
     data = load_dataset(dataset, label_column)
-    _require_trainable(data, dataset)
+    _require_trainable(data, dataset, label_column)
     splits_data = read_splits(splits_file)
     check_splits(splits_data, data)
     encodings, alphas, copies = _parse_grid(grid_string)
@@ -343,7 +349,7 @@ def train(dataset, label_column, encoding, alpha, copies, normalizer, priors, en
     if alpha <= 0:
         raise click.BadParameter("--alpha must be positive")
     data = load_dataset(dataset, label_column)
-    _require_trainable(data, dataset)
+    _require_trainable(data, dataset, label_column)
     config = PgmConfig(
         encoding=EncodingConfig(encoding=encoding, alpha=alpha, normalizer=normalizer),
         copies=copies,
@@ -388,7 +394,9 @@ def evaluate(model_file, dataset, label_column, positive_class, out, out_csv):
     """Score a labeled dataset with a saved model and report all metrics."""
     loaded = load_model(model_file)
     data = load_dataset(dataset, label_column)
-    _require_labels(data, dataset)
+    _require_labels(data, dataset, label_column)
+    if data.n_samples == 0:
+        raise EmptyEvaluation(f"{dataset}: no rows to evaluate")
     class_index = {name: i for i, name in enumerate(loaded.classes)}
     unknown = sorted(set(data.classes) - set(loaded.classes))
     if unknown:

@@ -61,19 +61,25 @@ def fingerprint_bytes(raw: bytes) -> dict:
     return {"algorithm": FINGERPRINT_ALGORITHM, "value": digest}
 
 
+#: Characters of dataset text tokenised at a time: a load holds the cells
+#: of one block, not of the whole file. Blocks are cut at a newline.
+_BLOCK_CHARS = 1 << 18
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Parsed dataset: float feature matrix plus optional string labels.
+    """Parsed dataset: float feature matrix plus optional class labels.
 
     ``classes`` holds the distinct label names in sorted order and
     ``label_indices`` each row's position in that list; both are None for
-    unlabeled data. The fingerprint ties derived artifacts to these bytes.
+    unlabeled data. No per-row label string is kept: :attr:`labels`
+    derives the names from those two. The fingerprint ties derived
+    artifacts to these bytes.
     """
 
     feature_names: tuple
     features: np.ndarray
     label_column: str | None
-    labels: tuple | None
     classes: tuple | None
     label_indices: np.ndarray | None
     fingerprint: dict
@@ -88,6 +94,13 @@ class Dataset:
             raise DatasetFormatError("dataset has no label column")
         return len(self.classes)
 
+    @property
+    def labels(self) -> tuple | None:
+        """Each row's label name, or None for unlabeled data."""
+        if self.classes is None:
+            return None
+        return tuple(map(self.classes.__getitem__, self.label_indices.tolist()))
+
 
 def load_dataset(path, label_column: str = "label") -> Dataset:
     """Read a CSV dataset, strictly validating shape and numeric content.
@@ -98,13 +111,25 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
     the header). The label column is optional so prediction inputs may omit
     it; when present, labels are arbitrary nonempty strings.
 
-    Quote-free text is split on newlines and commas (:func:`_split_quote_free`),
-    any other text is read by ``csv.reader``; both give the same cells, which
-    one vectorized parse turns into the feature matrix. A file it refuses is
-    read again by ``csv.reader`` and :func:`_parse_checked` names the fault.
+    The text is tokenised in blocks of about :data:`_BLOCK_CHARS`
+    characters: text with no ``"`` and no NUL by splitting on newlines and
+    commas (:func:`_split_quote_free`), any other text by ``csv.reader``
+    (:func:`_split_csv`). Both give the same cells, which
+    :func:`_parse_blocks` parses block by block into one feature matrix,
+    sized from the newline count, and one class code per row. If either
+    step refuses a block, ``csv.reader`` reads the whole file again and
+    :func:`_parse_checked` names the fault, so diagnostics do not depend
+    on where blocks end.
     """
     text, fingerprint = _read_text(path)
-    header, cells = _split_quote_free(text) or _split_csv(path, text)
+    quoted = '"' in text or "\0" in text
+    blocks = _split_csv(path, text) if quoted else _split_quote_free(text)
+    n_lines = text.count("\n") + (not text.endswith("\n"))
+    parsed = _parse_blocks(blocks, n_lines - 1, label_column)
+    if parsed is None:
+        header, *body = list(_csv_rows(path, text)) or [[]]
+    else:
+        header, matrix, codes, label_codes = parsed
     if not any(header):
         raise DatasetFormatError(f"{path}: missing header row")
     if len(set(header)) != len(header):
@@ -113,22 +138,19 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
     has_labels = label_column in header
     label_pos = header.index(label_column) if has_labels else -1
     feature_names = tuple(name for i, name in enumerate(header) if i != label_pos)
-    parsed = None if cells is None else _parse_fast(cells, len(header), label_pos)
     if parsed is None:
-        parsed = _parse_checked(path, header, _csv_rows(path, text)[1:], label_pos)
-    matrix, labels = parsed
+        matrix, labels = _parse_checked(path, header, body, label_pos)
+        codes = {}
+        label_codes = _label_codes(codes, labels)
+    classes = label_indices = None
     if has_labels:
-        classes = tuple(sorted(set(labels)))
-        index = {name: i for i, name in enumerate(classes)}
-        label_indices = np.array([index[name] for name in labels], dtype=np.int64)
-    else:
-        classes = None
-        label_indices = None
+        classes = tuple(sorted(codes))
+        position = {name: i for i, name in enumerate(classes)}
+        label_indices = np.array([position[name] for name in codes], dtype=np.int64)[label_codes]
     return Dataset(
         feature_names=feature_names,
         features=matrix,
         label_column=label_column if has_labels else None,
-        labels=tuple(labels) if has_labels else None,
         classes=classes,
         label_indices=label_indices,
         fingerprint=fingerprint,
@@ -148,60 +170,139 @@ def _read_text(path):
         raise DatasetFormatError(f"{path}: not valid UTF-8 ({exc})") from None
 
 
-def _split_quote_free(text: str):
-    """``(header, body cells)`` of quote-free LF text by ``str.split``, or None.
+def _label_codes(codes: dict, labels) -> np.ndarray:
+    """Each label's code in ``codes``, where a label not yet in it gets the next code."""
+    for name in set(labels).difference(codes):
+        codes[name] = len(codes)
+    return np.fromiter(map(codes.__getitem__, labels), dtype=np.int64, count=len(labels))
 
-    Text is quote-free when it holds no ``"``, no NUL, no empty line (one
-    final newline aside) and no line longer than ``csv.field_size_limit()``;
-    ``csv.reader`` then splits it exactly as ``str.split`` does on newlines
-    and commas. Every line must have as many commas as the header, so a
-    short row and a long row never trade cells; any other text gives None.
+
+def _parse_blocks(blocks, n_rows: int, label_column: str):
+    """``(header, features, codes, label codes)`` of a tokeniser's blocks, or None.
+
+    ``blocks`` yields the header's cells, then the flat row-major cells of
+    each block of body rows, at most ``n_rows`` in all, or None for a block
+    it refuses. :func:`_parse_fast` writes each block's features straight
+    into one matrix; ``codes`` maps each distinct label to its code and
+    ``label codes`` holds each row's. Gives None for a refused block, a
+    cell the fast parse refuses or a missing header.
     """
-    if '"' in text or "\0" in text:
+    header = next(blocks, None)
+    if header is None or not any(header):
         return None
-    if text.endswith("\n"):
-        text = text[:-1]
-    lines = text.split("\n")
-    if "" in lines or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    commas = lines[0].count(",")
-    if any(line.count(",") != commas for line in lines):
-        return None
-    del lines
-    cells = text.replace("\n", ",").split(",")
-    header = cells[: commas + 1]
-    del cells[: commas + 1]
-    return header, cells
+    width = len(header)
+    label_pos = header.index(label_column) if label_column in header else -1
+    matrix = np.empty((n_rows, width - (label_pos >= 0)))
+    label_codes = np.empty(n_rows if label_pos >= 0 else 0, dtype=np.int64)
+    codes: dict = {}
+    row = 0
+    for cells in blocks:
+        if cells is None:
+            return None
+        stop = row + len(cells) // width
+        labels = _parse_fast(cells, width, label_pos, matrix[row:stop])
+        if labels is None:
+            return None
+        if label_pos >= 0:
+            label_codes[row:stop] = _label_codes(codes, labels)
+        row = stop
+    return header, matrix[:row], codes, label_codes[:row]
+
+
+def _text_blocks(text: str):
+    """Runs of whole lines of LF ``text``, each about :data:`_BLOCK_CHARS` long.
+
+    A block ends before a newline, which belongs to no block; the last
+    block holds what follows the last newline, if anything does.
+    """
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", min(start + _BLOCK_CHARS, end) - 1)
+        if cut < 0:
+            cut = end
+        yield text[start:cut]
+        start = cut + 1
+
+
+def _lines(text: str):
+    """The lines of LF ``text``, each with its newline, as ``csv.reader`` reads a file."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start) + 1 or end
+        yield text[start:stop]
+        start = stop
+
+
+def _split_quote_free(text: str):
+    """Cell blocks of text free of ``"`` and NUL, by ``str.split`` (see :func:`_parse_blocks`).
+
+    ``csv.reader`` splits such a line exactly as ``str.split`` does on
+    commas, as long as the line is not empty and not longer than
+    ``csv.field_size_limit()``. Every line must also have as many commas as
+    the header, so a short row and a long row never trade cells; the first
+    block holding a line that breaks one of these rules yields None.
+    """
+    limit = csv.field_size_limit()
+    commas = -1
+    for block in _text_blocks(text):
+        lines = block.split("\n")
+        first = commas < 0
+        if first:
+            commas = lines[0].count(",")
+        if (
+            "" in lines
+            or max(map(len, lines)) > limit
+            or set(map(str.count, lines, itertools.repeat(","))) != {commas}
+        ):
+            yield None
+            return
+        del lines
+        cells = block.replace("\n", ",").split(",")
+        if first:
+            yield cells[: commas + 1]
+            del cells[: commas + 1]
+        yield cells
 
 
 def _split_csv(path, text: str):
-    """``(header, body cells)`` by ``csv.reader``; cells are None unless every row fits."""
+    """Cell blocks by ``csv.reader`` (see :func:`_parse_blocks`), read with ``islice``.
+
+    A block holds about :data:`_BLOCK_CHARS` characters' worth of rows of
+    the average line length; a block with a row not as wide as the header
+    yields None.
+    """
     rows = _csv_rows(path, text)
-    header, body = (rows[0], rows[1:]) if rows else ([], [])
-    if any(len(row) != len(header) for row in body):
-        return header, None
-    return header, list(itertools.chain.from_iterable(body))
+    per_block = max(1, _BLOCK_CHARS * (text.count("\n") + 1) // max(len(text), 1))
+    header = next(rows, [])
+    yield header
+    while block := list(itertools.islice(rows, per_block)):
+        if any(len(row) != len(header) for row in block):
+            yield None
+            return
+        yield list(itertools.chain.from_iterable(block))
 
 
-def _csv_rows(path, text: str) -> list:
-    """All rows by ``csv.reader``; a ``csv.Error`` becomes :class:`DatasetFormatError`."""
-    reader = csv.reader(io.StringIO(text))
+def _csv_rows(path, text: str):
+    """Rows by ``csv.reader``; a ``csv.Error`` becomes :class:`DatasetFormatError`.
+
+    The reader reads :func:`_lines`, so it holds no copy of the text.
+    """
+    reader = csv.reader(_lines(text))
     try:
-        return list(reader)
+        yield from reader
     except csv.Error as exc:
         raise DatasetFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _parse_fast(cells: list, width: int, label_pos: int):
-    """``(features, labels)`` of a flat row-major cell list in one vectorized parse, or None.
+def _parse_fast(cells: list, width: int, label_pos: int, out: np.ndarray):
+    """Labels of a flat row-major cell list whose features go into ``out``, or None.
 
-    ``cells`` holds ``width`` cells per row and loses its label column in
-    place. Every feature cell goes through ``float`` in one pass; a cell
-    ``float`` rejects, a non-finite value or an empty label makes it give
-    up, and :func:`_parse_checked` then names the offending cell.
+    ``cells`` holds ``width`` cells for each row of ``out`` and loses its
+    label column in place. Every feature cell goes through ``float`` in one
+    vectorized pass; a cell ``float`` rejects, a non-finite value or an
+    empty label makes it give up, and :func:`_parse_checked` then names the
+    offending cell.
     """
-    n_rows = len(cells) // width
-    n_features = width if label_pos < 0 else width - 1
     labels = []
     if label_pos >= 0:
         labels = cells[label_pos::width]
@@ -214,7 +315,8 @@ def _parse_fast(cells: list, width: int, label_pos: int):
         return None
     if not np.isfinite(flat).all():
         return None
-    return flat.reshape(n_rows, n_features), labels
+    out[...] = flat.reshape(out.shape)
+    return labels
 
 
 def _parse_checked(path, header, body, label_pos: int):
@@ -257,7 +359,8 @@ def features_for_model(dataset: Dataset, feature_columns) -> np.ndarray:
     """Select and order dataset columns to match a model's training schema.
 
     The dataset must contain exactly the model's feature columns (any label
-    column aside); missing or unexpected columns name the offender.
+    column aside); missing or unexpected columns name the offender. Columns
+    already in the model's order give the feature matrix itself, not a copy.
     """
     feature_columns = tuple(feature_columns)
     have = set(dataset.feature_names)
@@ -269,6 +372,8 @@ def features_for_model(dataset: Dataset, feature_columns) -> np.ndarray:
     if extra:
         raise SchemaMismatch(f"dataset has unexpected column {extra[0]!r}")
     order = [dataset.feature_names.index(name) for name in feature_columns]
+    if order == list(range(len(dataset.feature_names))):
+        return dataset.features
     return dataset.features[:, order]
 
 

@@ -86,15 +86,20 @@ def fit_normalizer(x, kind: str = "zscore") -> NormalizerParams:
     return NormalizerParams(kind=kind, location=location, scale=scale)
 
 
-def apply_normalizer(x, params: NormalizerParams) -> np.ndarray:
-    """Apply fitted per-column normalization to a feature matrix."""
+def check_features(x, params: NormalizerParams) -> np.ndarray:
+    """``x`` as a finite 2-d float matrix as wide as the fitted normalizer, or raise."""
     x = _as_matrix(x)
     if x.shape[1] != params.location.shape[0]:
         raise DimMismatch(
             f"feature count {x.shape[1]} does not match fitted "
             f"normalizer width {params.location.shape[0]}"
         )
-    return (x - params.location) / params.scale
+    return x
+
+
+def apply_normalizer(x, params: NormalizerParams) -> np.ndarray:
+    """Apply fitted per-column normalization to a feature matrix."""
+    return (check_features(x, params) - params.location) / params.scale
 
 
 def rescale(x, alpha: float) -> np.ndarray:
@@ -127,17 +132,19 @@ def encode_stereographic(x) -> np.ndarray:
 _ENCODERS = {"amplitude": encode_amplitude, "stereographic": encode_stereographic}
 
 
-def check_unit_rows(states, error, row_name: str) -> None:
+def check_unit_rows(states, error, row_name: str, first_row: int = 0) -> None:
     """Raise ``error`` naming the first row whose norm is not 1 within :data:`UNIT_NORM_TOL`.
 
-    A NaN entry fails, and so does an overflowing norm, read as inf without a numpy warning.
+    Rows are numbered from ``first_row``. A NaN entry fails, and so does an
+    overflowing norm, read as inf without a numpy warning.
     """
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(states, axis=1)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
     if bad.size:
         norm = float(norms[bad[0]])
-        raise error(f"{row_name} {bad[0]} has norm {norm!r}, expected 1 within {UNIT_NORM_TOL:g}")
+        row = first_row + bad[0]
+        raise error(f"{row_name} {row} has norm {norm!r}, expected 1 within {UNIT_NORM_TOL:g}")
 
 
 @dataclass(frozen=True)
@@ -163,16 +170,22 @@ class EncodingConfig:
             )
 
 
-def encode(x, config: EncodingConfig, params: NormalizerParams) -> np.ndarray:
+def encode(
+    x, config: EncodingConfig, params: NormalizerParams, *, first_row: int = 0
+) -> np.ndarray:
     """Run the full pipeline: normalize, rescale by alpha, encode to states.
 
     Returns a matrix of shape ``(m, d + 1)`` whose rows are unit vectors; a
     row whose scaled values overflow the encoding (from about 1e154 on)
-    raises :class:`InvalidFeature` instead, without a numpy warning.
+    raises :class:`InvalidFeature` instead, without a numpy warning. The
+    diagnostic numbers rows from ``first_row``, so a caller encoding a
+    block of a larger input names the row's index in that input.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         states = _ENCODERS[config.encoding](rescale(apply_normalizer(x, params), config.alpha))
-    check_unit_rows(states, InvalidFeature, f"{config.encoding} encoding overflows: row index")
+    check_unit_rows(
+        states, InvalidFeature, f"{config.encoding} encoding overflows: row index", first_row
+    )
     return states
 
 

@@ -31,7 +31,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .encoding import EncodingConfig, NormalizerParams, check_unit_rows, encode, fit_encode
+from .encoding import (
+    EncodingConfig,
+    NormalizerParams,
+    check_features,
+    check_unit_rows,
+    encode,
+    fit_encode,
+)
 from .errors import (
     DimMismatch,
     EmptyClass,
@@ -393,18 +400,42 @@ def score_states(model, states) -> np.ndarray:
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
         raise DimMismatch(f"expected a 2-d state array, got shape {states.shape}")
-    if states.shape[1] != model.dim:
-        raise DimMismatch(
-            f"state dimension {states.shape[1]} does not match model dimension {model.dim}"
-        )
+    _check_states(model, states)
+    return _score_blocks(model, states, encoded=False, with_labels=False)[1]
+
+
+def _check_states(model, states) -> None:
+    _check_state_dim(model, states.shape[1])
     if not np.all(np.isfinite(states)):
         raise InvalidFeature("state entries must be finite")
-    scores = np.empty((states.shape[0], model.n_classes))
+
+
+def _check_state_dim(model, dim: int) -> None:
+    if dim != model.dim:
+        raise DimMismatch(f"state dimension {dim} does not match model dimension {model.dim}")
+
+
+def _score_blocks(model, rows, *, encoded: bool, with_labels: bool):
+    """``(labels or None, scores)`` of checked 2-d ``rows``, :data:`SCORE_BLOCK` rows at a time.
+
+    Rows are unit states, or raw features that each block encodes through
+    the model's pipeline first when ``encoded``; a row that overflows its
+    encoding is named by its index in ``rows``. Labels, when asked for,
+    come from each block's scores, so nothing but the score and label
+    arrays grows with the number of rows.
+    """
+    scores = np.empty((rows.shape[0], model.n_classes))
+    labels = np.empty(rows.shape[0], dtype=np.int64) if with_labels else None
     score_block = _score_dense_block if isinstance(model, DensePgmModel) else _score_gram_block
-    for start in range(0, states.shape[0], SCORE_BLOCK):
+    for start in range(0, rows.shape[0], SCORE_BLOCK):
         stop = start + SCORE_BLOCK
-        score_block(model, states[start:stop], scores[start:stop])
-    return scores
+        block = rows[start:stop]
+        if encoded:
+            block = encode(block, model.encoding, model.normalizer, first_row=start)
+        score_block(model, block, scores[start:stop])
+        if with_labels:
+            labels[start:stop] = labels_from_scores(scores[start:stop])
+    return labels, scores
 
 
 def _score_dense_block(model: DensePgmModel, block, out) -> None:
@@ -423,19 +454,23 @@ def _score_gram_block(model: GramPgmModel, block, out) -> None:
     out += kernel_mass[:, None] / model.n_classes
 
 
-def _to_states(model, x_batch) -> np.ndarray:
-    if model.encoding is None:
-        return np.asarray(x_batch, dtype=float)
-    return encode(x_batch, model.encoding, model.normalizer)
-
-
 def predict_batch(model, x_batch):
-    """Classify a batch; returns ``(labels, scores)`` in input order."""
+    """Classify a batch; returns ``(labels, scores)`` in input order.
+
+    A model with a feature pipeline takes raw features and encodes them a
+    block at a time inside the scoring loop, so memory grows with the
+    number of rows only by the score and label arrays.
+    """
     x_batch = np.asarray(x_batch, dtype=float)
     if x_batch.ndim != 2:
         raise DimMismatch(f"expected a 2-d feature array, got shape {x_batch.shape}")
-    scores = score_states(model, _to_states(model, x_batch))
-    return labels_from_scores(scores), scores
+    encoded = model.encoding is not None
+    if encoded:
+        check_features(x_batch, model.normalizer)
+        _check_state_dim(model, x_batch.shape[1] + 1)
+    else:
+        _check_states(model, x_batch)
+    return _score_blocks(model, x_batch, encoded=encoded, with_labels=True)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from pgmclassifier import DensePgmModel, LabeledStateSet, stable_power, tensor_power
@@ -83,3 +85,19 @@ def write_dataset_csv(path, features, label_names=None, feature_names=None, labe
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
+
+
+def peak_allocation(call, *args, **kwargs) -> int:
+    """Peak bytes ``tracemalloc`` traces while ``call(*args, **kwargs)`` runs.
+
+    Counts Python objects and numpy buffers allocated during the call, its
+    result included, above what was allocated when it started.
+    """
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -1217,6 +1217,41 @@ class TestEvaluateCommand:
         assert result.exit_code == 1
 
 
+class TestLabelDiagnostics:
+    """Commands that need labels name the dataset and what they lack."""
+
+    @pytest.mark.parametrize("label_column", [None, "target"])
+    @pytest.mark.parametrize("command", ["splits", "train", "gridsearch", "evaluate"])
+    def test_missing_label_column_is_named(
+        self, runner, tmp_path, blob_csv, command, label_column
+    ):
+        unlabeled = write_dataset_csv(tmp_path / "u.csv", np.ones((4, 2)))
+        if command == "evaluate":
+            train_model(runner, tmp_path, blob_csv)
+        args = {
+            "splits": ["splits", unlabeled, "--seed", "1"],
+            "train": ["train", unlabeled],
+            "gridsearch": ["gridsearch", unlabeled, str(blob_csv), "--seed", "1"],
+            "evaluate": ["evaluate", str(tmp_path / "model.json"), unlabeled],
+        }[command]
+        args += ["--out-model" if command == "train" else "--out", str(tmp_path / "out.json")]
+        if label_column is not None:
+            args += ["--label-column", label_column]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {unlabeled}: no label column {label_column or 'label'!r}\n"
+
+    def test_evaluating_a_header_only_file_names_it(self, runner, tmp_path, blob_csv):
+        model_path, _ = train_model(runner, tmp_path, blob_csv)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("f0,f1,label\n")
+        result = runner.invoke(
+            main, ["evaluate", str(model_path), str(empty), "--out", str(tmp_path / "e.json")]
+        )
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {empty}: no rows to evaluate\n"
+
+
 class TestCompareCommand:
     def evaluate_to(self, runner, tmp_path, model_path, dataset, name):
         out = tmp_path / name

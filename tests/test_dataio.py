@@ -1,6 +1,8 @@
 import csv
+import functools
 import hashlib
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -8,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import blob_features, write_dataset_csv
+from helpers import blob_features, peak_allocation, write_dataset_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -219,55 +221,67 @@ def reference_parse(raw, at):
     return names, features, labels, hashlib.sha256(lf).hexdigest()
 
 
-class TestLoadDatasetEquivalence:
-    @settings(max_examples=150, deadline=None)
-    @given(case=csv_datasets())
-    def test_matches_cell_by_cell_parse(self, case):
-        raw, at = case
-        names, features, labels, digest = reference_parse(raw, at)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "d.csv"
-            path.write_bytes(raw)
-            ds = load_dataset(path)
+@settings(max_examples=150, deadline=None)
+@given(case=csv_datasets())
+def matches_cell_by_cell_parse(case):
+    """A valid file, quoted or not, parses to the bits of a cell-by-cell parse."""
+    raw, at = case
+    names, features, labels, digest = reference_parse(raw, at)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(raw)
+        ds = load_dataset(path)
+    assert ds.feature_names == names
+    assert ds.features.shape == features.shape
+    assert ds.features.tobytes() == features.tobytes()
+    assert ds.labels == labels
+    assert ds.fingerprint["value"] == digest
+    if labels is None:
+        assert ds.classes is None and ds.label_indices is None
+    else:
+        assert ds.classes == tuple(sorted(set(labels)))
+        assert [ds.classes[i] for i in ds.label_indices] == list(labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=quote_free_datasets())
+def quote_free_files_match_the_csv_reader_route(case):
+    """A quote-free file gives the dataset or the message of the ``csv.reader`` route."""
+    raw, at, fault = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(raw)
+        outcome = load_outcome(path)
+        csv_route = functools.partial(dataio._split_csv, path)
+        with mock.patch.object(dataio, "_split_quote_free", csv_route):
+            reference = load_outcome(path)
+    text = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode("utf-8")
+    blocks = list(dataio._split_quote_free(text))
+    assert None not in blocks or fault != "none"
+    if None not in blocks:
+        header, *body = csv.reader(io.StringIO(text))
+        assert all(len(row) == len(header) for row in body)
+        assert blocks[0] == header
+        assert sum(blocks[1:], []) == [cell for row in body for cell in row]
+    if isinstance(reference, str):
+        assert outcome == reference
+        return
+    assert isinstance(outcome, Dataset)
+    names, features, labels, digest = reference_parse(raw, at)
+    for ds in (outcome, reference):
         assert ds.feature_names == names
         assert ds.features.shape == features.shape
         assert ds.features.tobytes() == features.tobytes()
         assert ds.labels == labels
         assert ds.fingerprint["value"] == digest
-        if labels is None:
-            assert ds.classes is None and ds.label_indices is None
-        else:
-            assert ds.classes == tuple(sorted(set(labels)))
-            assert [ds.classes[i] for i in ds.label_indices] == list(labels)
 
-    @settings(max_examples=200, deadline=None)
-    @given(case=quote_free_datasets())
-    def test_quote_free_files_match_the_csv_reader_route(self, case):
-        raw, at, fault = case
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "d.csv"
-            path.write_bytes(raw)
-            outcome = load_outcome(path)
-            with mock.patch.object(dataio, "_split_quote_free", lambda text: None):
-                reference = load_outcome(path)
-        text = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode("utf-8")
-        split = dataio._split_quote_free(text)
-        assert split is not None or fault != "none"
-        if split is not None:
-            header, *body = csv.reader(io.StringIO(text))
-            assert all(len(row) == len(header) for row in body)
-            assert split == (header, [cell for row in body for cell in row])
-        if isinstance(reference, str):
-            assert outcome == reference
-            return
-        assert isinstance(outcome, Dataset)
-        names, features, labels, digest = reference_parse(raw, at)
-        for ds in (outcome, reference):
-            assert ds.feature_names == names
-            assert ds.features.shape == features.shape
-            assert ds.features.tobytes() == features.tobytes()
-            assert ds.labels == labels
-            assert ds.fingerprint["value"] == digest
+
+class TestLoadDatasetEquivalence:
+    def test_matches_cell_by_cell_parse(self):
+        matches_cell_by_cell_parse()
+
+    def test_quote_free_files_match_the_csv_reader_route(self):
+        quote_free_files_match_the_csv_reader_route()
 
     def test_quoted_cells_parse_to_the_same_bits(self, tmp_path):
         plain = tmp_path / "plain.csv"
@@ -316,6 +330,111 @@ class TestLoadDatasetEquivalence:
         with pytest.raises(DatasetFormatError) as info:
             load_dataset(path)
         assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("block_chars", [1, 64])
+    def test_generated_files_in_small_blocks(self, block_chars):
+        with mock.patch.object(dataio, "_BLOCK_CHARS", block_chars):
+            matches_cell_by_cell_parse()
+            quote_free_files_match_the_csv_reader_route()
+
+
+@pytest.fixture(params=[1, 64, dataio._BLOCK_CHARS])
+def block_chars(request):
+    """Runs a test with one line per block, a few lines per block and the default size."""
+    with mock.patch.object(dataio, "_BLOCK_CHARS", request.param):
+        yield request.param
+
+
+class TestLoadDatasetBlocks:
+    """Faults and files that straddle the blocks ``load_dataset`` tokenises."""
+
+    @staticmethod
+    def body(block_chars):
+        """Ten-character rows, enough for more than three blocks."""
+        n_rows = 3 * block_chars // 10 + 3
+        return [f"{i % 10}.5,{i % 7}.25,{'ab'[i % 2]}" for i in range(n_rows)]
+
+    @staticmethod
+    def block_starts(lines):
+        """The row number (from 1, header excluded) that starts each block after the first."""
+        sizes = [block.count("\n") + 1 for block in dataio._text_blocks("\n".join(lines))]
+        return list(itertools.accumulate(sizes[:-1]))
+
+    def load_error(self, path, lines):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(path)
+        return str(info.value).removeprefix(f"{path}: ")
+
+    def test_bad_cell_in_the_second_block(self, tmp_path, block_chars):
+        lines = ["f0,f1,label", *self.body(block_chars)]
+        r = self.block_starts(lines)[0] + 1
+        lines[r] = "1.5,x.25,a"
+        message = self.load_error(tmp_path / "bad.csv", lines)
+        assert message == f"row {r} column 'f1': expected a finite number, got 'x.25'"
+
+    def test_short_and_long_rows_straddling_a_boundary(self, tmp_path, block_chars):
+        lines = ["f0,f1,label", *self.body(block_chars)]
+        r = self.block_starts(lines)[1]
+        lines[r - 1] = "1.5,2.25;a"
+        lines[r] = "1,5,2.25,a"
+        message = self.load_error(tmp_path / "bad.csv", lines)
+        assert message == f"row {r - 1} has 2 fields, expected 3"
+
+    def test_empty_line_at_a_boundary(self, tmp_path, block_chars):
+        lines = ["f0,f1,label", *self.body(block_chars)]
+        r = self.block_starts(lines)[1]
+        lines.insert(r, "")
+        message = self.load_error(tmp_path / "bad.csv", lines)
+        assert message == f"row {r} has 0 fields, expected 3"
+
+    def test_last_block_without_a_final_newline(self, tmp_path, block_chars):
+        raw = "\n".join(["f0,f1,label", *self.body(block_chars)]).encode()
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        names, features, labels, digest = reference_parse(raw, 2)
+        ds = load_dataset(path)
+        assert ds.feature_names == names
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels == labels
+        assert ds.fingerprint["value"] == digest
+
+    def test_quoted_file_over_several_reader_blocks(self, tmp_path, block_chars):
+        rows = [["f0", "label", "f1"]]
+        names = ["a,b", 'say "hi"', "two\nlines", "z"]
+        for i, line in enumerate(self.body(block_chars)):
+            f0, f1, _ = line.split(",")
+            rows.append([f0, names[i % 4], f1])
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
+        raw = buf.getvalue().encode()
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(raw)
+        names, features, labels, digest = reference_parse(raw, 1)
+        ds = load_dataset(path)
+        assert ds.feature_names == names
+        assert ds.features.shape == features.shape
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels == labels
+        assert ds.classes == tuple(sorted(set(labels)))
+        assert ds.fingerprint["value"] == digest
+        r = len(rows) - 2
+        rows[r][2] = "nan"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
+        path.write_text(buf.getvalue())
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(path)
+        message = f"row {r} column 'f1': expected a finite number, got 'nan'"
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_peak_memory_stays_under_four_times_the_file(self, tmp_path):
+        rng = np.random.default_rng(50)
+        features = rng.normal(size=(50_000, 4))
+        names = np.array(["neg", "pos"])[rng.integers(0, 2, 50_000)]
+        path = write_dataset_csv(tmp_path / "big.csv", features, names)
+        size = Path(path).stat().st_size
+        assert peak_allocation(load_dataset, path) < 4 * size
 
 
 class TestFingerprint:
@@ -532,6 +651,15 @@ class TestFeaturesForModel:
         path.write_text("a\n1.0\n")
         with pytest.raises(SchemaMismatch, match="'b'"):
             features_for_model(load_dataset(path), ("a", "b"))
+
+    def test_columns_in_model_order_are_not_copied(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,label,b\n1.0,x,2.0\n3.0,y,4.0\n")
+        ds = load_dataset(path)
+        assert np.shares_memory(features_for_model(ds, ("a", "b")), ds.features)
+        reordered = features_for_model(ds, ("b", "a"))
+        assert not np.shares_memory(reordered, ds.features)
+        np.testing.assert_array_equal(reordered, [[2.0, 1.0], [4.0, 3.0]])
 
     def test_extra_column_named(self, tmp_path):
         path = tmp_path / "d.csv"

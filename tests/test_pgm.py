@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from helpers import blob_features, random_labeled_states, random_unit_states, unblocked_scores
+from helpers import (
+    blob_features,
+    peak_allocation,
+    random_labeled_states,
+    random_unit_states,
+    unblocked_scores,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +15,7 @@ from pgmclassifier import (
     DimMismatch,
     EmptyClass,
     EncodingConfig,
+    InvalidFeature,
     InvalidOperator,
     LabeledStateSet,
     LabelOutOfRange,
@@ -19,6 +26,7 @@ from pgmclassifier import (
     build_gram_pgm,
     copies_centroid,
     empirical_priors,
+    encode,
     fit_pgm,
     labels_from_scores,
     mixture,
@@ -477,6 +485,43 @@ class TestScoreBlocks:
                     labels, np.argmax(round_scores(reference), axis=1)
                 )
             assert np.abs(gram_scores - dense_scores).max(initial=0.0) <= 1e-8
+
+    @staticmethod
+    def fitted(encoding, engine):
+        features, labels = blob_features(4.0, 10, d=3, seed=5)
+        config = PgmConfig(
+            encoding=EncodingConfig(encoding=encoding, alpha=0.5), copies=2, engine=engine
+        )
+        return fit_pgm(features, labels, 3, config)
+
+    @pytest.mark.parametrize("engine", ["gram", "dense"])
+    @pytest.mark.parametrize("encoding", ["stereographic", "amplitude"])
+    def test_blockwise_encoding_matches_the_whole_batch(self, rng, encoding, engine):
+        model = self.fitted(encoding, engine)
+        features = 3.0 * rng.normal(size=(max(self.SIZES), 3))
+        for k in self.SIZES:
+            scores = score_states(model, encode(features[:k], model.encoding, model.normalizer))
+            labels, got = predict_batch(model, features[:k])
+            np.testing.assert_array_equal(got, scores)
+            np.testing.assert_array_equal(labels, labels_from_scores(scores))
+
+    @pytest.mark.parametrize("encoding", ["stereographic", "amplitude"])
+    def test_overflow_names_the_row_index_in_the_whole_input(self, rng, encoding):
+        model = self.fitted(encoding, "gram")
+        features = rng.normal(size=(SCORE_BLOCK + 10, 3))
+        features[SCORE_BLOCK + 3, 1] = 1e200
+        message = f"{encoding} encoding overflows: row index {SCORE_BLOCK + 3} "
+        with pytest.raises(InvalidFeature, match=message):
+            predict_batch(model, features)
+
+    def test_memory_grows_only_by_the_score_and_label_arrays(self, rng):
+        model = self.fitted("stereographic", "gram")
+        small, large = (rng.normal(size=(k, 3)) for k in (20_000, 40_000))
+        growth = peak_allocation(predict_batch, model, large) - peak_allocation(
+            predict_batch, model, small
+        )
+        per_row = 8 * model.n_classes + 8  # one float score per class and one int64 label
+        assert growth <= 1.1 * per_row * 20_000
 
 
 class TestFitPgm:
