@@ -6,24 +6,25 @@ violations, infeasible requests). Commands with any randomness require an
 explicit --seed; there is no hidden entropy, so identical inputs always
 produce identical output files.
 
-The PGM_WORKERS environment variable sets the number of grid-search worker
-processes; the default is one per usable core (the CPU affinity mask; a
-cgroup CPU quota is not read, so set PGM_WORKERS under one). Every grid
-task runs in a spawned worker process with one BLAS thread, a single
-worker included: grid tasks are dominated by small serial ``eigh`` calls
-that gain nothing from more threads, and the same thread count in every
-worker makes the validation scores bit-identical across worker counts.
-On a 2-vCPU machine with OpenBLAS, a gram-engine gridsearch of the default
-grid on 143 x 4 data (one split, one CV repetition) took a median of
-1.91 s with the default two workers and 2.73 s with one (seven
-interleaved runs each); the same run in-process, before grid search used
-processes, took 2.31 s in an earlier measurement on that machine. A
-spawned pool took 0.26-0.37 s from its start to its first result (median
-0.31 s of nine, a fresh interpreter importing numpy and the package;
-the figure moves with the host's load), and each worker takes about
-39 MB of memory. Reports are byte-identical across worker counts:
-outcomes are reduced in task order, and reports depend on scores only
-through ranks and through the argmax of scores rounded to 12 decimals.
+The PGM_WORKERS environment variable sets the number of grid-search
+workers; the default is one per usable core (the CPU affinity mask, capped
+by a cgroup v2 CPU quota). Every grid task is computed with one BLAS
+thread, whatever the worker count: grid tasks are dominated by small serial
+``eigh`` calls that gain nothing from more threads, and the same thread
+count everywhere makes the validation scores bit-identical across worker
+counts. With the OpenBLAS that numpy's wheels bundle, the process sets it
+to one thread for the whole grid search; one worker then runs the tasks in
+this process, and more are forked from it. With any other BLAS, every
+worker, a single one included, is a spawned process started with the BLAS
+thread variables set to 1. On a 2-vCPU machine with OpenBLAS, the
+``protocol_paper`` benchmark (a gram-engine gridsearch of the default grid
+on 143 x 4 data, one split, one CV repetition) took a median of 1.08 s with
+the default two forked workers, against 1.48 s when every worker was
+spawned (ten interleaved runs each); a spawned pool took 0.26-0.37 s from
+its start to its first result (a fresh interpreter importing numpy and the
+package). Reports are byte-identical across worker counts and start
+methods: outcomes are reduced in task order, and reports depend on scores
+only through ranks and through the argmax of scores rounded to 12 decimals.
 """
 
 from __future__ import annotations
@@ -86,12 +87,26 @@ _PRIORS = ("uniform", "empirical")
 _SCORE_SUM_TOL = 1e-8
 
 
+#: Parameters of the commands that name a file the command writes.
+_OUTPUT_OPTIONS = ("out", "out_csv", "out_model")
+
+
+def _check_output_dirs(kwargs) -> None:
+    """Refuse an output file whose directory does not exist, before any work."""
+    for name in _OUTPUT_OPTIONS:
+        path = kwargs.get(name)
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise PgmError(f"{path}: output directory does not exist")
+
+
 def _data_errors(func):
-    """Translate library data/consistency errors into exit code 2."""
+    """Check the command's output directories, then run it, translating
+    library data/consistency errors into exit code 2."""
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
         try:
+            _check_output_dirs(kwargs)
             return func(*args, **kwargs)
         except PgmError as exc:
             click.echo(f"error: {exc}", err=True)
@@ -100,16 +115,16 @@ def _data_errors(func):
     return wrapper
 
 
-def _require_labels(dataset: Dataset, path: str, label_column: str) -> None:
+def _require_labels(dataset: Dataset, label_column: str) -> None:
     if dataset.classes is None:
-        raise DatasetFormatError(f"{path}: no label column {label_column!r}")
+        raise DatasetFormatError(f"{dataset.path}: no label column {label_column!r}")
 
 
-def _require_trainable(dataset: Dataset, path: str, label_column: str) -> None:
-    _require_labels(dataset, path, label_column)
+def _require_trainable(dataset: Dataset, label_column: str) -> None:
+    _require_labels(dataset, label_column)
     if dataset.n_classes < 2:
         raise DatasetFormatError(
-            f"{path}: training needs at least 2 distinct labels, "
+            f"{dataset.path}: training needs at least 2 distinct labels, "
             f"got {dataset.n_classes}"
         )
 
@@ -240,7 +255,7 @@ def main():
 def splits(dataset, label_column, test_fraction, repetitions, seed, out):
     """Draw repeated stratified train/test splits and write a split file."""
     data = load_dataset(dataset, label_column)
-    _require_trainable(data, dataset, label_column)
+    _require_trainable(data, label_column)
     plans = stratified_holdout(data.label_indices, test_fraction, repetitions, seed)
     write_splits(
         out,
@@ -290,7 +305,7 @@ def gridsearch(
 ):
     """Run the full protocol: per-split grid search, evaluation, selection."""
     data = load_dataset(dataset, label_column)
-    _require_trainable(data, dataset, label_column)
+    _require_trainable(data, label_column)
     splits_data = read_splits(splits_file)
     check_splits(splits_data, data)
     encodings, alphas, copies = _parse_grid(grid_string)
@@ -349,7 +364,7 @@ def train(dataset, label_column, encoding, alpha, copies, normalizer, priors, en
     if alpha <= 0:
         raise click.BadParameter("--alpha must be positive")
     data = load_dataset(dataset, label_column)
-    _require_trainable(data, dataset, label_column)
+    _require_trainable(data, label_column)
     config = PgmConfig(
         encoding=EncodingConfig(encoding=encoding, alpha=alpha, normalizer=normalizer),
         copies=copies,
@@ -394,7 +409,7 @@ def evaluate(model_file, dataset, label_column, positive_class, out, out_csv):
     """Score a labeled dataset with a saved model and report all metrics."""
     loaded = load_model(model_file)
     data = load_dataset(dataset, label_column)
-    _require_labels(data, dataset, label_column)
+    _require_labels(data, label_column)
     if data.n_samples == 0:
         raise EmptyEvaluation(f"{dataset}: no rows to evaluate")
     class_index = {name: i for i, name in enumerate(loaded.classes)}

@@ -72,11 +72,12 @@ class Dataset:
 
     ``classes`` holds the distinct label names in sorted order and
     ``label_indices`` each row's position in that list; both are None for
-    unlabeled data. No per-row label string is kept: :attr:`labels`
-    derives the names from those two. The fingerprint ties derived
-    artifacts to these bytes.
+    unlabeled data. No per-row label string is kept. ``path`` is the file
+    the dataset was read from, and the fingerprint ties derived artifacts
+    to its bytes.
     """
 
+    path: str
     feature_names: tuple
     features: np.ndarray
     label_column: str | None
@@ -93,13 +94,6 @@ class Dataset:
         if self.classes is None:
             raise DatasetFormatError("dataset has no label column")
         return len(self.classes)
-
-    @property
-    def labels(self) -> tuple | None:
-        """Each row's label name, or None for unlabeled data."""
-        if self.classes is None:
-            return None
-        return tuple(map(self.classes.__getitem__, self.label_indices.tolist()))
 
 
 def load_dataset(path, label_column: str = "label") -> Dataset:
@@ -148,6 +142,7 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
         position = {name: i for i, name in enumerate(classes)}
         label_indices = np.array([position[name] for name in codes], dtype=np.int64)[label_codes]
     return Dataset(
+        path=str(path),
         feature_names=feature_names,
         features=matrix,
         label_column=label_column if has_labels else None,
@@ -359,18 +354,19 @@ def features_for_model(dataset: Dataset, feature_columns) -> np.ndarray:
     """Select and order dataset columns to match a model's training schema.
 
     The dataset must contain exactly the model's feature columns (any label
-    column aside); missing or unexpected columns name the offender. Columns
-    already in the model's order give the feature matrix itself, not a copy.
+    column aside); missing or unexpected columns name the offender and the
+    dataset's file. Columns already in the model's order give the feature
+    matrix itself, not a copy.
     """
     feature_columns = tuple(feature_columns)
     have = set(dataset.feature_names)
     want = set(feature_columns)
     missing = sorted(want - have)
     if missing:
-        raise SchemaMismatch(f"dataset lacks feature column {missing[0]!r}")
+        raise SchemaMismatch(f"{dataset.path}: dataset lacks feature column {missing[0]!r}")
     extra = sorted(have - want)
     if extra:
-        raise SchemaMismatch(f"dataset has unexpected column {extra[0]!r}")
+        raise SchemaMismatch(f"{dataset.path}: dataset has unexpected column {extra[0]!r}")
     order = [dataset.feature_names.index(name) for name in feature_columns]
     if order == list(range(len(dataset.feature_names))):
         return dataset.features

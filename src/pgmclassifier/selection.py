@@ -14,12 +14,13 @@ split first and across splits second.
 
 Everything is a deterministic function of (data, config, master seed):
 per-repetition seeds come from a fixed 64-bit mixing function, and grid
-tasks run in worker processes are reduced in task order so results do not
-depend on the worker count.
+tasks, computed with one BLAS thread whatever the number of workers, are
+reduced in task order so results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import Counter
 from contextlib import contextmanager
@@ -285,28 +286,94 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-#: Thread-count variables of the BLAS builds numpy may load. Every grid task
-#: runs in a spawned worker process started with each set to 1: the tasks
-#: are serial ``eigh`` calls on small matrices, where extra BLAS threads only
-#: contend for the cores the other workers use, and one BLAS thread in every
-#: worker makes the scores independent of the worker count.
+#: Thread-count variables of the BLAS builds numpy may load, set to 1 in the
+#: environment of spawned workers (see :func:`_spawned_outcomes`).
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: The thread-count getter and setter that the OpenBLAS bundled with numpy's
+#: wheels exports.
+_OPENBLAS_THREAD_FUNCTIONS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+@functools.cache
+def _openblas_thread_functions():
+    """``(get, set)`` thread-count functions of the BLAS numpy's ``eigh``
+    calls, or None when that BLAS does not export them (MKL, Accelerate, a
+    system BLAS). The symbols are looked up through numpy's linear-algebra
+    extension, whose library search covers the BLAS it is linked to, so the
+    functions control that copy and no other. Looked up on the first call,
+    so importing the package does not do it."""
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        get, set_ = (getattr(lib, name) for name in _OPENBLAS_THREAD_FUNCTIONS)
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_.argtypes, set_.restype = (ctypes.c_int,), None
+    return get, set_
+
+
+@contextmanager
+def _blas_threads(n: int):
+    """Run the block with numpy's BLAS set to ``n`` threads, restoring the
+    previous count on exit. Yields whether the count could be set; when it
+    cannot, nothing is changed and the block runs with False."""
+    functions = _openblas_thread_functions()
+    if functions is None:
+        yield False
+        return
+    get, set_ = functions
+    previous = get()
+    set_(n)
+    try:
+        yield True
+    finally:
+        set_(previous)
+
+
+#: cgroup v2 CPU quota of the process's cgroup: ``"<quota> <period>"`` in
+#: microseconds, or ``"max <period>"`` for none. Inside a container's cgroup
+#: namespace this file is the container's own.
+_CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
+def _quota_cpus() -> int | None:
+    """CPUs the cgroup v2 quota allows, ``ceil(quota / period)``; None when
+    there is no quota or the file is missing or malformed."""
+    try:
+        with open(_CGROUP_CPU_MAX, encoding="ascii") as fh:
+            quota, period = fh.read().split()
+        if quota == "max":
+            return None
+        quota, period = int(quota), int(period)
+    except (OSError, ValueError):
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
 
 
 def _resolve_workers(workers, n_tasks: int) -> int:
     """Worker count for ``n_tasks`` tasks: ``workers``, by default one per
-    usable core (the CPU affinity mask, not a cgroup CPU quota), and at most
-    one per task."""
+    usable core, and at most one per task. Usable cores are those of the CPU
+    affinity mask, capped by a cgroup v2 CPU quota (:func:`_quota_cpus`)."""
     if workers is None:
         try:
             workers = len(os.sched_getaffinity(0))
         except AttributeError:  # platforms without CPU affinity
             workers = os.cpu_count() or 1
+        workers = min(workers, _quota_cpus() or workers)
     return max(1, min(int(workers), n_tasks))
 
 
-#: ``(features, labels)`` of the rows a worker process's tasks index, set
-#: once per worker by the pool's initializer.
+#: ``(features, labels)`` of the rows the grid tasks index: set by
+#: :func:`_task_outcomes` before any worker is forked, or in a spawned
+#: worker by the pool's initializer.
 _worker_data = None
 
 
@@ -319,39 +386,86 @@ def _receive_data(features, labels):
 def _task_outcomes(workers, features, labels, tasks):
     """Yield an iterator over the outcomes of ``tasks``, in task order.
 
-    The tasks run in ``_resolve_workers(workers, len(tasks))`` spawned
-    worker processes, a single worker included, so every score is computed
-    with one BLAS thread whatever the worker count. Each worker receives
-    ``features`` and ``labels`` once, at start-up, and its tasks carry only
-    row indices. A spawned child imports numpy while it re-imports the
+    Every score is computed with one BLAS thread, whatever the worker count,
+    so the scores do not depend on it: grid tasks are serial ``eigh`` calls
+    on small matrices, where more threads only contend for the cores the
+    other workers use. When :func:`_blas_threads` can set numpy's OpenBLAS,
+    the calling process is pinned to one thread for the whole block, and
+    ``features`` and ``labels`` become :data:`_worker_data`. Then a single
+    worker (from :func:`_resolve_workers`) runs the tasks in this process,
+    and more workers are forked from it, so they inherit both the data and
+    the pinned thread count and their tasks carry only row indices. Any
+    other BLAS takes :func:`_spawned_outcomes`. The process machinery is
+    imported only when a pool starts, so importing the package does not
+    load it. The data and the thread count are process-wide, so two threads
+    must not run grid searches at once.
+
+    Not tested on Python 3.12 or later: those versions warn
+    (``DeprecationWarning``) when a process with more than one thread
+    forks, and OpenBLAS keeps its helper thread alive while pinned. The
+    ``forkserver`` default start method of 3.14 does not apply, since the
+    fork context is asked for by name.
+    """
+    global _worker_data
+    workers = _resolve_workers(workers, len(tasks))
+    with _blas_threads(1) as pinned:
+        if not pinned:
+            with _spawned_outcomes(workers, features, labels, tasks) as outcomes:
+                yield outcomes
+            return
+        _worker_data = (features, labels)
+        try:
+            if workers == 1:
+                yield map(_evaluate_group, tasks)
+            else:
+                with _pool_outcomes(workers, "fork", tasks) as outcomes:
+                    yield outcomes
+        finally:
+            _worker_data = None
+
+
+@contextmanager
+def _spawned_outcomes(workers, features, labels, tasks):
+    """:func:`_task_outcomes` where the BLAS thread count cannot be set from
+    within the process: the tasks run in ``workers`` spawned processes, a
+    single worker included, and each receives ``features`` and ``labels``
+    once, at start-up. A spawned child imports numpy while it re-imports the
     parent's main module, before any initializer could run, so the thread
     variables are set in the environment it inherits, and the parent's
-    values are restored once the pool is shut down. The process machinery
-    is imported here, so importing the package does not load it.
+    values are restored once the pool is shut down. This re-import is why a
+    script calling :func:`grid_search` needs a ``__main__`` guard here.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
-        with ProcessPoolExecutor(
-            _resolve_workers(workers, len(tasks)),
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_receive_data,
-            initargs=(features, labels),
-        ) as pool:
-            try:
-                yield pool.map(_evaluate_group, tasks)
-            except BaseException:
-                pool.shutdown(cancel_futures=True)  # drop the tasks not yet started
-                raise
+        with _pool_outcomes(
+            workers, "spawn", tasks, initializer=_receive_data, initargs=(features, labels)
+        ) as outcomes:
+            yield outcomes
     finally:
         for name, value in saved.items():
             if value is None:
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
+
+
+@contextmanager
+def _pool_outcomes(workers, start_method, tasks, **pool_options):
+    """Yield the outcomes of ``tasks`` from a pool of ``workers`` processes
+    started by ``start_method``; leaving the block early drops the tasks not
+    yet started."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context(start_method), **pool_options
+    ) as pool:
+        try:
+            yield pool.map(_evaluate_group, tasks)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _round12(x: float) -> float:
@@ -499,14 +613,17 @@ def grid_search(
     the grid, so all points see identical folds. Points sharing encoding,
     alpha and prior mode form a group: one task per (group, repetition,
     fold) encodes the fold once and then builds and scores one measurement
-    per copy count. Tasks run in ``workers`` spawned processes (default: one
-    per usable core, at most one per task), each with one BLAS thread, so a
-    script calling this must guard its top level with
-    ``if __name__ == "__main__":``. Outcomes are reduced in task order, so
-    the results do not depend on the worker count. Points whose any cell
-    fails are excluded from the ranking and returned at the tail with the
-    error. Ranked points keep their validation scores, so callers can derive
-    further fold metrics without refitting.
+    per copy count. Tasks run on ``workers`` workers (default: one per
+    usable core, at most one per task), each with one BLAS thread: with
+    numpy's bundled OpenBLAS, one worker runs them in this process and more
+    are forked from it; with any other BLAS, every worker is a spawned
+    process, and a script calling this must then guard its top level with
+    ``if __name__ == "__main__":`` (see :func:`_task_outcomes`). Outcomes
+    are reduced in task order, so the results do not depend on the worker
+    count. Points whose any cell fails are excluded from the ranking and
+    returned at the tail with the error. Ranked points keep their
+    validation scores, so callers can derive further fold metrics without
+    refitting.
 
     Returns a tuple of :class:`GridResult`, ranked entries first
     (descending mean, ties by grid order).
@@ -661,11 +778,13 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
     folds where they are defined. Any split whose every grid point fails
     aborts the protocol with a diagnostic naming the split.
 
-    The tasks of every split's grid search run in one pool of
-    ``config.workers`` spawned processes, as in :func:`grid_search` (a
-    calling script needs the same ``__main__`` guard), and each split is
-    ranked, refitted and evaluated as soon as its own tasks are done, so
-    the parent holds about one split's validation scores at a time.
+    The tasks of every split's grid search run on one set of
+    ``config.workers`` workers, as in :func:`grid_search` (with the same
+    ``__main__`` guard on the spawn fallback), and each split is ranked,
+    refitted and evaluated as soon as its own tasks are done, so the parent
+    holds about one split's validation scores at a time. The refits run
+    while the workers do, so with numpy's OpenBLAS they too use one BLAS
+    thread.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)

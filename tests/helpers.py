@@ -69,6 +69,13 @@ def blob_features(side, per_class, d=2, seed=20240814):
     return features, labels
 
 
+def row_labels(dataset):
+    """Each row's label name of a loaded dataset, or None for unlabeled data."""
+    if dataset.classes is None:
+        return None
+    return tuple(dataset.classes[i] for i in dataset.label_indices)
+
+
 def write_dataset_csv(path, features, label_names=None, feature_names=None, label_column="label"):
     features = np.asarray(features, dtype=float)
     d = features.shape[1]

@@ -646,7 +646,7 @@ class TestPredictCommand:
             ["predict", str(model_path), str(bad), "--out", str(tmp_path / "p.csv")],
         )
         assert result.exit_code == 2
-        assert "'f1'" in result.stderr
+        assert result.stderr.splitlines() == [f"error: {bad}: dataset lacks feature column 'f1'"]
 
 
 def _set(*path_and_value):
@@ -1385,15 +1385,17 @@ class TestWithoutScipy:
 
 class TestProcessMachineryIsLazy:
     """Importing the CLI, or a command without a grid search, loads no
-    process pool."""
+    process pool and does not look up the BLAS thread control."""
 
     SCRIPT = (
         "import sys; from pgmclassifier.cli import main\n"
         "try:\n"
         "    main(sys.argv[1:], prog_name='pgm')\n"
         "finally:\n"
+        "    from pgmclassifier import selection\n"
         "    print(sorted(m for m in ('multiprocessing', 'concurrent.futures')"
-        " if m in sys.modules))"
+        " if m in sys.modules),"
+        " selection._openblas_thread_functions.cache_info().currsize)"
     )
 
     @pytest.mark.parametrize("command", ["--help", "train"])
@@ -1407,7 +1409,41 @@ class TestProcessMachineryIsLazy:
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines()[-1] == "[]"
+        # numpy itself imports ctypes, so the check is that the BLAS library
+        # was never searched for its thread control.
+        assert run.stdout.splitlines()[-1] == "[] 0"
+
+
+class TestMissingOutputDirectory:
+    """An output path in a missing directory ends in exit 2 and one error
+    line before any input is read, so the inputs here need not be valid."""
+
+    @pytest.mark.parametrize(
+        "command, before, option",
+        [
+            ("splits", ["D", "--seed", "1"], "--out"),
+            ("gridsearch", ["D", "D", "--seed", "1"], "--out"),
+            ("gridsearch", ["D", "D", "--seed", "1", "--out", "ok"], "--out-csv"),
+            ("train", ["D"], "--out-model"),
+            ("predict", ["D", "D"], "--out"),
+            ("evaluate", ["D", "D"], "--out"),
+            ("evaluate", ["D", "D", "--out", "ok"], "--out-csv"),
+            ("compare", ["D", "D"], "--out"),
+        ],
+        ids=[
+            "splits", "gridsearch", "gridsearch-csv", "train", "predict", "evaluate",
+            "evaluate-csv", "compare",
+        ],
+    )
+    def test_exit_2_naming_the_path(self, runner, tmp_path, blob_csv, command, before, option):
+        missing = tmp_path / "missing" / "out.file"
+        ok = tmp_path / "ok.file"
+        args = [str(blob_csv) if a == "D" else str(ok) if a == "ok" else a for a in before]
+        result = runner.invoke(main, [command, *args, option, str(missing)])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [f"error: {missing}: output directory does not exist"]
+        assert not ok.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.csv"]
 
 
 class TestHelp:

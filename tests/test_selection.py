@@ -334,6 +334,38 @@ class TestGridSearch:
         # its point.
         self.check_infeasible_point_marked_failed(workers=2)
 
+    def test_spawn_fallback_matches_pinned_path(self, monkeypatch):
+        # Same BLAS-sensitive problem as above: without a BLAS thread control,
+        # spawned workers with one BLAS thread each must give the bits that the
+        # in-process and forked workers of the pinned path give.
+        features, labels = blob_features(1.5, 125, d=2, seed=8)
+        grid = make_grid(alphas=(0.5,), copies=(1, 5, 15))
+
+        def run(workers):
+            return grid_search(
+                features, labels, 3, grid, k=5, cv_repetitions=1, seed=4,
+                engine="gram", workers=workers,
+            )
+
+        pinned = [run(w) for w in (1, 2)]
+        spawned = selection._spawned_outcomes
+        spawned_counts = []
+
+        def counting(workers, *args):
+            spawned_counts.append(workers)
+            return spawned(workers, *args)
+
+        monkeypatch.setattr(selection, "_openblas_thread_functions", lambda: None)
+        monkeypatch.setattr(selection, "_spawned_outcomes", counting)
+        fallback = [run(w) for w in (1, 2)]
+        assert spawned_counts == [1, 2]
+        assert selection._worker_data is None
+        for other in pinned[1:] + fallback:
+            for a, b in zip(pinned[0], other):
+                assert (a.grid_index, a.rank) == (b.grid_index, b.rank)
+                np.testing.assert_array_equal(a.values, b.values)
+                assert_same_fold_scores(a, b)
+
     def test_validation(self):
         features, labels = small_blob_problem()
         with pytest.raises(ValueError):
@@ -345,10 +377,48 @@ class TestGridSearch:
 
 
 class TestResolveWorkers:
-    def test_default_is_usable_core_count(self):
+    def test_default_is_usable_core_count(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(selection, "_CGROUP_CPU_MAX", str(tmp_path / "missing"))
         cores = len(os.sched_getaffinity(0))
         assert _resolve_workers(None, 60) == min(cores, 60)
         assert _resolve_workers(None, 1) == 1
+
+    @pytest.mark.parametrize(
+        "content, cpus",
+        [
+            ("150000 100000\n", 2),
+            ("100000 100000\n", 1),
+            ("1 100000\n", 1),
+            ("800000 100000\n", 8),
+            ("max 100000\n", None),
+            ("", None),
+            ("abc 100000\n", None),
+            ("100000\n", None),
+            ("100000 100000 1\n", None),
+            ("0 100000\n", None),
+            ("-1 100000\n", None),
+            ("100000 0\n", None),
+        ],
+    )
+    def test_cgroup_quota(self, monkeypatch, tmp_path, content, cpus):
+        cpu_max = tmp_path / "cpu.max"
+        cpu_max.write_text(content)
+        monkeypatch.setattr(selection, "_CGROUP_CPU_MAX", str(cpu_max))
+        assert selection._quota_cpus() == cpus
+
+    def test_missing_cgroup_file_is_no_quota(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(selection, "_CGROUP_CPU_MAX", str(tmp_path / "missing"))
+        assert selection._quota_cpus() is None
+
+    @pytest.mark.parametrize("quota_cpus", [1, 2, 3, 64])
+    def test_default_is_capped_by_cgroup_quota(self, monkeypatch, tmp_path, quota_cpus):
+        cpu_max = tmp_path / "cpu.max"
+        cpu_max.write_text(f"{quota_cpus * 100000} 100000\n")
+        monkeypatch.setattr(selection, "_CGROUP_CPU_MAX", str(cpu_max))
+        cores = len(os.sched_getaffinity(0))
+        assert _resolve_workers(None, 60) == min(cores, quota_cpus)
+        assert _resolve_workers(None, 1) == 1
+        assert _resolve_workers(3, 60) == 3
 
     def test_explicit_count_kept(self):
         assert _resolve_workers(2, 60) == 2
@@ -356,6 +426,39 @@ class TestResolveWorkers:
     def test_clamped_to_task_count(self):
         assert _resolve_workers(64, 3) == 3
         assert _resolve_workers(8, 1) == 1
+
+
+class TestBlasThreads:
+    def test_sets_and_restores_thread_count(self):
+        functions = selection._openblas_thread_functions()
+        if functions is None:
+            pytest.skip("numpy's BLAS exports no thread control")
+        get, set_ = functions
+        before = get()
+        try:
+            set_(2)
+            with selection._blas_threads(1) as pinned:
+                assert pinned
+                assert get() == 1
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_restores_thread_count_on_error(self):
+        functions = selection._openblas_thread_functions()
+        if functions is None:
+            pytest.skip("numpy's BLAS exports no thread control")
+        get, _ = functions
+        before = get()
+        with pytest.raises(KeyError):
+            with selection._blas_threads(1):
+                raise KeyError("x")
+        assert get() == before
+
+    def test_without_thread_control_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(selection, "_openblas_thread_functions", lambda: None)
+        with selection._blas_threads(1) as pinned:
+            assert pinned is False
 
 
 class TestSelectRobustConfig:
