@@ -6,237 +6,46 @@ and the pretty good measurement built from those centroids scores samples
 through the Born rule. A Gram-space engine keeps the construction tractable
 at high copy counts. The package also ships the evaluation metric suite and
 a seeded, reproducible grid-search experiment harness with a CLI.
+
+The package root exports the documented library API; everything else is
+imported from its defining module, e.g.
+``from pgmclassifier.dataio import load_dataset``.
 """
 
-from .dataio import (
-    FINGERPRINT_ALGORITHM,
-    MODEL_FORMAT,
-    REPORT_FORMAT,
-    SPLITS_FORMAT,
-    Dataset,
-    LoadedModel,
-    SplitsData,
-    check_splits,
-    features_for_model,
-    fingerprint_bytes,
-    load_dataset,
-    load_model,
-    read_splits,
-    save_model,
-    write_long_csv,
-    write_predictions_csv,
-    write_splits,
-)
-from .encoding import (
-    ENCODINGS,
-    NORMALIZERS,
-    EncodingConfig,
-    NormalizerParams,
-    apply_normalizer,
-    encode,
-    encode_amplitude,
-    encode_stereographic,
-    fit_encode,
-    fit_normalizer,
-    rescale,
-)
-from .errors import (
-    ClassSetMismatch,
-    ClassSmallerThanK,
-    DatasetFormatError,
-    DenseBlowup,
-    DimMismatch,
-    EmptyClass,
-    EmptyEvaluation,
-    FingerprintMismatch,
-    InvalidAlpha,
-    InvalidFeature,
-    InvalidOperator,
-    LabelOutOfRange,
-    MetricSetMismatch,
-    NonFiniteScore,
-    NotPositiveSemidefinite,
-    PgmError,
-    SchemaMismatch,
-    StratificationImpossible,
-    UndefinedAuc,
-)
-from .metrics import (
-    BinaryRates,
-    MetricReport,
-    WinLossMatrix,
-    accuracy,
-    auc_ovr,
-    confusion,
-    macro_accuracy,
-    metric_difference,
-    one_vs_rest_rates,
-    report_from_predictions,
-    win_loss,
-)
-from .operators import (
-    DENSE_DIM_LIMIT,
-    NEG_EIG_TOL,
-    RANK_TOL,
-    PinvSqrt,
-    SpectralDecomposition,
-    eig_sym,
-    pinv_sqrt,
-    symmetrize,
-    tensor_power,
-)
-from .pgm import (
-    ClassEnsemble,
-    DensePgmModel,
-    GramPgmModel,
-    LabeledStateSet,
-    PgmConfig,
-    Priors,
-    build_dense_pgm,
-    build_ensemble,
-    build_gram_pgm,
-    copies_centroid,
-    empirical_priors,
-    fit_pgm,
-    labels_from_scores,
-    mixture,
-    predict_batch,
-    quantum_centroid,
-    round_scores,
-    score_states,
-    stable_power,
-    uniform_priors,
-)
+from .encoding import EncodingConfig
+from .errors import PgmError
+from .metrics import auc_ovr, metric_difference, report_from_predictions, win_loss
+from .pgm import PgmConfig, fit_pgm, predict_batch
 from .selection import (
-    DEFAULT_ALPHAS,
-    DEFAULT_COPIES,
-    Aggregate,
-    FoldPlan,
     GridPoint,
-    GridResult,
     ProtocolConfig,
-    ProtocolResult,
-    SelectionReport,
-    SplitPlan,
-    SplitRecord,
     default_grid,
-    derive_seed,
     grid_search,
     make_grid,
     run_protocol,
     select_robust_config,
     stratified_holdout,
-    stratified_kfold,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FINGERPRINT_ALGORITHM",
-    "MODEL_FORMAT",
-    "REPORT_FORMAT",
-    "SPLITS_FORMAT",
-    "Dataset",
-    "LoadedModel",
-    "SplitsData",
-    "check_splits",
-    "features_for_model",
-    "fingerprint_bytes",
-    "load_dataset",
-    "load_model",
-    "read_splits",
-    "save_model",
-    "write_long_csv",
-    "write_predictions_csv",
-    "write_splits",
-    "ENCODINGS",
-    "NORMALIZERS",
-    "EncodingConfig",
-    "NormalizerParams",
-    "apply_normalizer",
-    "encode",
-    "encode_amplitude",
-    "encode_stereographic",
-    "fit_encode",
-    "fit_normalizer",
-    "rescale",
-    "ClassSetMismatch",
-    "ClassSmallerThanK",
-    "DatasetFormatError",
-    "DenseBlowup",
-    "DimMismatch",
-    "EmptyClass",
-    "EmptyEvaluation",
-    "FingerprintMismatch",
-    "InvalidAlpha",
-    "InvalidFeature",
-    "InvalidOperator",
-    "LabelOutOfRange",
-    "MetricSetMismatch",
-    "NonFiniteScore",
-    "NotPositiveSemidefinite",
-    "PgmError",
-    "SchemaMismatch",
-    "StratificationImpossible",
-    "UndefinedAuc",
-    "BinaryRates",
-    "MetricReport",
-    "WinLossMatrix",
-    "accuracy",
-    "auc_ovr",
-    "confusion",
-    "macro_accuracy",
-    "metric_difference",
-    "one_vs_rest_rates",
-    "report_from_predictions",
-    "win_loss",
-    "DENSE_DIM_LIMIT",
-    "NEG_EIG_TOL",
-    "RANK_TOL",
-    "PinvSqrt",
-    "SpectralDecomposition",
-    "eig_sym",
-    "pinv_sqrt",
-    "symmetrize",
-    "tensor_power",
-    "ClassEnsemble",
-    "DensePgmModel",
-    "GramPgmModel",
-    "LabeledStateSet",
     "PgmConfig",
-    "Priors",
-    "build_dense_pgm",
-    "build_ensemble",
-    "build_gram_pgm",
-    "copies_centroid",
-    "empirical_priors",
     "fit_pgm",
-    "labels_from_scores",
-    "mixture",
     "predict_batch",
-    "quantum_centroid",
-    "round_scores",
-    "score_states",
-    "stable_power",
-    "uniform_priors",
-    "DEFAULT_ALPHAS",
-    "DEFAULT_COPIES",
-    "Aggregate",
-    "FoldPlan",
+    "EncodingConfig",
     "GridPoint",
-    "GridResult",
-    "ProtocolConfig",
-    "ProtocolResult",
-    "SelectionReport",
-    "SplitPlan",
-    "SplitRecord",
-    "default_grid",
-    "derive_seed",
-    "grid_search",
     "make_grid",
+    "default_grid",
+    "grid_search",
+    "ProtocolConfig",
+    "stratified_holdout",
     "run_protocol",
     "select_robust_config",
-    "stratified_holdout",
-    "stratified_kfold",
+    "report_from_predictions",
+    "auc_ovr",
+    "win_loss",
+    "metric_difference",
+    "PgmError",
     "__version__",
 ]

@@ -7,24 +7,9 @@ explicit --seed; there is no hidden entropy, so identical inputs always
 produce identical output files.
 
 The PGM_WORKERS environment variable sets the number of grid-search
-workers; the default is one per usable core (the CPU affinity mask, capped
-by a cgroup v2 CPU quota). Every grid task is computed with one BLAS
-thread, whatever the worker count: grid tasks are dominated by small serial
-``eigh`` calls that gain nothing from more threads, and the same thread
-count everywhere makes the validation scores bit-identical across worker
-counts. With the OpenBLAS that numpy's wheels bundle, the process sets it
-to one thread for the whole grid search; one worker then runs the tasks in
-this process, and more are forked from it. With any other BLAS, every
-worker, a single one included, is a spawned process started with the BLAS
-thread variables set to 1. On a 2-vCPU machine with OpenBLAS, the
-``protocol_paper`` benchmark (a gram-engine gridsearch of the default grid
-on 143 x 4 data, one split, one CV repetition) took a median of 1.08 s with
-the default two forked workers, against 1.48 s when every worker was
-spawned (ten interleaved runs each); a spawned pool took 0.26-0.37 s from
-its start to its first result (a fresh interpreter importing numpy and the
-package). Reports are byte-identical across worker counts and start
-methods: outcomes are reduced in task order, and reports depend on scores
-only through ranks and through the argmax of scores rounded to 12 decimals.
+workers; the default is one per usable core. Every grid task runs with one
+BLAS thread, and reports are byte-identical across worker counts. README.md
+("Command-line interface") describes how workers start and what they cost.
 """
 
 from __future__ import annotations
@@ -67,7 +52,7 @@ from .errors import (
     SchemaMismatch,
 )
 from .metrics import metric_difference, report_from_predictions, win_loss
-from .pgm import MAX_COPIES, PgmConfig, fit_pgm, predict_batch
+from .pgm import ENGINES, MAX_COPIES, PRIOR_MODES, PgmConfig, fit_pgm, predict_batch
 from .selection import (
     DEFAULT_ALPHAS,
     DEFAULT_COPIES,
@@ -79,9 +64,6 @@ from .selection import (
 
 # The exit-code contract reserves 1 for usage errors; click defaults to 2.
 click.UsageError.exit_code = 1
-
-_ENGINES = ("auto", "dense", "gram")
-_PRIORS = ("uniform", "empirical")
 
 #: Largest deviation from 1 accepted in a saved model's score row sum.
 _SCORE_SUM_TOL = 1e-8
@@ -280,9 +262,9 @@ def splits(dataset, label_column, test_fraction, repetitions, seed, out):
 @click.option("--grid", "grid_string", default=None, help="e.g. 'encodings=amplitude;alphas=0.5,1;copies=1,5'")
 @click.option("--k", type=int, default=5, show_default=True)
 @click.option("--cv-reps", type=int, default=10, show_default=True, callback=_check_positive)
-@click.option("--priors", type=click.Choice(_PRIORS), default="uniform", show_default=True)
+@click.option("--priors", type=click.Choice(PRIOR_MODES), default="uniform", show_default=True)
 @click.option("--normalizer", type=click.Choice(NORMALIZERS), default="zscore", show_default=True)
-@click.option("--engine", type=click.Choice(_ENGINES), default="auto", show_default=True)
+@click.option("--engine", type=click.Choice(ENGINES), default="auto", show_default=True)
 @click.option("--positive-class", default=None)
 @click.option("--seed", type=int, required=True, help="Master seed; mandatory.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
@@ -355,8 +337,8 @@ def gridsearch(
 @click.option("--alpha", type=float, default=1.0, show_default=True)
 @click.option("--copies", type=click.IntRange(1, MAX_COPIES), default=1, show_default=True)
 @click.option("--normalizer", type=click.Choice(NORMALIZERS), default="zscore", show_default=True)
-@click.option("--priors", type=click.Choice(_PRIORS), default="uniform", show_default=True)
-@click.option("--engine", type=click.Choice(_ENGINES), default="auto", show_default=True)
+@click.option("--priors", type=click.Choice(PRIOR_MODES), default="uniform", show_default=True)
+@click.option("--engine", type=click.Choice(ENGINES), default="auto", show_default=True)
 @click.option("--out-model", type=click.Path(dir_okay=False), required=True)
 @_data_errors
 def train(dataset, label_column, encoding, alpha, copies, normalizer, priors, engine, out_model):
@@ -416,7 +398,8 @@ def evaluate(model_file, dataset, label_column, positive_class, out, out_csv):
     unknown = sorted(set(data.classes) - set(loaded.classes))
     if unknown:
         raise ClassSetMismatch(
-            f"dataset label {unknown[0]!r} is not among model classes {list(loaded.classes)}"
+            f"{data.path}: dataset label {unknown[0]!r} is not among model classes "
+            f"{list(loaded.classes)}"
         )
     positive = _positive_index(positive_class, loaded.classes)
     to_model = np.array([class_index[name] for name in data.classes], dtype=np.int64)

@@ -80,7 +80,6 @@ class Dataset:
     path: str
     feature_names: tuple
     features: np.ndarray
-    label_column: str | None
     classes: tuple | None
     label_indices: np.ndarray | None
     fingerprint: dict
@@ -145,7 +144,6 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
         path=str(path),
         feature_names=feature_names,
         features=matrix,
-        label_column=label_column if has_labels else None,
         classes=classes,
         label_indices=label_indices,
         fingerprint=fingerprint,
@@ -156,11 +154,13 @@ def _read_text(path):
     """``(text, fingerprint)`` of a UTF-8 file, both taken after line endings become LF.
 
     The bytes are dropped on return, so parsing the text does not hold them.
+    A leading byte order mark is stripped from the text, so it does not
+    become part of the first column name; the fingerprint covers it.
     """
     with open(path, "rb") as fh:
         canonical = canonical_bytes(fh.read())
     try:
-        return canonical.decode("utf-8"), fingerprint_bytes(canonical)
+        return canonical.decode("utf-8").removeprefix("\ufeff"), fingerprint_bytes(canonical)
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: not valid UTF-8 ({exc})") from None
 
@@ -629,10 +629,10 @@ def _metric_and_class(key: str, classes) -> tuple:
     return key, ""
 
 
-def flat_with_names(report: MetricReport, classes) -> dict:
-    """Flatten a report using class names instead of indices in the keys."""
+def flat_with_names(flat: dict, classes) -> dict:
+    """``flat`` with each ``_class_<i>`` key suffix naming class ``i`` instead."""
     out = {}
-    for key, value in report.flat().items():
+    for key, value in flat.items():
         metric, cls = _metric_and_class(key, classes)
         out[f"{metric}_class_{cls}" if cls else metric] = value
     return out
@@ -659,10 +659,6 @@ def report_dict(report: MetricReport, classes, positive_name: str | None) -> dic
             "specificity": report.binary.specificity,
             "f1": report.binary.f1,
         }
-    degenerate = []
-    for flag in report.degenerate:
-        metric, cls = _metric_and_class(flag, classes)
-        degenerate.append(f"{metric}_class_{cls}" if cls else metric)
     return {
         "n_samples": report.n_samples,
         "accuracy": report.accuracy,
@@ -670,7 +666,7 @@ def report_dict(report: MetricReport, classes, positive_name: str | None) -> dic
         "macro_auc": report.macro_auc,
         "per_class": per_class,
         "binary": binary,
-        "degenerate": degenerate,
+        "degenerate": list(flat_with_names(dict.fromkeys(report.degenerate), classes)),
     }
 
 
@@ -699,7 +695,7 @@ def evaluation_report_dict(
         "classes": list(map(str, classes)),
         "positive_class": positive_name,
         "metrics": report_dict(report, classes, positive_name),
-        "flat": flat_with_names(report, classes),
+        "flat": flat_with_names(report.flat(), classes),
     }
 
 
@@ -714,14 +710,6 @@ def protocol_report_dict(
     """Nested JSON form of a full protocol run, config echo included."""
     config = result.config
     selection = result.selection
-
-    def named(flat: dict) -> dict:
-        out = {}
-        for key, value in flat.items():
-            metric, cls = _metric_and_class(key, classes)
-            out[f"{metric}_class_{cls}" if cls else metric] = value
-        return out
-
     return {
         "format": REPORT_FORMAT,
         "kind": "protocol",
@@ -753,21 +741,21 @@ def protocol_report_dict(
                 "winner_index": rec.winner_index,
                 "winner": _grid_point_dict(rec.winner),
                 "cv_objective": rec.cv_objective,
-                "cv_metrics": named(rec.cv_metrics),
+                "cv_metrics": flat_with_names(rec.cv_metrics, classes),
                 "test_metrics": report_dict(rec.test_report, classes, positive_name),
             }
             for rec in result.records
         ],
         "aggregate": {
             "test": {
-                "mean": named(result.test_aggregate.mean),
-                "std": named(result.test_aggregate.std),
-                "count": named(result.test_aggregate.count),
+                "mean": flat_with_names(result.test_aggregate.mean, classes),
+                "std": flat_with_names(result.test_aggregate.std, classes),
+                "count": flat_with_names(result.test_aggregate.count, classes),
             },
             "cv": {
-                "mean": named(result.cv_aggregate.mean),
-                "std": named(result.cv_aggregate.std),
-                "count": named(result.cv_aggregate.count),
+                "mean": flat_with_names(result.cv_aggregate.mean, classes),
+                "std": flat_with_names(result.cv_aggregate.std, classes),
+                "count": flat_with_names(result.cv_aggregate.count, classes),
             },
         },
     }

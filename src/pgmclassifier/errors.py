@@ -66,7 +66,7 @@ class ClassSmallerThanK(PgmError):
 
 
 class DatasetFormatError(PgmError):
-    """A dataset, split, model or report file violates its schema."""
+    """A dataset CSV is malformed, or lacks the labels a command needs."""
 
 
 class FingerprintMismatch(PgmError):
@@ -74,4 +74,7 @@ class FingerprintMismatch(PgmError):
 
 
 class SchemaMismatch(PgmError):
-    """Dataset columns do not match what a trained model expects."""
+    """A split, model or report file violates its schema.
+
+    Also raised when dataset columns do not match what a trained model expects.
+    """

@@ -61,6 +61,9 @@ SCORE_BLOCK = 4096
 
 PRIOR_MODES = ("uniform", "empirical")
 
+#: Fitting engines: ``auto`` picks dense or gram by the lifted dimension.
+ENGINES = ("auto", "dense", "gram")
+
 #: Largest accepted copy count. The overlap of two unit states may exceed 1
 #: in magnitude by a few ulps, and ``stable_power`` raises it as
 #: ``exp(n * log|c|)``; up to this bound that exponent stays below 1e-9, far
@@ -483,7 +486,7 @@ class PgmConfig:
     engine: str = "auto"
 
     def __post_init__(self):
-        if self.engine not in ("auto", "dense", "gram"):
+        if self.engine not in ENGINES:
             raise InvalidOperator(
                 f"unknown engine {self.engine!r}, expected auto, dense or gram"
             )

@@ -6,7 +6,8 @@ import tracemalloc
 
 import numpy as np
 
-from pgmclassifier import DensePgmModel, LabeledStateSet, stable_power, tensor_power
+from pgmclassifier.operators import tensor_power
+from pgmclassifier.pgm import DensePgmModel, LabeledStateSet, stable_power
 
 
 def random_unit_states(rng, m, d):

@@ -14,30 +14,30 @@ from click.testing import CliRunner
 from helpers import blob_features, random_instances, random_unit_states, write_dataset_csv
 
 from pgmclassifier import (
-    DenseBlowup,
     GridPoint,
-    LabeledStateSet,
     PgmConfig,
     ProtocolConfig,
-    accuracy,
     auc_ovr,
-    build_dense_pgm,
-    build_gram_pgm,
-    copies_centroid,
     default_grid,
     fit_pgm,
-    macro_accuracy,
     make_grid,
-    one_vs_rest_rates,
     predict_batch,
-    quantum_centroid,
     report_from_predictions,
     run_protocol,
-    score_states,
     select_robust_config,
     stratified_holdout,
 )
 from pgmclassifier.cli import main
+from pgmclassifier.errors import DenseBlowup
+from pgmclassifier.metrics import accuracy, macro_accuracy, one_vs_rest_rates
+from pgmclassifier.pgm import (
+    LabeledStateSet,
+    build_dense_pgm,
+    build_gram_pgm,
+    copies_centroid,
+    quantum_centroid,
+    score_states,
+)
 
 INSTANCES = random_instances(seed=20240814, count=100)
 

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgmclassifier
-from pgmclassifier import load_model, predict_batch
+from pgmclassifier import predict_batch
 from pgmclassifier.cli import main
+from pgmclassifier.dataio import load_model
 from pgmclassifier.pgm import MAX_COPIES
 
 
@@ -571,6 +572,19 @@ class TestPredictCommand:
         )
         assert result.exit_code == 0
         assert len(out.read_text().splitlines()) == 7
+
+    def test_byte_order_mark_on_training_data_is_ignored(self, runner, tmp_path, blob_csv):
+        plain_model, _ = train_model(runner, tmp_path, blob_csv)
+        plain_bytes = plain_model.read_bytes()
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(blob_csv).read_bytes())
+        bom_model, _ = train_model(runner, tmp_path, bom)
+        assert bom_model.read_bytes() == plain_bytes
+        result = runner.invoke(
+            main,
+            ["predict", str(bom_model), str(blob_csv), "--out", str(tmp_path / "preds.csv")],
+        )
+        assert result.exit_code == 0, result.stderr
 
     def test_empty_dataset_writes_header_only(self, runner, tmp_path, blob_csv):
         model_path, _ = train_model(runner, tmp_path, blob_csv)
@@ -1188,7 +1202,10 @@ class TestEvaluateCommand:
             ["evaluate", str(model_path), str(other), "--out", str(tmp_path / "e.json")],
         )
         assert result.exit_code == 2
-        assert "dog" in result.stderr
+        assert result.stderr == (
+            f"error: {other}: dataset label 'dog' is not among model classes "
+            "['ant', 'bee', 'cat']\n"
+        )
 
     def test_unlabeled_dataset_is_data_error(self, runner, tmp_path, blob_csv):
         model_path, _ = train_model(runner, tmp_path, blob_csv)

@@ -15,40 +15,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgmclassifier import (
-    Dataset,
-    DatasetFormatError,
     EncodingConfig,
-    FingerprintMismatch,
     PgmConfig,
-    SchemaMismatch,
+    fit_pgm,
+    predict_batch,
+    report_from_predictions,
+    stratified_holdout,
+)
+from pgmclassifier import dataio
+from pgmclassifier.dataio import (
+    Dataset,
     check_splits,
+    evaluation_csv_rows,
+    evaluation_report_dict,
     features_for_model,
     fingerprint_bytes,
-    fit_pgm,
+    flat_with_names,
     load_dataset,
     load_model,
-    predict_batch,
+    protocol_csv_rows,
+    protocol_report_dict,
+    read_json,
     read_splits,
-    report_from_predictions,
+    report_dict,
     save_model,
-    score_states,
-    stratified_holdout,
+    write_json,
     write_long_csv,
     write_predictions_csv,
     write_splits,
 )
-from pgmclassifier import dataio
-from pgmclassifier.dataio import (
-    evaluation_csv_rows,
-    evaluation_report_dict,
-    flat_with_names,
-    protocol_csv_rows,
-    protocol_report_dict,
-    read_json,
-    report_dict,
-    write_json,
-)
-from pgmclassifier.pgm import SCORE_BLOCK
+from pgmclassifier.errors import DatasetFormatError, FingerprintMismatch, SchemaMismatch
+from pgmclassifier.pgm import SCORE_BLOCK, score_states
 
 
 @pytest.fixture
@@ -81,7 +78,6 @@ class TestLoadDataset:
         ds = load_dataset(path)
         assert row_labels(ds) is None
         assert ds.classes is None
-        assert ds.label_column is None
         assert ds.feature_names == ("f0", "f1")
 
     def test_custom_label_column(self, tmp_path):
@@ -125,6 +121,34 @@ class TestLoadDataset:
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\n1.0,a\n2.0,\n")
         with pytest.raises(DatasetFormatError, match="missing label"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["f0,f1,label\n1.5,-2,b\n0.25,3,a\n", 'f0,f1,label\n"1.5",-2,b\r\n0.25,3,"a"\n'],
+        ids=["quote-free", "quoted-crlf"],
+    )
+    def test_byte_order_mark_is_stripped(self, tmp_path, text):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        ds, ref = load_dataset(bom), load_dataset(plain)
+        assert ds.feature_names == ref.feature_names == ("f0", "f1")
+        np.testing.assert_array_equal(ds.features, ref.features)
+        assert row_labels(ds) == row_labels(ref) == ("b", "a")
+        assert ds.fingerprint == fingerprint_bytes(bom.read_bytes()) != ref.fingerprint
+
+    def test_label_column_first_behind_byte_order_mark(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbflabel,f0\na,1\nb,2\n")
+        ds = load_dataset(path)
+        assert ds.feature_names == ("f0",)
+        assert row_labels(ds) == ("a", "b")
+
+    def test_decode_error_after_byte_order_mark_names_file_offset(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbff0,label\n\xff,a\n")
+        with pytest.raises(DatasetFormatError, match="position 12"):
             load_dataset(path)
 
 
@@ -594,7 +618,7 @@ class TestModelFile:
         rng = np.random.default_rng(9)
         from helpers import random_labeled_states
 
-        from pgmclassifier import build_dense_pgm
+        from pgmclassifier.pgm import build_dense_pgm
 
         bare = build_dense_pgm(random_labeled_states(rng, 2, 3, 6))
         with pytest.raises(SchemaMismatch, match="pipeline"):
@@ -685,8 +709,14 @@ class TestReportSerialization:
         assert obj["n_samples"] == 4
         assert obj["accuracy"] == 0.75
 
+    def test_report_dict_names_degenerate_flags(self):
+        scores = np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.3]])
+        report = report_from_predictions(np.array([0, 0, 1]), np.zeros(3, int), scores, 2, 1)
+        obj = report_dict(report, ("neg", "pos"), "pos")
+        assert obj["degenerate"] == ["precision_class_pos", "precision"]
+
     def test_flat_with_names(self):
-        flat = flat_with_names(toy_report(), ("neg", "pos"))
+        flat = flat_with_names(toy_report().flat(), ("neg", "pos"))
         assert "recall_class_pos" in flat
         assert "recall_class_1" not in flat
         assert flat["accuracy"] == 0.75

@@ -3,11 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgmclassifier import (
-    DimMismatch,
-    EncodingConfig,
-    InvalidAlpha,
-    InvalidFeature,
+from pgmclassifier import EncodingConfig
+from pgmclassifier.encoding import (
     apply_normalizer,
     encode,
     encode_amplitude,
@@ -16,6 +13,7 @@ from pgmclassifier import (
     fit_normalizer,
     rescale,
 )
+from pgmclassifier.errors import DimMismatch, InvalidAlpha, InvalidFeature
 
 
 class TestFitNormalizer:

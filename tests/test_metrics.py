@@ -5,25 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgmclassifier import (
+from pgmclassifier import PgmError, auc_ovr, metric_difference, report_from_predictions, win_loss
+from pgmclassifier.errors import (
     ClassSetMismatch,
     DimMismatch,
     EmptyEvaluation,
     LabelOutOfRange,
     MetricSetMismatch,
     NonFiniteScore,
-    PgmError,
     UndefinedAuc,
-    accuracy,
-    auc_ovr,
-    confusion,
-    macro_accuracy,
-    metric_difference,
-    one_vs_rest_rates,
-    report_from_predictions,
-    win_loss,
 )
-from pgmclassifier.metrics import rankdata
+from pgmclassifier.metrics import accuracy, confusion, macro_accuracy, one_vs_rest_rates, rankdata
 
 
 def brute_force_auc(scores, membership):

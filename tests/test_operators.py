@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from pgmclassifier import (
-    DENSE_DIM_LIMIT,
-    DenseBlowup,
-    InvalidOperator,
-    NotPositiveSemidefinite,
-    eig_sym,
-    pinv_sqrt,
-    symmetrize,
-    tensor_power,
-)
+from pgmclassifier.errors import DenseBlowup, InvalidOperator, NotPositiveSemidefinite
+from pgmclassifier.operators import DENSE_DIM_LIMIT, eig_sym, pinv_sqrt, symmetrize, tensor_power
 
 
 class TestSymmetrize:

@@ -10,34 +10,34 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgmclassifier import (
+from pgmclassifier import EncodingConfig, PgmConfig, fit_pgm, predict_batch
+from pgmclassifier.encoding import encode
+from pgmclassifier.errors import (
     DenseBlowup,
     DimMismatch,
     EmptyClass,
-    EncodingConfig,
     InvalidFeature,
     InvalidOperator,
-    LabeledStateSet,
     LabelOutOfRange,
-    PgmConfig,
+)
+from pgmclassifier.pgm import (
+    SCORE_BLOCK,
+    LabeledStateSet,
     Priors,
     build_dense_pgm,
     build_ensemble,
     build_gram_pgm,
     copies_centroid,
     empirical_priors,
-    encode,
-    fit_pgm,
     labels_from_scores,
+    make_priors,
     mixture,
-    predict_batch,
     quantum_centroid,
     round_scores,
     score_states,
     stable_power,
     uniform_priors,
 )
-from pgmclassifier.pgm import SCORE_BLOCK, make_priors
 
 _FLUSH = 1e-300
 
@@ -544,7 +544,7 @@ class TestFitPgm:
             encoding=EncodingConfig(encoding="amplitude", alpha=0.5), copies=2
         )
         model = fit_pgm(features, labels, 2, config)
-        from pgmclassifier import apply_normalizer, encode_amplitude, rescale
+        from pgmclassifier.encoding import apply_normalizer, encode_amplitude, rescale
 
         states = encode_amplitude(rescale(apply_normalizer(features, model.normalizer), 0.5))
         np.testing.assert_allclose(

@@ -5,15 +5,11 @@ import pytest
 from helpers import blob_features
 
 from pgmclassifier import (
-    ClassSmallerThanK,
-    DenseBlowup,
     GridPoint,
     PgmError,
     ProtocolConfig,
-    StratificationImpossible,
     auc_ovr,
     default_grid,
-    derive_seed,
     fit_pgm,
     grid_search,
     make_grid,
@@ -22,10 +18,10 @@ from pgmclassifier import (
     run_protocol,
     select_robust_config,
     stratified_holdout,
-    stratified_kfold,
 )
+from pgmclassifier.errors import ClassSmallerThanK, StratificationImpossible
 from pgmclassifier import selection
-from pgmclassifier.selection import _resolve_workers
+from pgmclassifier.selection import _resolve_workers, derive_seed, stratified_kfold
 
 
 class TestDeriveSeed:
