@@ -2,14 +2,13 @@
 
 Exit codes: 0 on success, 1 for usage or configuration errors, 2 for data
 or consistency errors (malformed files, fingerprint mismatches, schema
-violations, infeasible requests). Commands with any randomness require an
-explicit --seed; there is no hidden entropy, so identical inputs always
-produce identical output files.
-
-The PGM_WORKERS environment variable sets the number of grid-search
-workers; the default is one per usable core. Every grid task runs with one
-BLAS thread, and reports are byte-identical across worker counts. README.md
-("Command-line interface") describes how workers start and what they cost.
+violations, infeasible requests). An option value that click's ranges or
+the configuration types refuse (``--k`` below 2, a NaN alpha) exits 1
+before any input is read. ``auto`` fits dense while (d+1)^copies <= 4096,
+gram past it. Randomness needs an explicit --seed, so identical inputs give
+byte-identical outputs on one machine at one BLAS thread count, and
+grid-search reports at any PGM_WORKERS (default: one per usable core);
+README.md ("Command-line interface") has the details.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .dataio import (
     write_predictions_csv,
     write_splits,
 )
-from .encoding import ENCODINGS, NORMALIZERS, EncodingConfig
+from .encoding import ENCODINGS, NORMALIZERS
 from .errors import (
     ClassSetMismatch,
     DatasetFormatError,
@@ -52,10 +51,11 @@ from .errors import (
     SchemaMismatch,
 )
 from .metrics import metric_difference, report_from_predictions, win_loss
-from .pgm import ENGINES, MAX_COPIES, PRIOR_MODES, PgmConfig, fit_pgm, predict_batch
+from .pgm import ENGINES, MAX_COPIES, PRIOR_MODES, fit_pgm, predict_batch
 from .selection import (
     DEFAULT_ALPHAS,
     DEFAULT_COPIES,
+    GridPoint,
     ProtocolConfig,
     make_grid,
     run_protocol,
@@ -74,9 +74,12 @@ _OUTPUT_OPTIONS = ("out", "out_csv", "out_model")
 
 
 def _check_output_dirs(kwargs) -> None:
-    """Refuse an output file whose directory does not exist, before any work."""
+    """Refuse an empty output path, or one whose directory does not exist, before any work."""
     for name in _OUTPUT_OPTIONS:
         path = kwargs.get(name)
+        if path == "":
+            option = "--" + name.replace("_", "-")
+            raise click.BadParameter("the path is empty", param_hint=f"'{option}'")
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             raise PgmError(f"{path}: output directory does not exist")
 
@@ -155,62 +158,35 @@ def _workers_from_env() -> int | None:
 
 
 def _parse_grid(raw: str | None):
-    """Parse 'encodings=a,b;alphas=...;copies=...' into a grid; None = default."""
-    dims = {
-        "encodings": list(ENCODINGS),
-        "alphas": list(DEFAULT_ALPHAS),
-        "copies": list(DEFAULT_COPIES),
-    }
-    if raw is not None:
-        for part in raw.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, values = part.partition("=")
-            key = key.strip()
-            if not sep or key not in dims:
-                raise click.UsageError(
-                    f"bad grid dimension {part!r}: expected "
-                    "'encodings=...;alphas=...;copies=...'"
-                )
-            items = [v.strip() for v in values.split(",") if v.strip()]
-            if not items:
-                raise click.UsageError(f"grid dimension {key!r} is empty")
-            try:
-                if key == "encodings":
-                    unknown = [v for v in items if v not in ENCODINGS]
-                    if unknown:
-                        raise ValueError(f"unknown encoding {unknown[0]!r}")
-                    dims[key] = items
-                elif key == "alphas":
-                    alphas = [float(v) for v in items]
-                    bad = [a for a in alphas if not math.isfinite(a) or a <= 0]
-                    if bad:
-                        raise ValueError(f"alpha must be a positive number, got {bad[0]!r}")
-                    dims[key] = alphas
-                else:
-                    copies = [int(v) for v in items]
-                    bad = [n for n in copies if not 1 <= n <= MAX_COPIES]
-                    if bad:
-                        raise ValueError(
-                            f"copies must lie in [1, {MAX_COPIES}], got {bad[0]!r}"
-                        )
-                    dims[key] = copies
-            except ValueError as exc:
-                raise click.UsageError(f"bad grid dimension {key!r}: {exc}")
+    """Parse 'encodings=a,b;alphas=...;copies=...' into value lists; None = default.
+
+    Only the value types are checked here; the configuration types check the values.
+    """
+    dims = {"encodings": ENCODINGS, "alphas": DEFAULT_ALPHAS, "copies": DEFAULT_COPIES}
+    types = {"encodings": str, "alphas": float, "copies": int}
+    for part in filter(None, (p.strip() for p in (raw or "").split(";"))):
+        key, sep, values = part.partition("=")
+        key = key.strip()
+        if not sep or key not in dims:
+            raise click.UsageError(
+                f"bad grid dimension {part!r}: expected 'encodings=...;alphas=...;copies=...'"
+            )
+        items = [v.strip() for v in values.split(",") if v.strip()]
+        if not items:
+            raise click.UsageError(f"grid dimension {key!r} is empty")
+        try:
+            dims[key] = [types[key](v) for v in items]
+        except ValueError as exc:
+            raise click.UsageError(f"bad grid dimension {key!r}: {exc}")
     return dims["encodings"], dims["alphas"], dims["copies"]
 
 
-def _check_fraction(ctx, param, value):
-    if not 0.0 < value < 1.0:
-        raise click.BadParameter("must lie strictly between 0 and 1")
-    return value
-
-
-def _check_positive(ctx, param, value):
-    if value is not None and value < 1:
-        raise click.BadParameter("must be at least 1")
-    return value
+def _usage_errors(build, *args):
+    """``build(*args)``, reporting a value that a configuration type refuses as a usage error."""
+    try:
+        return build(*args)
+    except (PgmError, ValueError) as exc:
+        raise click.UsageError(str(exc)) from None
 
 
 @click.group()
@@ -223,19 +199,18 @@ def main():
 @click.option("--label-column", default="label", show_default=True)
 @click.option(
     "--test-fraction",
-    type=float,
+    type=click.FloatRange(0, 1, min_open=True, max_open=True),
     default=0.2,
     show_default=True,
-    callback=_check_fraction,
 )
-@click.option(
-    "--repetitions", type=int, default=30, show_default=True, callback=_check_positive
-)
+@click.option("--repetitions", type=click.IntRange(min=1), default=30, show_default=True)
 @click.option("--seed", type=int, required=True, help="Master seed; mandatory.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_data_errors
 def splits(dataset, label_column, test_fraction, repetitions, seed, out):
     """Draw repeated stratified train/test splits and write a split file."""
+    if math.isnan(test_fraction):  # click's range comparisons let NaN through
+        raise click.BadParameter("nan is not in the range 0<x<1.", param_hint="'--test-fraction'")
     data = load_dataset(dataset, label_column)
     _require_trainable(data, label_column)
     plans = stratified_holdout(data.label_indices, test_fraction, repetitions, seed)
@@ -260,8 +235,8 @@ def splits(dataset, label_column, test_fraction, repetitions, seed, out):
 @click.argument("splits_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--label-column", default="label", show_default=True)
 @click.option("--grid", "grid_string", default=None, help="e.g. 'encodings=amplitude;alphas=0.5,1;copies=1,5'")
-@click.option("--k", type=int, default=5, show_default=True)
-@click.option("--cv-reps", type=int, default=10, show_default=True, callback=_check_positive)
+@click.option("--k", type=click.IntRange(min=2), default=5, show_default=True)
+@click.option("--cv-reps", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--priors", type=click.Choice(PRIOR_MODES), default="uniform", show_default=True)
 @click.option("--normalizer", type=click.Choice(NORMALIZERS), default="zscore", show_default=True)
 @click.option("--engine", type=click.Choice(ENGINES), default="auto", show_default=True)
@@ -286,12 +261,14 @@ def gridsearch(
     out_csv,
 ):
     """Run the full protocol: per-split grid search, evaluation, selection."""
+    grid = make_grid(*_parse_grid(grid_string), prior_mode=priors)
+    for point in grid:
+        _usage_errors(point.to_config, normalizer, engine)
+    workers = _workers_from_env()
     data = load_dataset(dataset, label_column)
     _require_trainable(data, label_column)
     splits_data = read_splits(splits_file)
     check_splits(splits_data, data)
-    encodings, alphas, copies = _parse_grid(grid_string)
-    grid = make_grid(encodings, alphas, copies, prior_mode=priors)
     positive = _positive_index(positive_class, data.classes)
     config = ProtocolConfig(
         seed=seed,
@@ -301,7 +278,7 @@ def gridsearch(
         normalizer=normalizer,
         engine=engine,
         positive_class=positive,
-        workers=_workers_from_env(),
+        workers=workers,
     )
     result = run_protocol(
         data.features, data.label_indices, data.n_classes, splits_data.plans, config
@@ -343,16 +320,10 @@ def gridsearch(
 @_data_errors
 def train(dataset, label_column, encoding, alpha, copies, normalizer, priors, engine, out_model):
     """Fit a classifier on a labeled dataset and persist it."""
-    if alpha <= 0:
-        raise click.BadParameter("--alpha must be positive")
+    point = GridPoint(encoding, alpha, copies, priors)
+    config = _usage_errors(point.to_config, normalizer, engine)
     data = load_dataset(dataset, label_column)
     _require_trainable(data, label_column)
-    config = PgmConfig(
-        encoding=EncodingConfig(encoding=encoding, alpha=alpha, normalizer=normalizer),
-        copies=copies,
-        prior_mode=priors,
-        engine=engine,
-    )
     model = fit_pgm(data.features, data.label_indices, data.n_classes, config)
     save_model(out_model, model, data.classes, data.feature_names)
     click.echo(

@@ -30,6 +30,7 @@ from .errors import (
     SchemaMismatch,
 )
 from .metrics import MetricReport
+from .operators import DENSE_DIM_LIMIT, lifted_dimension
 from .pgm import (
     MAX_COPIES,
     SCORE_BLOCK,
@@ -592,10 +593,10 @@ def load_model(path) -> LoadedModel:
     if dim != n_features + 1:
         fail(f"state dimension {dim} for {n_features} feature columns")
     if engine == "dense":
-        # Any dim of 2 or more lifts past a storable side within 64 copies,
-        # so the capped exponent decides the check without a huge power.
-        side = dim ** min(copies, 64)
+        side = lifted_dimension(dim, copies)
         shape = stored["povm"].shape
+        if side is None:
+            fail(f"lifted dimension {dim}^{copies} exceeds the dense limit {DENSE_DIM_LIMIT}")
         if shape != (n, side, side):
             fail(f"povm of shape {shape} for {n} class names, expected {(n, side, side)}")
     if priors.values.shape != (n,):

@@ -111,6 +111,16 @@ def pinv_sqrt(a) -> PinvSqrt:
     return PinvSqrt(inv_sqrt=inv_sqrt, image_basis=vs)
 
 
+def lifted_dimension(dim: int, copies: int) -> int | None:
+    """The n-copy dimension ``dim ** copies``, or None past :data:`DENSE_DIM_LIMIT`.
+
+    Any dim of 2 or more passes the limit within 13 copies, so the exponent
+    is capped at 64 and no copy count builds a huge integer or float.
+    """
+    side = int(dim) ** min(int(copies), 64)
+    return side if side <= DENSE_DIM_LIMIT else None
+
+
 def tensor_power(v, n: int) -> np.ndarray:
     """n-fold Kronecker power of a vector.
 
@@ -123,7 +133,7 @@ def tensor_power(v, n: int) -> np.ndarray:
         raise InvalidOperator(f"expected a vector, got shape {v.shape}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"copy count must be a positive integer, got {n!r}")
-    if v.size**n > DENSE_DIM_LIMIT:
+    if lifted_dimension(v.size, n) is None:
         raise DenseBlowup(
             f"tensor power dimension {v.size}^{n} exceeds the dense limit "
             f"{DENSE_DIM_LIMIT}; use the gram engine"

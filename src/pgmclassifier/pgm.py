@@ -46,7 +46,7 @@ from .errors import (
     InvalidOperator,
     LabelOutOfRange,
 )
-from .operators import DENSE_DIM_LIMIT, pinv_sqrt, symmetrize, tensor_power
+from .operators import lifted_dimension, pinv_sqrt, symmetrize, tensor_power
 
 #: Scores are rounded to this many decimal digits before any argmax or tie
 #: comparison, so near-ties resolve identically across platforms.
@@ -371,8 +371,6 @@ def build_gram_pgm(
         raise DimMismatch(
             f"{priors.values.shape[0]} priors for {train.n_classes} classes"
         )
-    if copies < 1:
-        raise ValueError(f"copy count must be a positive integer, got {copies!r}")
     sqw = np.sqrt(gram_weights(train.labels, priors))
     overlaps = train.states @ train.states.T
     gram = sqw[:, None] * stable_power(overlaps, copies) * sqw[None, :]
@@ -519,8 +517,7 @@ def build_pgm(train: LabeledStateSet, priors: Priors, copies: int, engine: str):
     dense limit, and gram otherwise.
     """
     if engine == "auto":
-        lifted_dim = float(train.dim) ** copies
-        engine = "dense" if lifted_dim <= DENSE_DIM_LIMIT else "gram"
+        engine = "gram" if lifted_dimension(train.dim, copies) is None else "dense"
     if engine == "dense":
         return build_dense_pgm(train, priors, copies)
     return build_gram_pgm(train, priors, copies)

@@ -176,14 +176,15 @@ def stratified_kfold(train_labels, k: int, seed: int) -> FoldPlan:
     if k < 2:
         raise ValueError(f"k-fold needs k of at least 2, got {k!r}")
     classes = _distinct(train_labels)
-    rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
-    for c in classes:
-        idx = np.flatnonzero(train_labels == c)
+    members = [np.flatnonzero(train_labels == c) for c in classes]
+    for c, idx in zip(classes, members):
         if idx.size < k:
             raise ClassSmallerThanK(
                 f"class {int(c)} has {idx.size} samples, fewer than k={k}"
             )
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    for idx in members:
         perm = rng.permutation(idx)
         offset = int(rng.integers(k))
         for j, chunk in enumerate(np.array_split(perm, k)):

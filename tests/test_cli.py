@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -1476,3 +1477,250 @@ class TestHelp:
             ["train", str(tmp_path / "void.csv"), "--out-model", str(tmp_path / "m.json")],
         )
         assert result.exit_code == 1
+
+
+def write_quad_csv(path):
+    """Two classes of 8 rows with 4 features, so an encoded state has dimension 5."""
+    rng = np.random.default_rng(3)
+    features = np.vstack([rng.normal(0.0, 1.0, (8, 4)), rng.normal(4.0, 1.0, (8, 4))])
+    return write_dataset_csv(path, features, ["lo"] * 8 + ["hi"] * 8)
+
+
+def _ends_cleanly(result, outputs=()):
+    """Exit 0; exit 1 with an ``Error:`` line; or exit 2 with one ``error:``
+    line. Never a traceback, and no output file after a failure."""
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(
+        result.exception
+    )
+    if result.exit_code == 1:
+        assert any(line.startswith("Error: ") for line in result.stderr.splitlines()), (
+            result.stderr
+        )
+    elif result.exit_code == 2:
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    else:
+        assert result.exit_code == 0, result.stderr
+    if result.exit_code:
+        assert not [path for path in outputs if os.path.exists(path)]
+
+
+class TestConfigurationValues:
+    """The configuration types and click's ranges own every option value; a
+    value they refuse ends in exit 1 before any input file is read."""
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_k_below_2_is_usage_error(self, runner, tmp_path, blob_csv, k):
+        splits = make_splits(runner, tmp_path, blob_csv)
+        out = tmp_path / "r.json"
+        result = runner.invoke(
+            main,
+            ["gridsearch", str(blob_csv), str(splits), "--k", k, "--seed", "1", "--out", str(out)],
+        )
+        assert result.exit_code == 1
+        _ends_cleanly(result, [out])
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_alpha_is_usage_error(self, runner, tmp_path, blob_csv, alpha):
+        out = tmp_path / "m.json"
+        result = runner.invoke(
+            main, ["train", str(blob_csv), "--alpha", alpha, "--out-model", str(out)]
+        )
+        assert result.exit_code == 1
+        assert "rescaling factor must be finite and positive" in result.stderr
+        _ends_cleanly(result, [out])
+
+    @pytest.mark.parametrize("copies", ["442", "1000000"])
+    def test_copies_past_the_float_range_train_gram(self, runner, tmp_path, copies):
+        dataset = write_quad_csv(tmp_path / "quad.csv")
+        model_path, result = train_model(runner, tmp_path, dataset, "--copies", copies)
+        assert "trained gram model" in result.output
+        loaded = load_model(model_path)
+        assert (loaded.model.engine, loaded.model.copies) == ("gram", int(copies))
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_grid_past_the_float_range_runs(self, runner, tmp_path, workers):
+        dataset = write_quad_csv(tmp_path / "quad.csv")
+        splits = make_splits(runner, tmp_path, dataset, repetitions=1)
+        out = tmp_path / "r.json"
+        result = runner.invoke(
+            main,
+            [
+                "gridsearch", str(dataset), str(splits),
+                "--grid", "encodings=amplitude;alphas=1;copies=1,500",
+                "--k", "2", "--cv-reps", "1", "--seed", "3", "--out", str(out),
+            ],
+            env={"PGM_WORKERS": workers},
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 0, result.output
+        assert [p["copies"] for p in json.loads(out.read_text())["config"]["grid"]] == [1, 500]
+
+    @pytest.mark.parametrize("option", ["--out", "--out-csv"])
+    def test_empty_output_path_is_usage_error(self, runner, tmp_path, blob_csv, option):
+        model_path, _ = train_model(runner, tmp_path, blob_csv)
+        out = tmp_path / "eval.json"
+        paths = {"--out": str(out), "--out-csv": str(tmp_path / "eval.csv"), option: ""}
+        result = runner.invoke(
+            main, ["evaluate", str(model_path), str(blob_csv), *itertools.chain(*paths.items())]
+        )
+        assert result.exit_code == 1
+        assert f"'{option}': the path is empty" in result.stderr
+        _ends_cleanly(result, [out, tmp_path / "eval.csv"])
+
+    @pytest.mark.parametrize(
+        "command, values, env",
+        [
+            ("train", ["--alpha", "nan"], {}),
+            ("train", ["--encoding", "amplitude", "--alpha", "inf"], {}),
+            ("gridsearch", ["--grid", "alphas=-1"], {}),
+            ("gridsearch", ["--grid", "copies=0"], {}),
+            ("gridsearch", ["--k", "1"], {}),
+            ("gridsearch", [], {"PGM_WORKERS": "0"}),
+            ("splits", ["--test-fraction", "nan"], {}),
+        ],
+        ids=["alpha-nan", "alpha-inf", "grid-alpha", "grid-copies", "k", "workers", "fraction-nan"],
+    )
+    def test_checked_before_a_malformed_dataset_is_read(
+        self, runner, tmp_path, command, values, env
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("f0,label\nnot-a-number,a\n")
+        out = tmp_path / "out.json"
+        inputs = [str(bad)] * (2 if command == "gridsearch" else 1)
+        rest = ["--seed", "1", "--out", str(out)]
+        if command == "train":
+            rest = ["--out-model", str(out)]
+        result = runner.invoke(main, [command, *inputs, *values, *rest], env=env)
+        assert result.exit_code == 1, result.stderr
+        _ends_cleanly(result, [out])
+
+
+#: Option values as command-line text. Each run draws one option from its
+#: edge values and the others from valid values, or every option valid.
+#: Edge counts and seeds are small numbers around each range's edge or far
+#: outside every range: a large valid repetition count only asks for a long
+#: run. Edge floats are any double, NaN and the infinities included, or text
+#: that a float parse refuses or reads as an infinity.
+FAR_INTS = st.sampled_from([-(2**63), 2**64])
+EDGE_INTS = st.one_of(st.integers(-3, 6), FAR_INTS).map(str)
+EDGE_COUNTS = st.one_of(st.integers(-3, 3), st.just(-(2**63))).map(str)
+EDGE_FLOATS = st.one_of(
+    st.floats().map(repr), st.sampled_from(["1e400", "-1e400", "-0", "1e-320", "x", ""])
+)
+#: Copy counts 4 and 5 lift 4 features to 625 and 3125 dense dimensions,
+#: which valid but slow fits would spend seconds on, so they are not drawn;
+#: 441 and 442 straddle the overflow of ``5.0 ** copies``.
+VALID_COPIES = st.sampled_from([1, 2, 3, 6, 60, 441, 442, MAX_COPIES]).map(str)
+EDGE_COPIES = st.one_of(
+    st.integers(-3, 3), st.sampled_from([6, 442, MAX_COPIES + 1]), FAR_INTS
+).map(str)
+ENCODING_NAMES = st.sampled_from(["amplitude", "stereographic"])
+
+
+def _grid_strings(alphas, copies, encodings):
+    """``--grid`` values of at most 2 x 2 x 2 points."""
+    dims = st.tuples(
+        st.lists(alphas, min_size=1, max_size=2).map(lambda v: "alphas=" + ",".join(v)),
+        st.lists(copies, min_size=1, max_size=2).map(lambda v: "copies=" + ",".join(v)),
+        st.lists(encodings, min_size=1, max_size=2).map(lambda v: "encodings=" + ",".join(v)),
+    )
+    return dims.flatmap(st.permutations).map(";".join)
+
+
+def _options(outputs, **values):
+    """``(option, valid values, edge values)`` triples. An output path's edge
+    values are the empty path and its directory."""
+    values.update({name: (st.just(name.upper()), st.sampled_from(["", "DIR"])) for name in outputs})
+    return [(f"--{name.replace('_', '-')}", *pair) for name, pair in values.items()]
+
+
+#: Per command: its positional arguments and its ``(option, valid, edge)`` values.
+COMMAND_OPTIONS = {
+    "splits": (["DATA"], _options(
+        ["out"],
+        test_fraction=(st.floats(0.05, 0.95).map(repr), EDGE_FLOATS),
+        repetitions=(st.integers(1, 3).map(str), EDGE_COUNTS),
+        seed=(st.integers(0, 9).map(str), EDGE_INTS),
+    )),
+    "gridsearch": (["DATA", "SPLITS"], _options(
+        ["out", "out_csv"],
+        grid=(
+            _grid_strings(st.floats(0.01, 100).map(repr), VALID_COPIES, ENCODING_NAMES),
+            _grid_strings(EDGE_FLOATS, EDGE_COPIES, st.sampled_from(["fourier", "amplitude", ""])),
+        ),
+        k=(st.integers(2, 4).map(str), EDGE_INTS),
+        cv_reps=(st.integers(1, 2).map(str), EDGE_COUNTS),
+        engine=(st.sampled_from(["auto", "gram"]), st.just("dense")),
+        seed=(st.integers(0, 9).map(str), EDGE_INTS),
+    )),
+    "train": (["DATA"], _options(
+        ["out_model"],
+        alpha=(st.floats(0.01, 100).map(repr), EDGE_FLOATS),
+        copies=(VALID_COPIES, EDGE_COPIES),
+        engine=(st.sampled_from(["auto", "gram"]), st.just("dense")),
+        encoding=(ENCODING_NAMES, st.just("fourier")),
+    )),
+    "predict": (["MODEL", "DATA"], _options(
+        ["out"], label_column=(st.just("label"), st.sampled_from(["f0", "missing", ""]))
+    )),
+    "evaluate": (["MODEL", "DATA"], _options(
+        ["out", "out_csv"],
+        label_column=(st.just("label"), st.sampled_from(["f0", "missing", ""])),
+        positive_class=(st.sampled_from(["lo", "hi"]), st.sampled_from(["maybe", ""])),
+    )),
+    "compare": (["REPORT_A", "REPORT_B"], _options(["out"])),
+}
+
+
+@st.composite
+def command_lines(draw, command):
+    """The arguments of one run of ``command``, with placeholders for its files."""
+    positionals, options = COMMAND_OPTIONS[command]
+    edge = draw(st.sampled_from([None, *range(len(options))]))
+    args = list(positionals)
+    for i, (option, valid, edges) in enumerate(options):
+        args += [option, draw(edges if i == edge else valid)]
+    return args
+
+
+@pytest.fixture(scope="module")
+def option_inputs(tmp_path_factory):
+    """Every input file of the six commands, made from one 4-feature dataset,
+    and the output paths: ``OUT``, ``OUT_CSV`` and ``OUT_MODEL`` in a
+    directory of their own, and ``DIR``, that directory itself."""
+    root = tmp_path_factory.mktemp("option-inputs")
+    runner = CliRunner()
+    data = write_quad_csv(root / "quad.csv")
+    files = {"DATA": data, "SPLITS": str(make_splits(runner, root, data, repetitions=1))}
+    files["MODEL"] = str(train_model(runner, root, data)[0])
+    for name in ("REPORT_A", "REPORT_B"):
+        files[name] = str(root / f"eval_{name[-1].lower()}.json")
+        result = runner.invoke(
+            main, ["evaluate", files["MODEL"], data, "--out", files[name]], catch_exceptions=False
+        )
+        assert result.exit_code == 0
+    files["DIR"] = str(root / "out")
+    os.mkdir(files["DIR"])
+    for name in ("OUT", "OUT_CSV", "OUT_MODEL"):
+        files[name] = os.path.join(files["DIR"], name.lower())
+    return files
+
+
+class TestOptionValues:
+    """Any option value ends a command in exit 0, 1 or 2 with its diagnostic,
+    and never in a traceback or a partial output file."""
+
+    @pytest.mark.parametrize(
+        "command", ["splits", "gridsearch", "train", "predict", "evaluate", "compare"]
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_value_ends_cleanly(self, option_inputs, command, data):
+        args = [option_inputs.get(a, a) for a in data.draw(command_lines(command))]
+        for name in os.listdir(option_inputs["DIR"]):
+            os.unlink(os.path.join(option_inputs["DIR"], name))
+        result = CliRunner().invoke(main, [command, *args], env={"PGM_WORKERS": "1"})
+        _ends_cleanly(result)
+        if result.exit_code:
+            assert os.listdir(option_inputs["DIR"]) == []

@@ -1,8 +1,17 @@
+import time
+
 import numpy as np
 import pytest
 
 from pgmclassifier.errors import DenseBlowup, InvalidOperator, NotPositiveSemidefinite
-from pgmclassifier.operators import DENSE_DIM_LIMIT, eig_sym, pinv_sqrt, symmetrize, tensor_power
+from pgmclassifier.operators import (
+    DENSE_DIM_LIMIT,
+    eig_sym,
+    lifted_dimension,
+    pinv_sqrt,
+    symmetrize,
+    tensor_power,
+)
 
 
 class TestSymmetrize:
@@ -99,4 +108,28 @@ class TestTensorPower:
     def test_rejects_non_positive_copies(self):
         with pytest.raises(ValueError):
             tensor_power(np.ones(2), 0)
+
+    def test_huge_copy_count_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(DenseBlowup):
+            tensor_power(np.full(5, 5**-0.5), 10**6)
+        assert time.perf_counter() - start < 0.01
+
+
+class TestLiftedDimension:
+    @pytest.mark.parametrize(
+        "dim, copies, expected",
+        [
+            (5, 1, 5),
+            (5, 5, 3125),
+            (5, 6, None),
+            (2, 12, DENSE_DIM_LIMIT),
+            (2, 13, None),
+            (5, 442, None),
+            (5, 10**6, None),
+            (1, 10**6, 1),
+        ],
+    )
+    def test_power_within_the_dense_limit_else_none(self, dim, copies, expected):
+        assert lifted_dimension(dim, copies) == expected
 

@@ -26,6 +26,7 @@ from pgmclassifier.pgm import (
     Priors,
     build_dense_pgm,
     build_ensemble,
+    build_pgm,
     build_gram_pgm,
     copies_centroid,
     empirical_priors,
@@ -530,6 +531,10 @@ class TestFitPgm:
         labels = np.array([0, 1] * 4)
         assert fit_pgm(features, labels, 2, PgmConfig(copies=3)).engine == "dense"
         assert fit_pgm(features, labels, 2, PgmConfig(copies=7)).engine == "gram"
+
+    def test_auto_engine_past_the_float_range_is_gram(self, rng):
+        train = random_labeled_states(rng, 2, 5, 8)
+        assert build_pgm(train, uniform_priors(2), 442, "auto").engine == "gram"
 
     def test_forced_dense_blowup(self, rng):
         features = rng.normal(size=(8, 3))

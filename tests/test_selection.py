@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from helpers import blob_features
+from helpers import blob_features, peak_allocation
 
 from pgmclassifier import (
     GridPoint,
@@ -147,6 +147,15 @@ class TestStratifiedKfold:
             stratified_kfold(labels, 1, seed=0)
         with pytest.raises(ClassSmallerThanK):
             stratified_kfold(np.array([0] * 10 + [1] * 3), 4, seed=0)
+
+    def test_huge_k_refused_before_any_fold_is_allocated(self):
+        labels = np.array([0] * 6 + [1] * 6)
+
+        def refuse():
+            with pytest.raises(ClassSmallerThanK, match="fewer than k=1000000"):
+                stratified_kfold(labels, 10**6, seed=0)
+
+        assert peak_allocation(refuse) < 2**20
 
 
 class TestGrid:
