@@ -105,46 +105,65 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
     the header). The label column is optional so prediction inputs may omit
     it; when present, labels are arbitrary nonempty strings.
 
-    The text is tokenised in blocks of about :data:`_BLOCK_CHARS`
+    The text is tokenised once, in blocks of about :data:`_BLOCK_CHARS`
     characters: text with no ``"`` and no NUL by splitting on newlines and
     commas (:func:`_split_quote_free`), any other text by ``csv.reader``
-    (:func:`_split_csv`). Both give the same cells, which
-    :func:`_parse_blocks` parses block by block into one feature matrix,
-    sized from the newline count, and one class code per row. If either
-    step refuses a block, ``csv.reader`` reads the whole file again and
-    :func:`_parse_checked` names the fault, so diagnostics do not depend
-    on where blocks end.
+    (:func:`_split_csv`). Both give the cells ``csv.reader`` gives. A block
+    of rows as wide as the header goes through :func:`_parse_fast` into one
+    feature matrix, sized from the line count; any other block, or one
+    the fast parse refuses, through :func:`_parse_checked`, which names the
+    first faulty row or cell. The first header, row or cell fault is held
+    while the rest of the text is tokenised, so a line ``csv.reader``
+    cannot read is reported first wherever it stands, and no diagnostic
+    depends on where blocks end.
     """
     text, fingerprint = _read_text(path)
     quoted = '"' in text or "\0" in text
-    blocks = _split_csv(path, text) if quoted else _split_quote_free(text)
-    n_lines = text.count("\n") + (not text.endswith("\n"))
-    parsed = _parse_blocks(blocks, n_lines - 1, label_column)
-    if parsed is None:
-        header, *body = list(_csv_rows(path, text)) or [[]]
-    else:
-        header, matrix, codes, label_codes = parsed
+    blocks = (_split_csv if quoted else _split_quote_free)(path, text)
+    header = next(blocks, [])
+    fault = None
     if not any(header):
-        raise DatasetFormatError(f"{path}: missing header row")
-    if len(set(header)) != len(header):
+        fault = DatasetFormatError(f"{path}: missing header row")
+    elif len(set(header)) != len(header):
         dup = sorted({name for name in header if header.count(name) > 1})
-        raise DatasetFormatError(f"{path}: duplicate column name {dup[0]!r}")
-    has_labels = label_column in header
-    label_pos = header.index(label_column) if has_labels else -1
-    feature_names = tuple(name for i, name in enumerate(header) if i != label_pos)
-    if parsed is None:
-        matrix, labels = _parse_checked(path, header, body, label_pos)
-        codes = {}
-        label_codes = _label_codes(codes, labels)
+        fault = DatasetFormatError(f"{path}: duplicate column name {dup[0]!r}")
+    width = len(header)
+    label_pos = header.index(label_column) if label_column in header else -1
+    # A valid row holds a character per column, so no file sizes the matrix past its text.
+    n_rows = min(text.count("\n") - text.endswith("\n"), len(text) // max(width, 1))
+    matrix = np.empty((n_rows, width - (label_pos >= 0)))
+    label_codes = np.empty(n_rows if label_pos >= 0 else 0, dtype=np.int64)
+    codes: dict = {}
+    row = 0
+    for cells, rows in blocks:
+        if fault is not None:
+            continue
+        stop = row + (len(rows) if cells is None else len(cells) // width)
+        out = matrix[row:stop]
+        labels = None if cells is None else _parse_fast(cells, width, label_pos, out)
+        if labels is None:
+            if cells is not None:
+                rows = (cells[i : i + width] for i in range(0, len(cells), width))
+            try:
+                labels = _parse_checked(path, header, rows, label_pos, row, out)
+            except DatasetFormatError as exc:
+                fault = exc
+                continue
+        if label_pos >= 0:
+            label_codes[row:stop] = _label_codes(codes, labels)
+        row = stop
+    if fault is not None:
+        raise fault
     classes = label_indices = None
-    if has_labels:
+    if label_pos >= 0:
         classes = tuple(sorted(codes))
         position = {name: i for i, name in enumerate(classes)}
-        label_indices = np.array([position[name] for name in codes], dtype=np.int64)[label_codes]
+        label_indices = np.array([position[name] for name in codes], dtype=np.int64)
+        label_indices = label_indices[label_codes[:row]]
     return Dataset(
         path=str(path),
-        feature_names=feature_names,
-        features=matrix,
+        feature_names=tuple(name for i, name in enumerate(header) if i != label_pos),
+        features=matrix[:row],
         classes=classes,
         label_indices=label_indices,
         fingerprint=fingerprint,
@@ -173,38 +192,6 @@ def _label_codes(codes: dict, labels) -> np.ndarray:
     return np.fromiter(map(codes.__getitem__, labels), dtype=np.int64, count=len(labels))
 
 
-def _parse_blocks(blocks, n_rows: int, label_column: str):
-    """``(header, features, codes, label codes)`` of a tokeniser's blocks, or None.
-
-    ``blocks`` yields the header's cells, then the flat row-major cells of
-    each block of body rows, at most ``n_rows`` in all, or None for a block
-    it refuses. :func:`_parse_fast` writes each block's features straight
-    into one matrix; ``codes`` maps each distinct label to its code and
-    ``label codes`` holds each row's. Gives None for a refused block, a
-    cell the fast parse refuses or a missing header.
-    """
-    header = next(blocks, None)
-    if header is None or not any(header):
-        return None
-    width = len(header)
-    label_pos = header.index(label_column) if label_column in header else -1
-    matrix = np.empty((n_rows, width - (label_pos >= 0)))
-    label_codes = np.empty(n_rows if label_pos >= 0 else 0, dtype=np.int64)
-    codes: dict = {}
-    row = 0
-    for cells in blocks:
-        if cells is None:
-            return None
-        stop = row + len(cells) // width
-        labels = _parse_fast(cells, width, label_pos, matrix[row:stop])
-        if labels is None:
-            return None
-        if label_pos >= 0:
-            label_codes[row:stop] = _label_codes(codes, labels)
-        row = stop
-    return header, matrix[:row], codes, label_codes[:row]
-
-
 def _text_blocks(text: str):
     """Runs of whole lines of LF ``text``, each about :data:`_BLOCK_CHARS` long.
 
@@ -229,84 +216,87 @@ def _lines(text: str):
         start = stop
 
 
-def _split_quote_free(text: str):
-    """Cell blocks of text free of ``"`` and NUL, by ``str.split`` (see :func:`_parse_blocks`).
+def _split_quote_free(path, text: str):
+    """Header cells, then a ``(cells, rows)`` pair per block, of text free of ``"`` and NUL.
 
     ``csv.reader`` splits such a line exactly as ``str.split`` does on
     commas, as long as the line is not empty and not longer than
-    ``csv.field_size_limit()``. Every line must also have as many commas as
-    the header, so a short row and a long row never trade cells; the first
-    block holding a line that breaks one of these rules yields None.
+    ``csv.field_size_limit()``. A block whose lines keep these rules and
+    have the header's comma count gives its flat row-major ``cells``; any
+    other gives its ``rows`` by ``csv.reader``, so rows never trade cells.
     """
     limit = csv.field_size_limit()
-    commas = -1
+    commas = end = 0
     for block in _text_blocks(text):
         lines = block.split("\n")
-        first = commas < 0
-        if first:
+        start, end = end, end + len(lines)
+        if start == 0:
             commas = lines[0].count(",")
         if (
             "" in lines
             or max(map(len, lines)) > limit
             or set(map(str.count, lines, itertools.repeat(","))) != {commas}
         ):
-            yield None
-            return
+            rows = list(_csv_rows(path, lines, start))
+            if start == 0:
+                yield rows.pop(0)
+            yield None, rows
+            continue
         del lines
         cells = block.replace("\n", ",").split(",")
-        if first:
+        if start == 0:
             yield cells[: commas + 1]
             del cells[: commas + 1]
-        yield cells
+        yield cells, None
 
 
 def _split_csv(path, text: str):
-    """Cell blocks by ``csv.reader`` (see :func:`_parse_blocks`), read with ``islice``.
+    """Blocks by ``csv.reader`` over :func:`_lines`, as :func:`_split_quote_free` yields them.
 
     A block holds about :data:`_BLOCK_CHARS` characters' worth of rows of
-    the average line length; a block with a row not as wide as the header
-    yields None.
+    the average line length; one with a row not as wide as the header
+    gives its ``rows``, any other its ``cells``.
     """
-    rows = _csv_rows(path, text)
+    rows = _csv_rows(path, _lines(text))
     per_block = max(1, _BLOCK_CHARS * (text.count("\n") + 1) // max(len(text), 1))
     header = next(rows, [])
     yield header
     while block := list(itertools.islice(rows, per_block)):
         if any(len(row) != len(header) for row in block):
-            yield None
-            return
-        yield list(itertools.chain.from_iterable(block))
+            yield None, block
+        else:
+            yield list(itertools.chain.from_iterable(block)), None
 
 
-def _csv_rows(path, text: str):
-    """Rows by ``csv.reader``; a ``csv.Error`` becomes :class:`DatasetFormatError`.
+def _csv_rows(path, lines, offset: int = 0):
+    """Rows by ``csv.reader`` of ``lines``, which follow line ``offset`` of the file.
 
-    The reader reads :func:`_lines`, so it holds no copy of the text.
+    A ``csv.Error`` becomes :class:`DatasetFormatError` naming the file's line.
     """
-    reader = csv.reader(_lines(text))
+    reader = csv.reader(lines)
     try:
         yield from reader
     except csv.Error as exc:
-        raise DatasetFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        raise DatasetFormatError(f"{path}: line {offset + reader.line_num}: {exc}") from None
 
 
 def _parse_fast(cells: list, width: int, label_pos: int, out: np.ndarray):
     """Labels of a flat row-major cell list whose features go into ``out``, or None.
 
-    ``cells`` holds ``width`` cells for each row of ``out`` and loses its
-    label column in place. Every feature cell goes through ``float`` in one
-    vectorized pass; a cell ``float`` rejects, a non-finite value or an
-    empty label makes it give up, and :func:`_parse_checked` then names the
-    offending cell.
+    ``cells`` holds ``width`` cells for each row of ``out``, and is left
+    whole for :func:`_parse_checked`. Every feature cell goes through
+    ``float`` in one vectorized pass; a cell ``float`` rejects, a
+    non-finite value or an empty label makes it give up.
     """
-    labels = []
+    labels, features = [], cells
     if label_pos >= 0:
         labels = cells[label_pos::width]
         if "" in labels:
             return None
-        del cells[label_pos::width]
+        features = cells.copy()
+        del features[label_pos::width]
     try:
-        flat = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        flat = np.fromiter(map(float, features), dtype=float, count=len(features))
     except ValueError:
         return None
     if not np.isfinite(flat).all():
@@ -315,14 +305,13 @@ def _parse_fast(cells: list, width: int, label_pos: int, out: np.ndarray):
     return labels
 
 
-def _parse_checked(path, header, body, label_pos: int):
-    """``(features, labels)`` parsed cell by cell; raises at the first bad row or cell.
+def _parse_checked(path, header, rows, label_pos: int, offset: int, out: np.ndarray) -> list:
+    """Labels of ``rows``, parsed cell by cell into ``out``; raises at the first bad row or cell.
 
-    Rows are counted from 1, excluding the header.
+    Rows are counted from 1, excluding the header; ``rows`` follow row ``offset``.
     """
-    features = []
-    labels: list = []
-    for r, row in enumerate(body, start=1):
+    labels = []
+    for r, row in enumerate(rows, start=offset + 1):
         if len(row) != len(header):
             raise DatasetFormatError(
                 f"{path}: row {r} has {len(row)} fields, expected {len(header)}"
@@ -346,9 +335,8 @@ def _parse_checked(path, header, body, label_pos: int):
                     f"expected a finite number, got {cell!r}"
                 )
             values.append(value)
-        features.append(values)
-    n_features = len(header) if label_pos < 0 else len(header) - 1
-    return np.array(features, dtype=float).reshape(len(features), n_features), labels
+        out[r - offset - 1] = values
+    return labels
 
 
 def features_for_model(dataset: Dataset, feature_columns) -> np.ndarray:
@@ -548,7 +536,10 @@ class LoadedModel:
 def load_model(path) -> LoadedModel:
     """Reload a saved model; a field no fit could produce raises :class:`SchemaMismatch`.
 
-    Counts, shapes and finiteness are checked before any numpy work. A Gram
+    The copy count and a dense model's ``dim`` must be JSON integers (a
+    fraction, a string or a boolean is refused, not truncated), and
+    ``classes`` and ``feature_columns`` lists of distinct strings. Counts,
+    shapes and finiteness are checked before any numpy work. A Gram
     model is then rebuilt from its training states by the fit's own
     :class:`LabeledStateSet` and :func:`build_gram_pgm`; the ``M``, ``P``
     and ``weights`` keys of older files are ignored.
@@ -569,12 +560,13 @@ def load_model(path) -> LoadedModel:
             mode=obj["priors"]["mode"],
             values=np.array(obj["priors"]["values"], dtype=float),
         )
+        integers = {"copies": obj["copies"]}
         copies = int(obj["copies"])
-        classes = tuple(obj["classes"])
-        feature_columns = tuple(obj["feature_columns"])
+        classes, feature_columns = obj["classes"], obj["feature_columns"]
         payload = obj["payload"]
         if engine == "dense":
             stored = {"povm": np.array(payload["povm"], dtype=float)}
+            integers["dim"] = payload["dim"]
             dim = int(payload["dim"])
         else:
             stored = {"train_states": np.array(payload["train_states"], dtype=float, ndmin=1)}
@@ -586,10 +578,17 @@ def load_model(path) -> LoadedModel:
     def fail(message):
         raise SchemaMismatch(f"{path}: {message}")
 
+    if not 1 <= copies <= MAX_COPIES:  # named as out of range whatever its JSON type
+        fail(f"copy count must lie in [1, {MAX_COPIES}], got {copies}")
+    for key, value in integers.items():
+        if type(value) is not int:
+            fail(f"{key} must be an integer, got {value!r}")
+    for key, names in (("classes", classes), ("feature_columns", feature_columns)):
+        if type(names) is not list or len({v for v in names if type(v) is str}) != len(names):
+            fail(f"{key} must be a list of distinct strings")
+    classes, feature_columns = tuple(classes), tuple(feature_columns)
     n = len(classes)
     n_features = len(feature_columns)
-    if not 1 <= copies <= MAX_COPIES:
-        fail(f"copy count must lie in [1, {MAX_COPIES}], got {copies}")
     if dim != n_features + 1:
         fail(f"state dimension {dim} for {n_features} feature columns")
     if engine == "dense":

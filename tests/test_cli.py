@@ -730,6 +730,12 @@ CORRUPTIONS = {
     "dense-copies-0": ("dense", _set("copies", 0)),
     "dense-short-scale": ("dense", _set("normalizer", "scale", lambda s: s[:-1])),
     "dense-shifted-effect": ("dense", _set("payload", "povm", _poison_first(0.5))),
+    "gram-fractional-copies": ("gram", _set("copies", 2.5)),
+    "gram-boolean-copies": ("gram", _set("copies", True)),
+    "dense-fractional-dim": ("dense", _set("payload", "dim", float)),
+    "gram-class-string": ("gram", _set("classes", "ab")),
+    "gram-duplicate-classes": ("gram", _set("classes", lambda names: [names[0]] * 2)),
+    "gram-integer-classes": ("gram", _set("classes", [1, 2])),
 }
 
 

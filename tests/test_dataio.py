@@ -1,10 +1,11 @@
 import csv
-import functools
 import hashlib
 import io
 import itertools
 import json
+import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -161,9 +162,36 @@ _CELLS = st.one_of(
 _LABELS = st.sampled_from(["a", "a,b", 'say "hi"', "z", " padded "])
 
 
+#: Faults a file may hold, up to two of them: a cell no dataset accepts, an
+#: empty label, a short or long row, or an empty line.
+_FAULTS = st.lists(st.sampled_from(["cell", "label", "short", "long", "blank"]), max_size=2)
+
+
+def add_faults(draw, rows, at):
+    """Apply drawn faults to the body of ``rows`` (header first); returns their names.
+
+    Empty lines go in last, so no other fault lands in one.
+    """
+    faults = draw(_FAULTS) if len(rows) > 1 else []
+    for fault in sorted(faults, key=lambda name: name == "blank"):
+        r = draw(st.integers(1, len(rows) - 1))
+        c = draw(st.integers(0, len(rows[r])))
+        if fault == "cell" and c != at and c < len(rows[r]):
+            rows[r][c] = draw(st.sampled_from(["", "nan", "-inf", "x", "1.5.0"]))
+        elif fault == "label" and at is not None and at < len(rows[r]):
+            rows[r][at] = ""
+        elif fault == "short" and c < len(rows[r]):
+            del rows[r][c]
+        elif fault == "long":
+            rows[r].insert(c, draw(_CELLS))
+        elif fault == "blank":
+            rows.insert(r, [])
+    return faults
+
+
 @st.composite
 def csv_datasets(draw):
-    """``(raw bytes, label position or None)`` for a small valid dataset CSV."""
+    """``(raw bytes, label position or None)`` for a small dataset CSV, maybe faulty."""
     n_features = draw(st.integers(1, 3))
     n_rows = draw(st.integers(0, 6))
     where = draw(st.sampled_from(["none", "first", "middle", "last"]))
@@ -174,6 +202,7 @@ def csv_datasets(draw):
         rows[0].insert(at, "label")
         for row in rows[1:]:
             row.insert(at, draw(_LABELS))
+    add_faults(draw, rows, at)
     buf = io.StringIO()
     csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(rows)
     return buf.getvalue().encode("utf-8"), at
@@ -183,14 +212,10 @@ def csv_datasets(draw):
 #: Line breaks other than LF and CR are plain text to ``csv.reader``.
 _PLAIN_LABELS = st.sampled_from(["a", "z", " padded ", "b c", "\u00e9", "x\u2028y", "\x0c"])
 
-#: One optional fault per file: a cell no dataset accepts, an empty label, a
-#: short or long row, or an empty line.
-_FAULTS = st.sampled_from(["none", "cell", "label", "short", "long", "blank"])
-
 
 @st.composite
 def quote_free_datasets(draw):
-    """``(raw bytes, label position or None, fault)`` for a small quote-free CSV.
+    """``(raw bytes, label position or None, faults)`` for a small quote-free CSV.
 
     Line endings are LF, CRLF or lone CR, with or without a final one; files
     may be header-only, lack the label column or have a single column.
@@ -205,24 +230,12 @@ def quote_free_datasets(draw):
         rows[0].insert(at, "label")
         for row in rows[1:]:
             row.insert(at, draw(_PLAIN_LABELS))
-    fault = draw(_FAULTS) if len(rows) > 1 else "none"
-    r = draw(st.integers(1, len(rows) - 1)) if fault != "none" else 0
-    c = draw(st.integers(0, len(rows[0]) - 1))
-    if fault == "cell" and c != at:
-        rows[r][c] = draw(st.sampled_from(["", "nan", "-inf", "x", "1.5.0"]))
-    elif fault == "label" and at is not None:
-        rows[r][at] = ""
-    elif fault == "short":
-        del rows[r][c]
-    elif fault == "long":
-        rows[r].insert(c, draw(_CELLS))
-    elif fault == "blank":
-        rows.insert(r, [])
+    faults = add_faults(draw, rows, at)
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(",".join(row) for row in rows)
     if draw(st.booleans()):
         text += newline
-    return text.encode("utf-8"), at, fault
+    return text.encode("utf-8"), at, faults
 
 
 def load_outcome(path):
@@ -234,9 +247,37 @@ def load_outcome(path):
 
 
 def reference_parse(raw, at):
-    """Features, labels and LF-normalized fingerprint, parsed cell by cell."""
+    """Features, labels and LF-normalized fingerprint, parsed cell by cell.
+
+    The whole text goes through one ``csv.reader``, then the header and
+    every cell are checked in order. For a faulty file the result is the
+    diagnostic ``load_dataset`` gives, less its leading file name.
+    """
     lf = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    header, *body = csv.reader(io.StringIO(lf.decode("utf-8")))
+    reader = csv.reader(io.StringIO(lf.decode("utf-8")))
+    try:
+        header, *body = list(reader) or [[]]
+    except csv.Error as exc:
+        return f"line {reader.line_num}: {exc}"
+    if not any(header):
+        return "missing header row"
+    duplicates = sorted(name for name, count in Counter(header).items() if count > 1)
+    if duplicates:
+        return f"duplicate column name {duplicates[0]!r}"
+    for r, row in enumerate(body, start=1):
+        if len(row) != len(header):
+            return f"row {r} has {len(row)} fields, expected {len(header)}"
+        for i, cell in enumerate(row):
+            if i == at:
+                if not cell:
+                    return f"row {r} column {header[i]!r}: missing label"
+                continue
+            try:
+                finite = math.isfinite(float(cell))
+            except ValueError:
+                finite = False
+            if not finite:
+                return f"row {r} column {header[i]!r}: expected a finite number, got {cell!r}"
     names = tuple(name for i, name in enumerate(header) if i != at)
     features = np.array(
         [[float(cell) for i, cell in enumerate(row) if i != at] for row in body], dtype=float
@@ -245,59 +286,63 @@ def reference_parse(raw, at):
     return names, features, labels, hashlib.sha256(lf).hexdigest()
 
 
+def assert_matches_reference(path, outcome, raw, at):
+    """``outcome`` of loading ``path`` is what :func:`reference_parse` gives for ``raw``."""
+    expected = reference_parse(raw, at)
+    if isinstance(expected, str):
+        assert outcome == f"{path}: {expected}"
+        return
+    names, features, labels, digest = expected
+    assert isinstance(outcome, Dataset), outcome
+    assert outcome.feature_names == names
+    assert outcome.features.shape == features.shape
+    assert outcome.features.tobytes() == features.tobytes()
+    assert row_labels(outcome) == labels
+    assert outcome.fingerprint["value"] == digest
+    if labels is None:
+        assert outcome.classes is None and outcome.label_indices is None
+    else:
+        assert outcome.classes == tuple(sorted(set(labels)))
+        assert [outcome.classes[i] for i in outcome.label_indices] == list(labels)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=csv_datasets())
 def matches_cell_by_cell_parse(case):
-    """A valid file, quoted or not, parses to the bits of a cell-by-cell parse."""
+    """A file, quoted or not, gives the dataset or the diagnostic of a cell-by-cell parse."""
     raw, at = case
-    names, features, labels, digest = reference_parse(raw, at)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.csv"
         path.write_bytes(raw)
-        ds = load_dataset(path)
-    assert ds.feature_names == names
-    assert ds.features.shape == features.shape
-    assert ds.features.tobytes() == features.tobytes()
-    assert row_labels(ds) == labels
-    assert ds.fingerprint["value"] == digest
-    if labels is None:
-        assert ds.classes is None and ds.label_indices is None
-    else:
-        assert ds.classes == tuple(sorted(set(labels)))
-        assert [ds.classes[i] for i in ds.label_indices] == list(labels)
+        assert_matches_reference(path, load_outcome(path), raw, at)
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=quote_free_datasets())
 def quote_free_files_match_the_csv_reader_route(case):
-    """A quote-free file gives the dataset or the message of the ``csv.reader`` route."""
-    raw, at, fault = case
+    """A quote-free file gives the outcome of the ``csv.reader`` route and of the reference."""
+    raw, at, faults = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.csv"
         path.write_bytes(raw)
         outcome = load_outcome(path)
-        csv_route = functools.partial(dataio._split_csv, path)
-        with mock.patch.object(dataio, "_split_quote_free", csv_route):
+        with mock.patch.object(dataio, "_split_quote_free", dataio._split_csv):
             reference = load_outcome(path)
+        assert_matches_reference(path, outcome, raw, at)
+        assert_matches_reference(path, reference, raw, at)
     text = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode("utf-8")
-    blocks = list(dataio._split_quote_free(text))
-    assert None not in blocks or fault != "none"
-    if None not in blocks:
-        header, *body = csv.reader(io.StringIO(text))
+    header, *blocks = dataio._split_quote_free(path, text)
+    split = all(rows is None for _, rows in blocks)
+    assert split or faults
+    if split:
+        csv_header, *body = csv.reader(io.StringIO(text))
         assert all(len(row) == len(header) for row in body)
-        assert blocks[0] == header
-        assert sum(blocks[1:], []) == [cell for row in body for cell in row]
-    if isinstance(reference, str):
-        assert outcome == reference
-        return
-    assert isinstance(outcome, Dataset)
-    names, features, labels, digest = reference_parse(raw, at)
-    for ds in (outcome, reference):
-        assert ds.feature_names == names
-        assert ds.features.shape == features.shape
-        assert ds.features.tobytes() == features.tobytes()
-        assert row_labels(ds) == labels
-        assert ds.fingerprint["value"] == digest
+        assert header == csv_header
+        assert sum((cells for cells, _ in blocks), []) == [cell for row in body for cell in row]
+
+
+#: Valid rows enough to fill more than one block of the default size.
+_PADDING = "1.0,a\n" * 50_000
 
 
 class TestLoadDatasetEquivalence:
@@ -319,15 +364,35 @@ class TestLoadDatasetEquivalence:
         assert row_labels(a) == row_labels(b) == ("a", "b c")
         assert a.feature_names == b.feature_names
 
-    @pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
-    def test_field_over_the_size_limit_is_a_format_error(self, tmp_path, quote):
+    @pytest.mark.parametrize(
+        "head, quote",
+        [
+            pytest.param("f0,label\n1.0,a\n", "", id="unquoted"),
+            pytest.param("f0,label\n1.0,a\n", '"', id="quoted"),
+            pytest.param("f0,label\nx,a\n" + _PADDING, "", id="after-a-bad-cell-unquoted"),
+            pytest.param("f0,label\nx,a\n" + _PADDING, '"', id="after-a-bad-cell-quoted"),
+            pytest.param("f0,f0\n" + _PADDING, "", id="after-a-duplicate-header-unquoted"),
+            pytest.param("f0,f0\n" + _PADDING, '"', id="after-a-duplicate-header-quoted"),
+        ],
+    )
+    def test_field_over_the_size_limit_is_a_format_error(self, tmp_path, head, quote):
+        """A malformed line is named even after a fault the cell checks name, blocks before it."""
         path = tmp_path / "big.csv"
-        path.write_text(f"f0,label\n1.0,a\n{quote}{'1' * 140_001}{quote},b\n")
+        path.write_text(f"{head}{quote}{'1' * 140_001}{quote},b\n")
         with pytest.raises(DatasetFormatError) as info:
             load_dataset(path)
+        line = head.count("\n") + 1
         assert str(info.value) == (
-            f"{path}: line 3: field larger than field limit ({csv.field_size_limit()})"
+            f"{path}: line {line}: field larger than field limit ({csv.field_size_limit()})"
         )
+
+    def test_header_far_wider_than_later_rows(self, tmp_path):
+        """Short rows after a valid first block do not size a matrix the text cannot fill."""
+        width = 20_000
+        lines = [",".join(f"c{i}" for i in range(width)), *[",".join("1" * width)] * 4]
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(lines + ["1"] * 1_000_000) + "\n")
+        assert load_outcome(path) == f"{path}: row 5 has 1 fields, expected {width}"
 
     def test_first_bad_cell_in_row_major_order_is_named(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -452,13 +517,33 @@ class TestLoadDatasetBlocks:
         message = f"row {r} column 'f1': expected a finite number, got 'nan'"
         assert str(info.value) == f"{path}: {message}"
 
-    def test_peak_memory_stays_under_four_times_the_file(self, tmp_path):
+    def test_lines_over_the_field_limit_with_short_fields(self, tmp_path, block_chars):
+        """A quote-free line past ``csv.field_size_limit()`` is valid if its fields are not."""
+        rng = np.random.default_rng(51)
+        features = rng.normal(size=(3, 20_000)).round(4)
+        columns = [f"x{i:05}" for i in range(20_000)]
+        path = write_dataset_csv(tmp_path / "wide.csv", features, ["b", "a", "b"], columns)
+        raw = Path(path).read_bytes()
+        assert min(map(len, raw.splitlines())) > csv.field_size_limit()
+        assert_matches_reference(path, load_outcome(path), raw, 20_000)
+
+    @pytest.mark.parametrize("bad_last_cell", [False, True], ids=["valid", "bad-last-cell"])
+    def test_peak_memory_stays_under_four_times_the_file(self, tmp_path, bad_last_cell):
+        """Loading, or refusing a file at its last cell, holds no copy of its rows."""
         rng = np.random.default_rng(50)
         features = rng.normal(size=(50_000, 4))
         names = np.array(["neg", "pos"])[rng.integers(0, 2, 50_000)]
         path = write_dataset_csv(tmp_path / "big.csv", features, names)
+        if bad_last_cell:
+            *head, last = Path(path).read_text().splitlines()
+            cells = last.split(",")
+            cells[1] = "x"
+            Path(path).write_text("\n".join([*head, ",".join(cells)]) + "\n")
         size = Path(path).stat().st_size
-        assert peak_allocation(load_dataset, path) < 4 * size
+        assert peak_allocation(load_outcome, path) < 4 * size
+        if bad_last_cell:
+            message = "row 50000 column 'f1': expected a finite number, got 'x'"
+            assert load_outcome(path) == f"{path}: {message}"
 
 
 class TestFingerprint:
@@ -643,6 +728,35 @@ class TestModelFile:
         write_json(out, obj)
         with pytest.raises(SchemaMismatch, match="malformed"):
             load_model(out)
+
+    @pytest.mark.parametrize(
+        "engine, key, value",
+        [
+            pytest.param("gram", "copies", 2.5, id="fractional-copies"),
+            pytest.param("gram", "copies", True, id="boolean-copies"),
+            pytest.param("gram", "copies", "2", id="string-copies"),
+            pytest.param("dense", "copies", 2.0, id="float-copies"),
+            pytest.param("dense", "dim", 4.0, id="float-dim"),
+            pytest.param("dense", "dim", "4", id="string-dim"),
+            pytest.param("gram", "classes", "ab", id="string-classes"),
+            pytest.param("gram", "classes", ["a", "a"], id="repeated-class"),
+            pytest.param("gram", "classes", [1, 2], id="integer-classes"),
+            pytest.param("gram", "feature_columns", ["a", "b", "a"], id="repeated-column"),
+            pytest.param("gram", "feature_columns", ["a", "b", None], id="null-column"),
+            pytest.param("gram", "feature_columns", {"a": 0, "b": 1, "c": 2}, id="object-columns"),
+        ],
+    )
+    def test_field_no_fit_writes_is_rejected(self, tmp_path, engine, key, value):
+        _, _, model = self.fit(2, engine)
+        out = tmp_path / "model.json"
+        save_model(out, model, classes=("a", "b"), feature_columns=("a", "b", "c"))
+        obj = json.loads(out.read_text())
+        (obj["payload"] if key == "dim" else obj)[key] = value
+        write_json(out, obj)
+        with pytest.raises(SchemaMismatch) as info:
+            load_model(out)
+        assert str(info.value).startswith(f"{out}: ")
+        assert f"{key} must be" in str(info.value)
 
     def test_class_count_mismatch_rejected(self, tmp_path):
         _, _, model = self.fit(1)
