@@ -1,19 +1,19 @@
 """Command-line interface: splits, gridsearch, train, predict, evaluate, compare.
 
 Exit codes: 0 on success, 1 for usage or configuration errors, 2 for data
-or consistency errors (malformed files, fingerprint mismatches, schema
-violations, infeasible requests). An option value that click's ranges or
-the configuration types refuse (``--k`` below 2, a NaN alpha) exits 1
-before any input is read. ``auto`` fits dense while (d+1)^copies <= 4096,
-gram past it. Randomness needs an explicit --seed, so identical inputs give
-byte-identical outputs on one machine at one BLAS thread count, and
-grid-search reports at any PGM_WORKERS (default: one per usable core);
-README.md ("Command-line interface") has the details.
+or consistency errors (malformed or unreadable files, unwritable outputs,
+fingerprint mismatches, schema violations, infeasible requests). An option
+value that click's ranges or the configuration types refuse (``--k`` below
+2, a NaN alpha) exits 1 before any input is read. ``auto`` fits dense
+while (d+1)^copies <= 4096, gram past it. Randomness needs an explicit
+--seed, so identical inputs give byte-identical outputs on one machine at
+one BLAS thread count, and grid-search reports at any PGM_WORKERS
+(default: one per usable core); README.md ("Command-line interface") has
+the details.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import os
@@ -24,7 +24,6 @@ import click
 import numpy as np
 
 from .dataio import (
-    REPORT_FORMAT,
     Dataset,
     check_splits,
     evaluation_csv_rows,
@@ -34,7 +33,7 @@ from .dataio import (
     load_model,
     protocol_csv_rows,
     protocol_report_dict,
-    read_json,
+    read_evaluation,
     read_splits,
     save_model,
     write_json,
@@ -380,20 +379,13 @@ def evaluate(model_file, dataset, label_column, positive_class, out, out_csv):
     report = report_from_predictions(
         true, predicted, scores, len(loaded.classes), positive
     )
-    model_echo = {
-        "engine": loaded.model.engine,
-        "encoding": loaded.model.encoding.encoding,
-        "alpha": loaded.model.encoding.alpha,
-        "normalizer": loaded.model.encoding.normalizer,
-        "copies": loaded.model.copies,
-    }
     write_json(
         out,
         evaluation_report_dict(
             report,
             loaded.classes,
             dataset_fingerprint=data.fingerprint,
-            model_echo=model_echo,
+            model=loaded.model,
             positive_name=positive_class,
         ),
     )
@@ -407,25 +399,6 @@ def evaluate(model_file, dataset, label_column, positive_class, out, out_csv):
     click.echo(f"wrote report to {out}")
 
 
-def _load_evaluation(path):
-    """``(auc_by_class, flat)`` of an evaluation report, each value null or a number in [0, 1]."""
-    obj = read_json(path, REPORT_FORMAT)
-    if obj.get("kind") != "evaluate":
-        raise SchemaMismatch(f"{path}: expected an evaluation report, got {obj.get('kind')!r}")
-    try:
-        aucs = {cls: entry["auc"] for cls, entry in obj["metrics"]["per_class"].items()}
-        flat = obj["flat"]
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise SchemaMismatch(f"{path}: malformed evaluation report ({exc!r})") from None
-    for name, table in (("per-class AUCs", aucs), ("flat metrics", flat)):
-        if not isinstance(table, dict) or not all(
-            value is None or (type(value) in (int, float) and 0.0 <= value <= 1.0)
-            for value in table.values()
-        ):
-            raise SchemaMismatch(f"{path}: {name} must be null or numbers in [0, 1]")
-    return aucs, flat
-
-
 @main.command()
 @click.argument("report_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("report_b", type=click.Path(exists=True, dir_okay=False))
@@ -433,27 +406,25 @@ def _load_evaluation(path):
 @_data_errors
 def compare(report_a, report_b, out):
     """Emit the win-loss matrix and metric differences of two evaluations."""
-    auc_a, flat_a = _load_evaluation(report_a)
-    auc_b, flat_b = _load_evaluation(report_b)
+    auc_a, flat_a = read_evaluation(report_a)
+    auc_b, flat_b = read_evaluation(report_b)
     name_a = Path(report_a).stem
     name_b = Path(report_b).stem
     if name_a == name_b:
         name_a, name_b = f"{name_a}_a", f"{name_b}_b"
     wl = win_loss({name_a: auc_a, name_b: auc_b})
     diff = metric_difference(flat_a, flat_b)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["table", "row", "column", "value"])
-        for a in range(len(wl.names)):
-            for b in range(len(wl.names)):
-                if a != b:
-                    writer.writerow(
-                        ["win_loss", wl.names[a], wl.names[b], repr(float(wl.matrix[a, b]))]
-                    )
-        for metric, value in diff.items():
-            writer.writerow(
-                ["difference", metric, "", "" if value is None else repr(float(value))]
-            )
+    rows = [
+        ("win_loss", wl.names[a], wl.names[b], float(wl.matrix[a, b]))
+        for a in range(len(wl.names))
+        for b in range(len(wl.names))
+        if a != b
+    ]
+    rows += [
+        ("difference", metric, "", None if value is None else float(value))
+        for metric, value in diff.items()
+    ]
+    write_long_csv(out, rows, header=("table", "row", "column", "value"))
     win_ab = wl.matrix[0, 1]
     win_ba = wl.matrix[1, 0]
     click.echo(f"{name_a} beats {name_b} on {win_ab:.0%} of classes; reverse {win_ba:.0%}")

@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,20 @@ FINGERPRINT_ALGORITHM = "sha256/lf-newlines"
 SPLITS_FORMAT = "pgm-splits/1"
 MODEL_FORMAT = "pgm-model/1"
 REPORT_FORMAT = "pgm-report/1"
+
+
+@contextmanager
+def _opened(path, mode: str, **kwargs):
+    """``open(...)``, turning an ``OSError`` into a :class:`PgmError` naming ``path``.
+
+    Every file a command reads or writes is opened here, in place: a device
+    such as ``/dev/stdout`` works, and a failed write can leave a partial file.
+    """
+    try:
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise PgmError(f"{path}: {exc.strerror or exc}") from None
 
 
 def canonical_bytes(raw: bytes) -> bytes:
@@ -177,7 +192,7 @@ def _read_text(path):
     A leading byte order mark is stripped from the text, so it does not
     become part of the first column name; the fingerprint covers it.
     """
-    with open(path, "rb") as fh:
+    with _opened(path, "rb") as fh:
         canonical = canonical_bytes(fh.read())
     try:
         return canonical.decode("utf-8").removeprefix("\ufeff"), fingerprint_bytes(canonical)
@@ -364,13 +379,13 @@ def features_for_model(dataset: Dataset, feature_columns) -> np.ndarray:
 
 def write_json(path, obj) -> None:
     """Serialize to pretty-printed JSON with a trailing newline."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _opened(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
 def read_json(path, expected_format: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _opened(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
@@ -684,9 +699,11 @@ def evaluation_report_dict(
     classes,
     *,
     dataset_fingerprint: dict,
-    model_echo: dict,
+    model,
     positive_name: str | None,
 ) -> dict:
+    """Nested JSON form of one evaluation, echoing ``model``'s configuration."""
+    model_echo = {"engine": model.engine, **_encoding_dict(model.encoding), "copies": model.copies}
     return {
         "format": REPORT_FORMAT,
         "kind": "evaluate",
@@ -697,6 +714,25 @@ def evaluation_report_dict(
         "metrics": report_dict(report, classes, positive_name),
         "flat": flat_with_names(report.flat(), classes),
     }
+
+
+def read_evaluation(path):
+    """``(auc_by_class, flat)`` of an evaluation report, each value null or a number in [0, 1]."""
+    obj = read_json(path, REPORT_FORMAT)
+    if obj.get("kind") != "evaluate":
+        raise SchemaMismatch(f"{path}: expected an evaluation report, got {obj.get('kind')!r}")
+    try:
+        aucs = {cls: entry["auc"] for cls, entry in obj["metrics"]["per_class"].items()}
+        flat = obj["flat"]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise SchemaMismatch(f"{path}: malformed evaluation report ({exc!r})") from None
+    for name, table in (("per-class AUCs", aucs), ("flat metrics", flat)):
+        if not isinstance(table, dict) or not all(
+            value is None or (type(value) in (int, float) and 0.0 <= value <= 1.0)
+            for value in table.values()
+        ):
+            raise SchemaMismatch(f"{path}: {name} must be null or numbers in [0, 1]")
+    return aucs, flat
 
 
 def protocol_report_dict(
@@ -769,13 +805,13 @@ def _csv_value(value) -> str:
     return str(value)
 
 
-def write_long_csv(path, rows) -> None:
-    """Write (split, metric, class, value) rows with a fixed header."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def write_long_csv(path, rows, header=("split", "metric", "class", "value")) -> None:
+    """Write four-field rows under ``header``; the last field is a number or None (empty)."""
+    with _opened(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["split", "metric", "class", "value"])
-        for split, metric, cls, value in rows:
-            writer.writerow([split, metric, cls, _csv_value(value)])
+        writer.writerow(header)
+        for *keys, value in rows:
+            writer.writerow([*keys, _csv_value(value)])
 
 
 def evaluation_csv_rows(report: MetricReport, classes):
@@ -829,7 +865,7 @@ def write_predictions_csv(path, predicted_names, scores, classes) -> None:
             f"{len(predicted_names)} predicted names for {scores.shape[0]} score rows"
         )
     fields = {name: _csv_field(name) for name in dict.fromkeys(predicted_names)}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _opened(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["row", "predicted"] + [f"score_{name}" for name in classes])
         for start in range(0, scores.shape[0], SCORE_BLOCK):

@@ -9,7 +9,9 @@ stay distinct after projection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -97,39 +99,28 @@ def check_features(x, params: NormalizerParams) -> np.ndarray:
     return x
 
 
-def apply_normalizer(x, params: NormalizerParams) -> np.ndarray:
-    """Apply fitted per-column normalization to a feature matrix."""
-    return (check_features(x, params) - params.location) / params.scale
+def _apply_normalizer(x: np.ndarray, params: NormalizerParams) -> np.ndarray:
+    return (x - params.location) / params.scale
 
 
-def rescale(x, alpha: float) -> np.ndarray:
-    """Multiply every feature vector by the positive factor ``alpha``."""
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        raise InvalidAlpha(f"rescaling factor must be finite and positive, got {alpha!r}")
-    return _as_matrix(x) * alpha
-
-
-def encode_amplitude(x) -> np.ndarray:
+def _encode_amplitude(x: np.ndarray) -> np.ndarray:
     """Normalized-append encoding ``(x, 1) / ||(x, 1)||``, row-wise.
 
     Appending the constant coordinate before normalizing makes the map
     injective and keeps the zero vector encodable.
     """
-    x = _as_matrix(x)
     ext = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
     return ext / np.linalg.norm(ext, axis=1, keepdims=True)
 
 
-def encode_stereographic(x) -> np.ndarray:
+def _encode_stereographic(x: np.ndarray) -> np.ndarray:
     """Inverse stereographic projection ``(2x, ||x||^2 - 1) / (||x||^2 + 1)``, row-wise."""
-    x = _as_matrix(x)
     sq = np.sum(x * x, axis=1, keepdims=True)
     ext = np.concatenate([2.0 * x, sq - 1.0], axis=1)
     return ext / (sq + 1.0)
 
 
-_ENCODERS = {"amplitude": encode_amplitude, "stereographic": encode_stereographic}
+_ENCODERS = {"amplitude": _encode_amplitude, "stereographic": _encode_stereographic}
 
 
 def check_unit_rows(states, error, row_name: str, first_row: int = 0) -> None:
@@ -164,9 +155,10 @@ class EncodingConfig:
             raise InvalidFeature(
                 f"unknown normalizer {self.normalizer!r}, expected one of {NORMALIZERS}"
             )
-        if not np.isfinite(self.alpha) or self.alpha <= 0.0:
+        alpha = self.alpha
+        if isinstance(alpha, bool) or not isinstance(alpha, Real) or not 0.0 < alpha < math.inf:
             raise InvalidAlpha(
-                f"rescaling factor must be finite and positive, got {self.alpha!r}"
+                f"rescaling factor must be finite and positive, got {alpha!r}"
             )
 
 
@@ -175,14 +167,16 @@ def encode(
 ) -> np.ndarray:
     """Run the full pipeline: normalize, rescale by alpha, encode to states.
 
-    Returns a matrix of shape ``(m, d + 1)`` whose rows are unit vectors; a
-    row whose scaled values overflow the encoding (from about 1e154 on)
-    raises :class:`InvalidFeature` instead, without a numpy warning. The
-    diagnostic numbers rows from ``first_row``, so a caller encoding a
-    block of a larger input names the row's index in that input.
+    ``x`` is checked on the way in and the states on the way out; the stages
+    between check nothing. Returns unit rows of width ``d + 1``. A row whose
+    normalized or scaled values overflow (from about 1e154 on) raises
+    :class:`InvalidFeature`, without a numpy warning, naming its index
+    counted from ``first_row``: a caller encoding a block of a larger input
+    names the row's index in that input.
     """
+    x = check_features(x, params)
     with np.errstate(over="ignore", invalid="ignore"):
-        states = _ENCODERS[config.encoding](rescale(apply_normalizer(x, params), config.alpha))
+        states = _ENCODERS[config.encoding](_apply_normalizer(x, params) * float(config.alpha))
     check_unit_rows(
         states, InvalidFeature, f"{config.encoding} encoding overflows: row index", first_row
     )

@@ -31,14 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .encoding import (
-    EncodingConfig,
-    NormalizerParams,
-    check_features,
-    check_unit_rows,
-    encode,
-    fit_encode,
-)
+from .encoding import EncodingConfig, NormalizerParams, check_unit_rows, encode, fit_encode
 from .errors import (
     DimMismatch,
     EmptyClass,
@@ -460,14 +453,14 @@ def predict_batch(model, x_batch):
 
     A model with a feature pipeline takes raw features and encodes them a
     block at a time inside the scoring loop, so memory grows with the
-    number of rows only by the score and label arrays.
+    number of rows only by the score and label arrays; :func:`encode`
+    checks each block's values.
     """
     x_batch = np.asarray(x_batch, dtype=float)
     if x_batch.ndim != 2:
         raise DimMismatch(f"expected a 2-d feature array, got shape {x_batch.shape}")
     encoded = model.encoding is not None
     if encoded:
-        check_features(x_batch, model.normalizer)
         _check_state_dim(model, x_batch.shape[1] + 1)
     else:
         _check_states(model, x_batch)
@@ -492,7 +485,7 @@ class PgmConfig:
             raise InvalidOperator(
                 f"unknown prior mode {self.prior_mode!r}, expected uniform or empirical"
             )
-        if not isinstance(self.copies, int) or not 1 <= self.copies <= MAX_COPIES:
+        if type(self.copies) is not int or not 1 <= self.copies <= MAX_COPIES:
             raise ValueError(
                 f"copy count must be an integer in [1, {MAX_COPIES}], got {self.copies!r}"
             )

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .metrics import MetricReport, auc_ovr, report_from_predictions
 from .pgm import (
+    SCORE_DECIMALS,
     PgmConfig,
     build_pgm,
     encode_training_set,
@@ -469,8 +470,9 @@ def _pool_outcomes(workers, start_method, tasks, **pool_options):
             raise
 
 
-def _round12(x: float) -> float:
-    return float(round(x, 12))
+def _round_tie(x: float) -> float:
+    # Python's round: np.round can differ from it in the last place.
+    return float(round(x, SCORE_DECIMALS))
 
 
 def _evaluate_group(task):
@@ -575,7 +577,7 @@ def _rank_grid(plan: _GridPlan, outcomes):
 
     ranked_indices = [gi for gi in range(len(grid)) if gi not in errors]
     means = {gi: float(values[gi].mean(axis=1).mean()) for gi in ranked_indices}
-    ranked_indices.sort(key=lambda gi: (-_round12(means[gi]), gi))
+    ranked_indices.sort(key=lambda gi: (-_round_tie(means[gi]), gi))
     results = [
         GridResult(
             point=grid[gi],
@@ -681,7 +683,7 @@ def select_robust_config(winner_indices, test_aucs, grid) -> SelectionReport:
     top = max(frequency.values())
     stage1 = tuple(sorted(gi for gi, f in frequency.items() if f == top))
     scored = {
-        gi: _round12(mean_test_auc[gi]) if mean_test_auc[gi] is not None else -np.inf
+        gi: _round_tie(mean_test_auc[gi]) if mean_test_auc[gi] is not None else -np.inf
         for gi in stage1
     }
     best = max(scored.values())

@@ -9,6 +9,11 @@ import uuid
 import warnings
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -817,12 +822,15 @@ class TestCorruptedModel:
 class TestOverflowingFeatures:
     """A row whose scaled features overflow its encoding is refused, never scored."""
 
-    @pytest.mark.parametrize("edit", ["feature-1e200", "alpha-1e300"])
+    @pytest.mark.parametrize("edit", ["feature-1e200", "alpha-1e300", "alpha-16-feature-1e308"])
     @pytest.mark.parametrize("encoding", ["amplitude", "stereographic"])
     @pytest.mark.parametrize("engine", ["gram", "dense"])
     def test_predict_exits_2(self, runner, tmp_path, binary_csv, engine, encoding, edit):
+        # At alpha 16 a finite 1e308 overflows in the scaling, before the encoder.
+        alpha = "16" if edit == "alpha-16-feature-1e308" else "1"
         model_path, _ = train_model(
-            runner, tmp_path, binary_csv, "--encoding", encoding, "--engine", engine
+            runner, tmp_path, binary_csv, "--encoding", encoding, "--engine", engine,
+            "--alpha", alpha,
         )
         data, bad_row = binary_csv, 0
         if edit == "alpha-1e300":
@@ -830,7 +838,8 @@ class TestOverflowingFeatures:
             obj["encoding"]["alpha"] = 1e300
             model_path.write_text(json.dumps(obj))
         else:
-            features = np.array([[0.5, 1.0], [1e200, 1.0], [2.0, 3.0]])
+            huge = 1e308 if alpha == "16" else 1e200
+            features = np.array([[0.5, 1.0], [huge, 1.0], [2.0, 3.0]])
             data = write_dataset_csv(tmp_path / "huge.csv", features, ["lo", "hi", "lo"])
             bad_row = 1
         out = tmp_path / "preds.csv"
@@ -1468,6 +1477,105 @@ class TestMissingOutputDirectory:
         assert result.stderr.splitlines() == [f"error: {missing}: output directory does not exist"]
         assert not ok.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.csv"]
+
+
+@pytest.fixture(scope="module")
+def command_inputs(evaluation_reports):
+    """Paths of a dataset, its split file, a model and two evaluation reports."""
+    root, _ = evaluation_reports
+    data = root / "data.csv"
+    return {
+        "D": data,
+        "S": make_splits(CliRunner(), root, data),
+        "M": root / "a" / "model.json",
+        "E": root / "a.json",
+        "F": root / "b.json",
+    }
+
+
+def run_pgm(args, cwd, preexec_fn=None):
+    """``pgm *args`` in a fresh interpreter with one grid worker."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(pgmclassifier.__file__).parents[1]),
+        PYTHONDONTWRITEBYTECODE="1",
+        PGM_WORKERS="1",
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "pgmclassifier.cli", *map(str, args)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn,
+    )
+
+
+def _limit_file_size():
+    resource.setrlimit(resource.RLIMIT_FSIZE, (64, 64))
+
+
+class TestFileErrors:
+    """A file that cannot be read or written ends in exit 2 with one error
+    line naming it, never in a traceback; outputs are written in place."""
+
+    GRID = ["--grid", "encodings=amplitude;alphas=1;copies=1", "--k", "2", "--cv-reps", "1"]
+
+    @pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["splits", "D", "--seed", "1", "--out", "OUT"],
+            ["gridsearch", "D", "S", *GRID, "--seed", "1", "--out", "OUT"],
+            ["gridsearch", "D", "S", *GRID, "--seed", "1", "--out", os.devnull, "--out-csv", "OUT"],
+            ["train", "D", "--out-model", "OUT"],
+            ["predict", "M", "D", "--out", "OUT"],
+            ["evaluate", "M", "D", "--out", "OUT"],
+            ["evaluate", "M", "D", "--out", os.devnull, "--out-csv", "OUT"],
+            ["compare", "E", "F", "--out", "OUT"],
+        ],
+        ids=[
+            "splits", "gridsearch", "gridsearch-csv", "train", "predict", "evaluate",
+            "evaluate-csv", "compare",
+        ],
+    )
+    def test_write_past_the_file_size_limit(self, command_inputs, tmp_path, args):
+        # A file-size limit fails the write wherever the output goes, a
+        # temporary file included, and cannot replace a device node.
+        out = tmp_path / "out.file"
+        args = [command_inputs.get(a, out if a == "OUT" else a) for a in args]
+        run = run_pgm(args, tmp_path, preexec_fn=_limit_file_size)
+        assert run.returncode == 2, run.stderr
+        (line,) = run.stderr.splitlines()
+        assert line.startswith(f"error: {out}: "), line
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc/self/mem")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["train", "MEM", "--out-model", "OUT"],
+            ["predict", "MEM", "D", "--out", "OUT"],
+            ["gridsearch", "D", "MEM", "--seed", "1", "--out", "OUT"],
+            ["compare", "E", "MEM", "--out", "OUT"],
+        ],
+        ids=["dataset", "model", "splits", "report"],
+    )
+    def test_unreadable_input(self, runner, command_inputs, tmp_path, args):
+        # Reading /proc/self/mem from offset 0 fails with EIO.
+        out = tmp_path / "out.file"
+        inputs = {**command_inputs, "MEM": "/proc/self/mem", "OUT": out}
+        result = runner.invoke(main, [str(inputs.get(a, a)) for a in args])
+        assert result.exit_code == 2, (result.output, result.exception)
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("error: /proc/self/mem: "), line
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_predict_to_stdout(self, runner, command_inputs, tmp_path):
+        model, data = command_inputs["M"], command_inputs["D"]
+        out = tmp_path / "preds.csv"
+        result = runner.invoke(main, ["predict", str(model), str(data), "--out", str(out)])
+        assert result.exit_code == 0
+        run = run_pgm(["predict", model, data, "--out", "/dev/stdout"], tmp_path)
+        assert run.returncode == 0, run.stderr
+        rows = len(out.read_text().splitlines()) - 1
+        assert run.stdout == out.read_text() + f"wrote {rows} predictions to /dev/stdout\n"
 
 
 class TestHelp:

@@ -836,11 +836,13 @@ class TestReportSerialization:
         assert flat["accuracy"] == 0.75
 
     def test_evaluation_report_is_json_ready(self, tmp_path):
+        features, labels = blob_features(4.0, 4, d=2, seed=1)
+        config = PgmConfig(encoding=EncodingConfig(alpha=2), copies=3, engine="gram")
         obj = evaluation_report_dict(
             toy_report(1),
             ("neg", "pos"),
             dataset_fingerprint=fingerprint_bytes(b"x"),
-            model_echo={"engine": "dense"},
+            model=fit_pgm(features, labels % 2, 2, config),
             positive_name="pos",
         )
         out = tmp_path / "report.json"
@@ -848,6 +850,10 @@ class TestReportSerialization:
         loaded = read_json(out, "pgm-report/1")
         assert loaded["kind"] == "evaluate"
         assert loaded == json.loads(json.dumps(obj))
+        assert json.dumps(loaded["model"]) == (
+            '{"engine": "gram", "encoding": "stereographic", "alpha": 2.0, '
+            '"normalizer": "zscore", "copies": 3}'
+        )
 
     def test_evaluation_csv_rows_cover_flat(self):
         rows = evaluation_csv_rows(toy_report(), ("neg", "pos"))

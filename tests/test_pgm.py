@@ -549,9 +549,9 @@ class TestFitPgm:
             encoding=EncodingConfig(encoding="amplitude", alpha=0.5), copies=2
         )
         model = fit_pgm(features, labels, 2, config)
-        from pgmclassifier.encoding import apply_normalizer, encode_amplitude, rescale
+        from pgmclassifier.encoding import _apply_normalizer, _encode_amplitude
 
-        states = encode_amplitude(rescale(apply_normalizer(features, model.normalizer), 0.5))
+        states = _encode_amplitude(_apply_normalizer(features, model.normalizer) * 0.5)
         np.testing.assert_allclose(
             predict_batch(model, features)[1], score_states(model, states), atol=1e-12
         )
@@ -567,8 +567,9 @@ class TestFitPgm:
             PgmConfig(engine="sparse")
         with pytest.raises(InvalidOperator):
             PgmConfig(prior_mode="explicit")
-        with pytest.raises(ValueError):
-            PgmConfig(copies=0)
+        for copies in (0, True, 2.0, "2"):
+            with pytest.raises(ValueError):
+                PgmConfig(copies=copies)
 
 
 class TestBuilderValidation:
