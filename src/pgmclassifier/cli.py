@@ -184,7 +184,7 @@ def _usage_errors(build, *args):
     """``build(*args)``, reporting a value that a configuration type refuses as a usage error."""
     try:
         return build(*args)
-    except (PgmError, ValueError) as exc:
+    except PgmError as exc:
         raise click.UsageError(str(exc)) from None
 
 

@@ -27,6 +27,7 @@ from .encoding import EncodingConfig, NormalizerParams
 from .errors import (
     DatasetFormatError,
     FingerprintMismatch,
+    InvalidArgument,
     PgmError,
     SchemaMismatch,
 )
@@ -861,7 +862,7 @@ def write_predictions_csv(path, predicted_names, scores, classes) -> None:
     """
     scores = np.asarray(scores, dtype=float)
     if len(predicted_names) != scores.shape[0]:
-        raise ValueError(
+        raise InvalidArgument(
             f"{len(predicted_names)} predicted names for {scores.shape[0]} score rows"
         )
     fields = {name: _csv_field(name) for name in dict.fromkeys(predicted_names)}

@@ -5,6 +5,10 @@ class PgmError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgument(PgmError, ValueError):
+    """An argument lies outside the values a function accepts."""
+
+
 class InvalidOperator(PgmError):
     """Matrix input is not a usable operator (non-square, non-finite, ...)."""
 

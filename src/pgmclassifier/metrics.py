@@ -171,6 +171,24 @@ def auc_ovr(scores, membership) -> float:
     return float(u / (n_pos * n_neg))
 
 
+def ovr_aucs(scores, true_labels, n_classes: int):
+    """Per-class one-vs-rest AUCs of the score columns, and their macro mean.
+
+    Returns ``(per_class, macro)``: ``per_class[i]`` is the :func:`auc_ovr`
+    of column i against membership in class i, or None where that class
+    has no positive or no negative sample; ``macro`` is the mean of the
+    defined entries, or None when there are none.
+    """
+    per_class = []
+    for i in range(n_classes):
+        try:
+            per_class.append(auc_ovr(scores[:, i], true_labels == i))
+        except UndefinedAuc:
+            per_class.append(None)
+    defined = [a for a in per_class if a is not None]
+    return tuple(per_class), float(np.mean(defined)) if defined else None
+
+
 @dataclass(frozen=True)
 class MetricReport:
     """Full evaluation suite for one model on one labeled sample set.
@@ -230,19 +248,9 @@ def report_from_predictions(
             f"expected scores of shape {(true_labels.size, n_classes)}, got {scores.shape}"
         )
     cm = confusion(true_labels, predicted_labels, n_classes)
-    flags: list = []
-    per_class_auc: list = []
-    for i in range(n_classes):
-        try:
-            per_class_auc.append(auc_ovr(scores[:, i], true_labels == i))
-        except UndefinedAuc:
-            per_class_auc.append(None)
-            flags.append(f"auc_class_{i}")
-    defined = [a for a in per_class_auc if a is not None]
-    if defined:
-        macro_auc = float(np.mean(defined))
-    else:
-        macro_auc = None
+    per_class_auc, macro_auc = ovr_aucs(scores, true_labels, n_classes)
+    flags = [f"auc_class_{i}" for i, auc in enumerate(per_class_auc) if auc is None]
+    if macro_auc is None:
         flags.append("macro_auc")
     per_class = []
     for i in range(n_classes):
@@ -264,7 +272,7 @@ def report_from_predictions(
         n_classes=n_classes,
         accuracy=accuracy(cm),
         macro_accuracy=macro_accuracy(cm),
-        per_class_auc=tuple(per_class_auc),
+        per_class_auc=per_class_auc,
         macro_auc=macro_auc,
         per_class=tuple(per_class),
         positive_class=positive_class,

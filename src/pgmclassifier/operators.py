@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenseBlowup, InvalidOperator, NotPositiveSemidefinite
+from .errors import DenseBlowup, InvalidArgument, InvalidOperator, NotPositiveSemidefinite
 
 #: Relative eigenvalue cutoff below which a pseudoinverse treats a direction
 #: as part of the kernel.
@@ -132,7 +132,7 @@ def tensor_power(v, n: int) -> np.ndarray:
     if v.ndim != 1:
         raise InvalidOperator(f"expected a vector, got shape {v.shape}")
     if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"copy count must be a positive integer, got {n!r}")
+        raise InvalidArgument(f"copy count must be a positive integer, got {n!r}")
     if lifted_dimension(v.size, n) is None:
         raise DenseBlowup(
             f"tensor power dimension {v.size}^{n} exceeds the dense limit "

@@ -35,6 +35,7 @@ from .encoding import EncodingConfig, NormalizerParams, check_unit_rows, encode,
 from .errors import (
     DimMismatch,
     EmptyClass,
+    InvalidArgument,
     InvalidFeature,
     InvalidOperator,
     LabelOutOfRange,
@@ -72,7 +73,7 @@ def stable_power(c, n: int) -> np.ndarray:
     Works in place on one fresh ``|c|`` buffer and never writes to ``c``.
     """
     if n < 1:
-        raise ValueError(f"exponent must be a positive integer, got {n!r}")
+        raise InvalidArgument(f"exponent must be a positive integer, got {n!r}")
     c = np.asarray(c, dtype=float)
     out = np.abs(c, out=np.empty_like(c))
     small = out < _POWER_FLUSH
@@ -191,15 +192,6 @@ def make_priors(mode: str, train: LabeledStateSet) -> Priors:
     raise InvalidOperator(f"unknown prior mode {mode!r}, expected one of {PRIOR_MODES}")
 
 
-@dataclass(frozen=True, eq=False)
-class ClassEnsemble:
-    """Per-class density operators with their priors and the copy count."""
-
-    reps: np.ndarray
-    priors: Priors
-    copies: int
-
-
 def quantum_centroid(states) -> np.ndarray:
     """Uniform mixture of pure states: ``(1/m) sum_j psi_j psi_j^T``.
 
@@ -227,36 +219,15 @@ def copies_centroid(states, n: int) -> np.ndarray:
     return quantum_centroid(lifted)
 
 
-def mixture(ensemble: ClassEnsemble) -> np.ndarray:
-    """Prior-weighted average state ``sigma = sum_i p_i rho_i``."""
-    reps = np.asarray(ensemble.reps, dtype=float)
-    p = ensemble.priors.values
-    if reps.ndim != 3 or reps.shape[0] != p.shape[0]:
-        raise DimMismatch(
-            f"{p.shape[0]} priors but representative array of shape {reps.shape}"
-        )
-    return symmetrize(np.einsum("i,iab->ab", p, reps))
-
-
-def build_ensemble(
-    train: LabeledStateSet,
-    priors: Priors | None = None,
-    copies: int = 1,
-) -> ClassEnsemble:
-    """Form the per-class (lifted) centroids and attach priors."""
+def _resolve_priors(train: LabeledStateSet, priors: Priors | None) -> Priors:
+    """``priors``, uniform when None, after checking it holds one value per class."""
     if priors is None:
-        priors = uniform_priors(train.n_classes)
+        return uniform_priors(train.n_classes)
     if priors.values.shape[0] != train.n_classes:
         raise DimMismatch(
             f"{priors.values.shape[0]} priors for {train.n_classes} classes"
         )
-    reps = np.stack(
-        [
-            copies_centroid(train.states[train.labels == i], copies)
-            for i in range(train.n_classes)
-        ]
-    )
-    return ClassEnsemble(reps=reps, priors=priors, copies=copies)
+    return priors
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,25 +298,23 @@ def build_dense_pgm(
 ) -> DensePgmModel:
     """Construct the POVM explicitly: ``F_i = S p_i rho_i S + P_ker / l``.
 
-    ``S`` is the Moore-Penrose inverse square root of the mixture. The
+    ``rho_i`` is the :func:`copies_centroid` of class i, and ``S`` the
+    Moore-Penrose inverse square root of the mixture
+    ``sigma = sum_i p_i rho_i``; priors default to uniform. The
     completeness defect ``sum_i F_i - I`` vanishes by construction because
     ``S sigma S`` is exactly the image projector.
     """
-    ensemble = build_ensemble(train, priors, copies)
-    sigma = mixture(ensemble)
-    dec = pinv_sqrt(sigma)
-    s = dec.inv_sqrt
+    priors = _resolve_priors(train, priors)
     l = train.n_classes
+    reps = np.stack(
+        [copies_centroid(train.states[train.labels == i], copies) for i in range(l)]
+    )
+    p = priors.values
+    dec = pinv_sqrt(symmetrize(np.einsum("i,iab->ab", p, reps)))
+    s = dec.inv_sqrt
     completion = dec.ker / l
-    povm = np.stack(
-        [
-            symmetrize(s @ (ensemble.priors.values[i] * ensemble.reps[i]) @ s) + completion
-            for i in range(l)
-        ]
-    )
-    return DensePgmModel(
-        povm=povm, priors=ensemble.priors, copies=copies, dim=train.dim
-    )
+    povm = np.stack([symmetrize(s @ (p[i] * reps[i]) @ s) + completion for i in range(l)])
+    return DensePgmModel(povm=povm, priors=priors, copies=copies, dim=train.dim)
 
 
 def build_gram_pgm(
@@ -358,12 +327,7 @@ def build_gram_pgm(
     Builds G_{jk} = sqrt(w_j w_k) (psi_j . psi_k)^n and its Moore-Penrose
     inverse square root ``M`` with the same rank cut as the dense engine.
     """
-    if priors is None:
-        priors = uniform_priors(train.n_classes)
-    if priors.values.shape[0] != train.n_classes:
-        raise DimMismatch(
-            f"{priors.values.shape[0]} priors for {train.n_classes} classes"
-        )
+    priors = _resolve_priors(train, priors)
     sqw = np.sqrt(gram_weights(train.labels, priors))
     overlaps = train.states @ train.states.T
     gram = sqw[:, None] * stable_power(overlaps, copies) * sqw[None, :]
@@ -382,44 +346,18 @@ def attach_pipeline(model, config: EncodingConfig, params: NormalizerParams):
     return replace(model, encoding=config, normalizer=params)
 
 
-def score_states(model, states) -> np.ndarray:
-    """Born-rule scores for already-encoded unit states, one row per sample.
-
-    Returns an array of shape ``(k, n_classes)``; each row sums to one and
-    is entrywise in [0, 1] up to round-off. Rows are scored in blocks of
-    :data:`SCORE_BLOCK`, so the engines' temporaries (lifted states, or the
-    m-by-block overlaps) stay bounded and memory grows only with the input
-    and the score array.
-    """
-    states = np.asarray(states, dtype=float)
-    if states.ndim != 2:
-        raise DimMismatch(f"expected a 2-d state array, got shape {states.shape}")
-    _check_states(model, states)
-    return _score_blocks(model, states, encoded=False, with_labels=False)[1]
-
-
-def _check_states(model, states) -> None:
-    _check_state_dim(model, states.shape[1])
-    if not np.all(np.isfinite(states)):
-        raise InvalidFeature("state entries must be finite")
-
-
-def _check_state_dim(model, dim: int) -> None:
-    if dim != model.dim:
-        raise DimMismatch(f"state dimension {dim} does not match model dimension {model.dim}")
-
-
-def _score_blocks(model, rows, *, encoded: bool, with_labels: bool):
-    """``(labels or None, scores)`` of checked 2-d ``rows``, :data:`SCORE_BLOCK` rows at a time.
+def _score_blocks(model, rows, *, encoded: bool):
+    """``(labels, scores)`` of checked 2-d ``rows``, :data:`SCORE_BLOCK` rows at a time.
 
     Rows are unit states, or raw features that each block encodes through
     the model's pipeline first when ``encoded``; a row that overflows its
-    encoding is named by its index in ``rows``. Labels, when asked for,
-    come from each block's scores, so nothing but the score and label
+    encoding is named by its index in ``rows``. Labels come from each
+    block's scores. The engines' temporaries (lifted states, or the
+    m-by-block overlaps) stay bounded, so nothing but the score and label
     arrays grows with the number of rows.
     """
     scores = np.empty((rows.shape[0], model.n_classes))
-    labels = np.empty(rows.shape[0], dtype=np.int64) if with_labels else None
+    labels = np.empty(rows.shape[0], dtype=np.int64)
     score_block = _score_dense_block if isinstance(model, DensePgmModel) else _score_gram_block
     for start in range(0, rows.shape[0], SCORE_BLOCK):
         stop = start + SCORE_BLOCK
@@ -427,8 +365,7 @@ def _score_blocks(model, rows, *, encoded: bool, with_labels: bool):
         if encoded:
             block = encode(block, model.encoding, model.normalizer, first_row=start)
         score_block(model, block, scores[start:stop])
-        if with_labels:
-            labels[start:stop] = labels_from_scores(scores[start:stop])
+        labels[start:stop] = labels_from_scores(scores[start:stop])
     return labels, scores
 
 
@@ -451,20 +388,24 @@ def _score_gram_block(model: GramPgmModel, block, out) -> None:
 def predict_batch(model, x_batch):
     """Classify a batch; returns ``(labels, scores)`` in input order.
 
-    A model with a feature pipeline takes raw features and encodes them a
-    block at a time inside the scoring loop, so memory grows with the
-    number of rows only by the score and label arrays; :func:`encode`
-    checks each block's values.
+    The Born-rule scores have shape ``(k, n_classes)``; each row sums to one
+    and is entrywise in [0, 1] up to round-off. A model with a feature
+    pipeline takes raw features and encodes them a block at a time inside
+    the scoring loop, so memory grows with the number of rows only by the
+    score and label arrays; :func:`encode` checks each block's values. A
+    model without one takes already-encoded unit states, whose entries must
+    be finite.
     """
     x_batch = np.asarray(x_batch, dtype=float)
     if x_batch.ndim != 2:
         raise DimMismatch(f"expected a 2-d feature array, got shape {x_batch.shape}")
     encoded = model.encoding is not None
-    if encoded:
-        _check_state_dim(model, x_batch.shape[1] + 1)
-    else:
-        _check_states(model, x_batch)
-    return _score_blocks(model, x_batch, encoded=encoded, with_labels=True)
+    dim = x_batch.shape[1] + 1 if encoded else x_batch.shape[1]
+    if dim != model.dim:
+        raise DimMismatch(f"state dimension {dim} does not match model dimension {model.dim}")
+    if not encoded and not np.all(np.isfinite(x_batch)):
+        raise InvalidFeature("state entries must be finite")
+    return _score_blocks(model, x_batch, encoded=encoded)
 
 
 @dataclass(frozen=True)
@@ -486,7 +427,7 @@ class PgmConfig:
                 f"unknown prior mode {self.prior_mode!r}, expected uniform or empirical"
             )
         if type(self.copies) is not int or not 1 <= self.copies <= MAX_COPIES:
-            raise ValueError(
+            raise InvalidArgument(
                 f"copy count must be an integer in [1, {MAX_COPIES}], got {self.copies!r}"
             )
 

@@ -31,11 +31,11 @@ import numpy as np
 from .encoding import ENCODINGS, EncodingConfig, encode
 from .errors import (
     ClassSmallerThanK,
+    InvalidArgument,
     PgmError,
     StratificationImpossible,
-    UndefinedAuc,
 )
-from .metrics import MetricReport, auc_ovr, report_from_predictions
+from .metrics import MetricReport, ovr_aucs, report_from_predictions
 from .pgm import (
     SCORE_DECIMALS,
     PgmConfig,
@@ -44,7 +44,6 @@ from .pgm import (
     fit_pgm,
     labels_from_scores,
     predict_batch,
-    score_states,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -104,21 +103,23 @@ def _class_test_counts(labels: np.ndarray, classes: np.ndarray, test_fraction: f
         raise StratificationImpossible(
             f"test fraction {test_fraction} keeps no samples for testing"
         )
+    testable = labels.size - len(counts)
+    if total_test > testable:
+        raise StratificationImpossible(
+            f"test fraction {test_fraction} asks for {total_test} of {labels.size} samples "
+            f"for testing, but keeping one training sample per class leaves at most {testable}"
+        )
     quota = {c: m * test_fraction for c, m in counts.items()}
     take = {c: min(int(np.floor(q)), counts[c] - 1) for c, q in quota.items()}
     deficit = total_test - sum(take.values())
     by_remainder = sorted(quota, key=lambda c: (-(quota[c] - np.floor(quota[c])), c))
     while deficit > 0:
-        progressed = False
         for c in by_remainder:
             if deficit == 0:
                 break
             if take[c] < counts[c] - 1:
                 take[c] += 1
                 deficit -= 1
-                progressed = True
-        if not progressed:
-            break
     return take
 
 
@@ -128,14 +129,16 @@ def stratified_holdout(labels, test_fraction: float, repetitions: int, seed: int
     The test set holds round(m * test_fraction) samples, allocated to
     classes by largest remainder so each class's test share stays within
     one sample of the target ratio; every class keeps at least one training
-    sample. Repetition r shuffles with the derived seed mix(seed, r), so
-    the full plan list is a pure function of (labels, fraction, seed).
+    sample, and a fraction that leaves no room for both raises
+    :class:`StratificationImpossible`. Repetition r shuffles with the
+    derived seed mix(seed, r), so the full plan list is a pure function of
+    (labels, fraction, seed).
     """
     labels = np.asarray(labels)
     if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test fraction must lie in (0, 1), got {test_fraction!r}")
+        raise InvalidArgument(f"test fraction must lie in (0, 1), got {test_fraction!r}")
     if repetitions < 1:
-        raise ValueError(f"need at least one repetition, got {repetitions!r}")
+        raise InvalidArgument(f"need at least one repetition, got {repetitions!r}")
     classes = _distinct(labels)
     small = [int(c) for c in classes if (labels == c).sum() < 2]
     if small:
@@ -175,7 +178,7 @@ def stratified_kfold(train_labels, k: int, seed: int) -> FoldPlan:
     """
     train_labels = np.asarray(train_labels)
     if k < 2:
-        raise ValueError(f"k-fold needs k of at least 2, got {k!r}")
+        raise InvalidArgument(f"k-fold needs k of at least 2, got {k!r}")
     classes = _distinct(train_labels)
     members = [np.flatnonzero(train_labels == c) for c in classes]
     for c, idx in zip(classes, members):
@@ -271,17 +274,7 @@ class GridResult:
         return self.error is not None
 
 
-def _macro_validation_auc(scores: np.ndarray, truth: np.ndarray, n_classes: int):
-    vals = []
-    for i in range(n_classes):
-        try:
-            vals.append(auc_ovr(scores[:, i], truth == i))
-        except UndefinedAuc:
-            pass
-    return float(np.mean(vals)) if vals else None
-
-
-_CELL_ERRORS = (PgmError, ValueError, np.linalg.LinAlgError)
+_CELL_ERRORS = (PgmError, np.linalg.LinAlgError)
 
 
 def _describe(exc: Exception) -> str:
@@ -498,8 +491,8 @@ def _evaluate_group(task):
     for n in copies:
         try:
             model = build_pgm(train, priors, n, config.engine)
-            scores = score_states(model, val_states)
-            value = _macro_validation_auc(scores, val_y, n_classes)
+            scores = predict_batch(model, val_states)[1]
+            value = ovr_aucs(scores, val_y, n_classes)[1]
             if value is None:
                 outcomes.append((None, None, "validation AUC undefined for every class"))
             else:
@@ -539,9 +532,9 @@ def _plan_grid(rows, labels, n_classes, grid, *, k, cv_repetitions, seed, normal
     """Plan a grid search over the data rows ``rows``, whose labels are
     ``labels``; the tasks index the data by those rows."""
     if not grid:
-        raise ValueError("grid must contain at least one point")
+        raise InvalidArgument("grid must contain at least one point")
     if cv_repetitions < 1:
-        raise ValueError(f"need at least one repetition, got {cv_repetitions!r}")
+        raise InvalidArgument(f"need at least one repetition, got {cv_repetitions!r}")
     groups = _point_groups(grid, normalizer, engine)
     folds = [
         list(stratified_kfold(labels, k, derive_seed(seed, r)).splits())
@@ -670,7 +663,7 @@ def select_robust_config(winner_indices, test_aucs, grid) -> SelectionReport:
     winner_indices = tuple(int(w) for w in winner_indices)
     test_aucs = tuple(test_aucs)
     if not winner_indices or len(winner_indices) != len(test_aucs):
-        raise ValueError(
+        raise InvalidArgument(
             f"need matching nonempty winner and AUC lists, "
             f"got {len(winner_indices)} and {len(test_aucs)}"
         )
@@ -793,7 +786,7 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
     labels = np.asarray(labels)
     splits = list(splits)
     if not splits:
-        raise ValueError("protocol needs at least one split")
+        raise InvalidArgument("protocol needs at least one split")
     plans = [
         _plan_grid(
             split.train_indices,

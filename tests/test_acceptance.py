@@ -36,7 +36,6 @@ from pgmclassifier.pgm import (
     build_gram_pgm,
     copies_centroid,
     quantum_centroid,
-    score_states,
 )
 
 INSTANCES = random_instances(seed=20240814, count=100)
@@ -72,7 +71,7 @@ def test_criterion_02_score_normalization():
         for build in (build_dense_pgm, build_gram_pgm):
             model = build(train, copies=copies)
             points = random_unit_states(rng, 50, train.dim)
-            f = score_states(model, points)
+            f = predict_batch(model, points)[1]
             worst_sum = max(worst_sum, np.abs(f.sum(axis=1) - 1.0).max())
             worst_neg = min(worst_neg, f.min())
     assert worst_sum <= 1e-8
@@ -90,7 +89,7 @@ def test_criterion_03_engine_equivalence():
         dense = build_dense_pgm(train, copies=copies)
         gram = build_gram_pgm(train, copies=copies)
         points = random_unit_states(rng, 20, train.dim)
-        diff = np.abs(score_states(dense, points) - score_states(gram, points)).max()
+        diff = np.abs(predict_batch(dense, points)[1] - predict_batch(gram, points)[1]).max()
         worst = max(worst, diff)
     assert worst <= 1e-8
     print(
@@ -106,7 +105,7 @@ def test_criterion_04_two_state_optimality():
         n_classes=2,
     )
     model = build_dense_pgm(worked)
-    f = score_states(model, worked.states)
+    f = predict_batch(model, worked.states)[1]
     worked_success = 0.5 * f[0, 0] + 0.5 * f[1, 1]
     assert abs(worked_success - 0.8535533906) <= 1e-10
 
@@ -116,7 +115,7 @@ def test_criterion_04_two_state_optimality():
         d = int(rng.integers(2, 7))
         states = random_unit_states(rng, 2, d)
         train = LabeledStateSet(states=states, labels=np.array([0, 1]), n_classes=2)
-        f = score_states(build_dense_pgm(train), states)
+        f = predict_batch(build_dense_pgm(train), states)[1]
         success = 0.5 * f[0, 0] + 0.5 * f[1, 1]
         gamma = float(states[0] @ states[1])
         optimal = 0.5 * (1.0 + np.sqrt(1.0 - gamma**2))

@@ -1,10 +1,14 @@
 """The package root exports the documented library API, and the README example runs."""
 
+import os
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import pgmclassifier
-from pgmclassifier import encoding, errors, metrics, pgm, selection
+from pgmclassifier import dataio, encoding, errors, metrics, operators, pgm, selection
 
 #: The names README.md documents at the package root, by defining module.
 ROOT_API = {
@@ -39,3 +43,37 @@ def test_readme_quick_start_runs():
     blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+_LABELS = np.array([0, 0, 1, 1])
+_FEATURES = np.arange(8.0).reshape(4, 2)
+
+#: One call per argument check of the library, each given a value it refuses.
+_BAD_ARGUMENTS = {
+    "PgmConfig-copies": lambda: pgm.PgmConfig(copies=0),
+    "stable_power-exponent": lambda: pgm.stable_power(np.ones(2), 0),
+    "tensor_power-copies": lambda: operators.tensor_power(np.ones(2), 0),
+    "write_predictions_csv-lengths": lambda: dataio.write_predictions_csv(
+        os.devnull, ["a"], np.ones((2, 2)), ("a", "b")
+    ),
+    "stratified_holdout-fraction": lambda: selection.stratified_holdout(_LABELS, 1.0, 1, 0),
+    "stratified_holdout-repetitions": lambda: selection.stratified_holdout(_LABELS, 0.5, 0, 0),
+    "stratified_kfold-k": lambda: selection.stratified_kfold(_LABELS, 1, 0),
+    "grid_search-grid": lambda: selection.grid_search(_FEATURES, _LABELS, 2, [], seed=0),
+    "grid_search-cv_repetitions": lambda: selection.grid_search(
+        _FEATURES, _LABELS, 2, selection.make_grid(), seed=0, cv_repetitions=0
+    ),
+    "select_robust_config-lengths": lambda: selection.select_robust_config([0], [], [None]),
+    "run_protocol-splits": lambda: selection.run_protocol(
+        _FEATURES, _LABELS, 2, [], selection.ProtocolConfig(seed=0)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_ARGUMENTS.values(), ids=_BAD_ARGUMENTS.keys())
+def test_argument_errors_are_pgm_errors(call):
+    # InvalidArgument is also a ValueError, so callers catching that still do.
+    with pytest.raises(errors.InvalidArgument) as caught:
+        call()
+    assert isinstance(caught.value, errors.PgmError)
+    assert isinstance(caught.value, ValueError)

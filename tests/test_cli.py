@@ -141,6 +141,18 @@ class TestSplitsCommand:
         assert result.exit_code == 1
         assert "--seed" in result.stderr
 
+    def test_test_set_too_large_to_fill_is_data_error(self, runner, tmp_path):
+        dataset = write_dataset_csv(tmp_path / "four.csv", np.eye(4)[:, :2], ["a", "a", "b", "b"])
+        out = tmp_path / "s.json"
+        args = ["splits", str(dataset), "--test-fraction", "0.9", "--seed", "1", "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            "error: test fraction 0.9 asks for 4 of 4 samples for testing, "
+            "but keeping one training sample per class leaves at most 2"
+        ]
+        assert not out.exists()
+
     @pytest.mark.parametrize("fraction", ["0", "1", "-0.2"])
     def test_bad_fraction_is_usage_error(self, runner, tmp_path, blob_csv, fraction):
         result = runner.invoke(
@@ -656,6 +668,17 @@ class TestPredictCommand:
         assert result.stderr.splitlines() == [
             f"error: {bad}: line 3: field larger than field limit ({csv.field_size_limit()})"
         ]
+
+    def test_nul_byte_in_a_cell_is_data_error(self, runner, tmp_path):
+        # Python 3.10's csv module refuses the line; later versions read the
+        # cell, which is not a number.
+        bad = tmp_path / "nul.csv"
+        bad.write_text("f0,f1,label\n1,2,x\n3\0,4,y\n5,6,x\n7,8,y\n")
+        result = runner.invoke(main, ["train", str(bad), "--out-model", str(tmp_path / "m")])
+        assert result.exit_code == 2
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(f"error: {bad}: "), line
+        assert not (tmp_path / "m").exists()
 
     def test_missing_feature_column_is_data_error(self, runner, tmp_path, blob_csv):
         model_path, _ = train_model(runner, tmp_path, blob_csv)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import (
@@ -25,17 +27,14 @@ from pgmclassifier.pgm import (
     LabeledStateSet,
     Priors,
     build_dense_pgm,
-    build_ensemble,
     build_pgm,
     build_gram_pgm,
     copies_centroid,
     empirical_priors,
     labels_from_scores,
     make_priors,
-    mixture,
     quantum_centroid,
     round_scores,
-    score_states,
     stable_power,
     uniform_priors,
 )
@@ -149,28 +148,6 @@ class TestCopiesCentroid:
             copies_centroid(random_unit_states(rng, 2, 10), 5)
 
 
-class TestMixture:
-    def test_single_class(self, rng):
-        train = random_labeled_states(rng, 1, 3, 4)
-        ensemble = build_ensemble(train)
-        np.testing.assert_allclose(mixture(ensemble), ensemble.reps[0])
-
-    def test_uniform_two_basis(self):
-        train = LabeledStateSet(states=np.eye(2), labels=np.array([0, 1]), n_classes=2)
-        sigma = mixture(build_ensemble(train))
-        np.testing.assert_allclose(sigma, np.eye(2) / 2.0)
-
-    def test_trace_one(self, rng):
-        train = random_labeled_states(rng, 3, 4, 12)
-        sigma = mixture(build_ensemble(train))
-        assert abs(np.trace(sigma) - 1.0) <= 1e-10
-
-    def test_prior_rep_mismatch(self, rng):
-        train = random_labeled_states(rng, 2, 3, 6)
-        with pytest.raises(DimMismatch):
-            build_ensemble(train, priors=uniform_priors(3))
-
-
 class TestStablePower:
     def test_matches_plain_power(self, rng):
         c = rng.uniform(-1.0, 1.0, size=200)
@@ -222,7 +199,7 @@ class TestDensePgm:
         train = random_labeled_states(rng, 1, 3, 4)
         model = build_dense_pgm(train)
         np.testing.assert_allclose(model.povm.sum(axis=0), np.eye(3), atol=1e-12)
-        f = score_states(model, random_unit_states(rng, 5, 3))
+        f = predict_batch(model, random_unit_states(rng, 5, 3))[1]
         np.testing.assert_allclose(f, np.ones((5, 1)), atol=1e-10)
 
     def test_orthogonal_classes_with_kernel(self):
@@ -253,7 +230,7 @@ class TestGramPgm:
         psi = random_unit_states(rng, 1, 4)
         train = LabeledStateSet(states=psi, labels=np.array([0]), n_classes=1)
         model = build_gram_pgm(train, copies=3)
-        f = score_states(model, random_unit_states(rng, 6, 4))
+        f = predict_batch(model, random_unit_states(rng, 6, 4))[1]
         np.testing.assert_allclose(f, np.ones((6, 1)), atol=1e-10)
 
     def test_matches_dense_on_orthonormal_states(self, rng):
@@ -263,8 +240,8 @@ class TestGramPgm:
         dense = build_dense_pgm(train, copies=2)
         gram = build_gram_pgm(train, copies=2)
         tests = random_unit_states(rng, 10, 4)
-        diff = np.abs(score_states(dense, tests) - score_states(gram, tests)).max()
-        assert diff <= 1e-8
+        diff = predict_batch(dense, tests)[1] - predict_batch(gram, tests)[1]
+        assert np.abs(diff).max() <= 1e-8
 
     def test_matches_dense_on_random_instances(self, rng):
         for _ in range(10):
@@ -276,8 +253,8 @@ class TestGramPgm:
             dense = build_dense_pgm(train, copies=copies)
             gram = build_gram_pgm(train, copies=copies)
             tests = random_unit_states(rng, 20, d)
-            diff = np.abs(score_states(dense, tests) - score_states(gram, tests)).max()
-            assert diff <= 1e-8
+            diff = predict_batch(dense, tests)[1] - predict_batch(gram, tests)[1]
+            assert np.abs(diff).max() <= 1e-8
 
     def test_gram_matrix_consistency(self, rng):
         train = random_labeled_states(rng, 2, 3, 8)
@@ -295,8 +272,8 @@ class TestGramDenseOracle:
 
     @staticmethod
     def max_gap(train, copies, tests):
-        dense = score_states(build_dense_pgm(train, copies=copies), tests)
-        gram = score_states(build_gram_pgm(train, copies=copies), tests)
+        dense = predict_batch(build_dense_pgm(train, copies=copies), tests)[1]
+        gram = predict_batch(build_gram_pgm(train, copies=copies), tests)[1]
         return np.abs(dense - gram).max()
 
     @pytest.mark.parametrize("copies", [1, 2, 3])
@@ -353,14 +330,14 @@ class TestScoreAndClassify:
         train = LabeledStateSet(states=np.eye(2), labels=np.array([0, 1]), n_classes=2)
         model = build_dense_pgm(train)
         np.testing.assert_allclose(
-            score_states(model, np.eye(2)[:1]), [[1.0, 0.0]], atol=1e-12
+            predict_batch(model, np.eye(2)[:1])[1], [[1.0, 0.0]], atol=1e-12
         )
 
     def test_two_pure_states_reach_optimal_success(self):
         states = np.array([[1.0, 0.0], [1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)]])
         train = LabeledStateSet(states=states, labels=np.array([0, 1]), n_classes=2)
         model = build_dense_pgm(train)
-        f = score_states(model, states)
+        f = predict_batch(model, states)[1]
         success = 0.5 * f[0, 0] + 0.5 * f[1, 1]
         gamma = float(states[0] @ states[1])
         optimal = 0.5 * (1.0 + np.sqrt(1.0 - gamma**2))
@@ -384,14 +361,14 @@ class TestScoreAndClassify:
     def test_single_class_classifies_zero(self, rng):
         train = random_labeled_states(rng, 1, 2, 3)
         model = build_dense_pgm(train)
-        scores = score_states(model, random_unit_states(rng, 4, 2))
+        scores = predict_batch(model, random_unit_states(rng, 4, 2))[1]
         np.testing.assert_array_equal(labels_from_scores(scores), [0, 0, 0, 0])
 
     def test_dim_mismatch(self, rng):
         train = random_labeled_states(rng, 2, 3, 4)
         model = build_dense_pgm(train)
         with pytest.raises(DimMismatch):
-            score_states(model, random_unit_states(rng, 2, 4))
+            predict_batch(model, random_unit_states(rng, 2, 4))
 
 
 class TestInvariants:
@@ -403,7 +380,7 @@ class TestInvariants:
             train = random_labeled_states(rng, n_classes, d, int(rng.integers(n_classes, 25)))
             for build in (build_dense_pgm, build_gram_pgm):
                 model = build(train, copies=copies)
-                f = score_states(model, random_unit_states(rng, 15, d))
+                f = predict_batch(model, random_unit_states(rng, 15, d))[1]
                 assert np.abs(f.sum(axis=1) - 1.0).max() <= 1e-8
                 assert f.min() >= -1e-10
 
@@ -414,8 +391,8 @@ class TestInvariants:
             states=train.states, labels=perm[train.labels], n_classes=3
         )
         tests = random_unit_states(rng, 8, 4)
-        f = score_states(build_dense_pgm(train), tests)
-        g = score_states(build_dense_pgm(permuted), tests)
+        f = predict_batch(build_dense_pgm(train), tests)[1]
+        g = predict_batch(build_dense_pgm(permuted), tests)[1]
         np.testing.assert_allclose(g[:, perm], f, atol=1e-10)
         base = np.argmax(round_scores(f), axis=1)
         moved = np.argmax(round_scores(g), axis=1)
@@ -429,11 +406,11 @@ class TestInvariants:
         priors = empirical_priors([1, 4])
         np.testing.assert_allclose(priors.values, [0.2, 0.8])
         skewed = build_dense_pgm(train, priors=priors)
-        f = score_states(skewed, psi[None, :])
+        f = predict_batch(skewed, psi[None, :])[1]
         np.testing.assert_array_equal(labels_from_scores(f), [1])
         assert f[0, 1] > f[0, 0]
         even = build_dense_pgm(train)
-        g = score_states(even, psi[None, :])
+        g = predict_batch(even, psi[None, :])[1]
         np.testing.assert_array_equal(labels_from_scores(g), [0])
 
     def test_orthogonal_supports_classified_perfectly(self, rng):
@@ -475,8 +452,8 @@ class TestScoreBlocks:
         tests = random_unit_states(rng, max(self.SIZES), 3)
         for k in self.SIZES:
             states = tests[:k]
-            gram_scores = score_states(gram, states)
-            dense_scores = score_states(dense, states)
+            gram_scores = predict_batch(gram, states)[1]
+            dense_scores = predict_batch(dense, states)[1]
             for model, got in ((gram, gram_scores), (dense, dense_scores)):
                 reference = unblocked_scores(model, states)
                 assert got.shape == (k, 3)
@@ -499,9 +476,10 @@ class TestScoreBlocks:
     @pytest.mark.parametrize("encoding", ["stereographic", "amplitude"])
     def test_blockwise_encoding_matches_the_whole_batch(self, rng, encoding, engine):
         model = self.fitted(encoding, engine)
+        bare = replace(model, encoding=None, normalizer=None)
         features = 3.0 * rng.normal(size=(max(self.SIZES), 3))
         for k in self.SIZES:
-            scores = score_states(model, encode(features[:k], model.encoding, model.normalizer))
+            scores = predict_batch(bare, encode(features[:k], model.encoding, model.normalizer))[1]
             labels, got = predict_batch(model, features[:k])
             np.testing.assert_array_equal(got, scores)
             np.testing.assert_array_equal(labels, labels_from_scores(scores))
@@ -553,7 +531,9 @@ class TestFitPgm:
 
         states = _encode_amplitude(_apply_normalizer(features, model.normalizer) * 0.5)
         np.testing.assert_allclose(
-            predict_batch(model, features)[1], score_states(model, states), atol=1e-12
+            predict_batch(model, features)[1],
+            predict_batch(replace(model, encoding=None, normalizer=None), states)[1],
+            atol=1e-12,
         )
 
     def test_empirical_priors_recorded(self, rng):

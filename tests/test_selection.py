@@ -96,6 +96,13 @@ class TestStratifiedHoldout:
         with pytest.raises(StratificationImpossible):
             stratified_holdout(np.array([0] * 5 + [1] * 5), 0.01, 1, seed=0)
 
+    def test_test_set_too_large_to_fill_rejected(self):
+        labels = np.array([0, 0, 1, 1])
+        (plan,) = stratified_holdout(labels, 0.5, 1, seed=0)
+        assert plan.test_indices.size == 2
+        with pytest.raises(StratificationImpossible, match="asks for 4 of 4 .* at most 2$"):
+            stratified_holdout(labels, 0.9, 1, seed=0)
+
     def test_fraction_bounds(self):
         labels = np.array([0] * 5 + [1] * 5)
         for bad in (0.0, 1.0, -0.5, 1.5):
@@ -644,6 +651,17 @@ class TestRunProtocol:
                     )
                 rep_means.append(mean_ignoring_none(folds))
             assert record.cv_metrics == mean_ignoring_none(rep_means)
+
+    def test_cv_objective_is_the_reported_cv_macro_auc(self):
+        features, labels = small_blob_problem()
+        splits = stratified_holdout(labels, 0.2, 3, seed=17)
+        config = tiny_protocol_config(
+            grid=make_grid(alphas=(0.5, 2.0), copies=(1, 2, 9)), cv_repetitions=2
+        )
+        result = run_protocol(features, labels, 3, splits, config)
+        for record in result.records:
+            assert all(record.cv_metrics[f"auc_class_{i}"] is not None for i in range(3))
+            assert abs(record.cv_objective - record.cv_metrics["macro_auc"]) <= 1e-15
 
     def test_one_fit_per_split(self, monkeypatch):
         features, labels = small_blob_problem()
