@@ -12,6 +12,7 @@ plan cannot silently be applied to a different dataset.
 
 from __future__ import annotations
 
+import collections
 import csv
 import hashlib
 import io
@@ -19,7 +20,7 @@ import itertools
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .pgm import (
     GramPgmModel,
     LabeledStateSet,
     Priors,
-    attach_pipeline,
     build_gram_pgm,
 )
 from .selection import GridPoint, ProtocolResult, SplitPlan
@@ -128,10 +128,10 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
     of rows as wide as the header goes through :func:`_parse_fast` into one
     feature matrix, sized from the line count; any other block, or one
     the fast parse refuses, through :func:`_parse_checked`, which names the
-    first faulty row or cell. The first header, row or cell fault is held
-    while the rest of the text is tokenised, so a line ``csv.reader``
-    cannot read is reported first wherever it stands, and no diagnostic
-    depends on where blocks end.
+    first faulty row or cell. Nothing is parsed after the first header, row
+    or cell fault: the text is only scanned for a line ``csv.reader``
+    cannot read (:func:`_check_readable`), which is reported first wherever
+    it stands, so no diagnostic depends on where blocks end.
     """
     text, fingerprint = _read_text(path)
     quoted = '"' in text or "\0" in text
@@ -141,8 +141,8 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
     if not any(header):
         fault = DatasetFormatError(f"{path}: missing header row")
     elif len(set(header)) != len(header):
-        dup = sorted({name for name in header if header.count(name) > 1})
-        fault = DatasetFormatError(f"{path}: duplicate column name {dup[0]!r}")
+        dup = min(name for name, n in collections.Counter(header).items() if n > 1)
+        fault = DatasetFormatError(f"{path}: duplicate column name {dup!r}")
     width = len(header)
     label_pos = header.index(label_column) if label_column in header else -1
     # A valid row holds a character per column, so no file sizes the matrix past its text.
@@ -151,9 +151,7 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
     label_codes = np.empty(n_rows if label_pos >= 0 else 0, dtype=np.int64)
     codes: dict = {}
     row = 0
-    for cells, rows in blocks:
-        if fault is not None:
-            continue
+    for cells, rows in blocks if fault is None else ():
         stop = row + (len(rows) if cells is None else len(cells) // width)
         out = matrix[row:stop]
         labels = None if cells is None else _parse_fast(cells, width, label_pos, out)
@@ -164,11 +162,12 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
                 labels = _parse_checked(path, header, rows, label_pos, row, out)
             except DatasetFormatError as exc:
                 fault = exc
-                continue
+                break
         if label_pos >= 0:
             label_codes[row:stop] = _label_codes(codes, labels)
         row = stop
     if fault is not None:
+        _check_readable(path, text, quoted)
         raise fault
     classes = label_indices = None
     if label_pos >= 0:
@@ -282,6 +281,24 @@ def _split_csv(path, text: str):
             yield None, block
         else:
             yield list(itertools.chain.from_iterable(block)), None
+
+
+def _check_readable(path, text: str, quoted: bool) -> None:
+    """Raise the error of the first line of ``text`` that ``csv.reader`` cannot read, if any.
+
+    Keeps no rows. In ``text`` free of ``"`` and NUL only a line longer than
+    ``csv.field_size_limit()`` can be one, so only blocks holding such a
+    line are read.
+    """
+    if quoted:
+        collections.deque(_csv_rows(path, _lines(text)), maxlen=0)
+        return
+    start = 0
+    for block in _text_blocks(text):
+        lines = block.split("\n")
+        if max(map(len, lines)) > csv.field_size_limit():
+            collections.deque(_csv_rows(path, lines, start), maxlen=0)
+        start += len(lines)
 
 
 def _csv_rows(path, lines, offset: int = 0):
@@ -633,25 +650,28 @@ def load_model(path) -> LoadedModel:
             model = build_gram_pgm(train, priors, copies)
         except PgmError as exc:
             raise SchemaMismatch(f"{path}: {exc}") from None
-    model = attach_pipeline(model, encoding, normalizer)
+    model = replace(model, encoding=encoding, normalizer=normalizer)
     return LoadedModel(model=model, classes=classes, feature_columns=feature_columns)
 
 
-def _metric_and_class(key: str, classes) -> tuple:
-    for i, name in enumerate(classes):
-        suffix = f"_class_{i}"
-        if key.endswith(suffix):
-            return key[: -len(suffix)], str(name)
-    return key, ""
+def _named_rows(table: dict, classes):
+    """``(metric, class name or "", value)`` per entry of a flat metric table,
+    where a key suffix ``_class_<i>`` names class ``i``."""
+    for key, value in table.items():
+        metric, cls = key, ""
+        for i, name in enumerate(classes):
+            if key.endswith(suffix := f"_class_{i}"):
+                metric, cls = key[: -len(suffix)], str(name)
+                break
+        yield metric, cls, value
 
 
 def flat_with_names(flat: dict, classes) -> dict:
     """``flat`` with each ``_class_<i>`` key suffix naming class ``i`` instead."""
-    out = {}
-    for key, value in flat.items():
-        metric, cls = _metric_and_class(key, classes)
-        out[f"{metric}_class_{cls}" if cls else metric] = value
-    return out
+    return {
+        f"{metric}_class_{cls}" if cls else metric: value
+        for metric, cls, value in _named_rows(flat, classes)
+    }
 
 
 def report_dict(report: MetricReport, classes, positive_name: str | None) -> dict:
@@ -784,16 +804,11 @@ def protocol_report_dict(
             for rec in result.records
         ],
         "aggregate": {
-            "test": {
-                "mean": flat_with_names(result.test_aggregate.mean, classes),
-                "std": flat_with_names(result.test_aggregate.std, classes),
-                "count": flat_with_names(result.test_aggregate.count, classes),
-            },
-            "cv": {
-                "mean": flat_with_names(result.cv_aggregate.mean, classes),
-                "std": flat_with_names(result.cv_aggregate.std, classes),
-                "count": flat_with_names(result.cv_aggregate.count, classes),
-            },
+            name: {
+                stat: flat_with_names(getattr(aggregate, stat), classes)
+                for stat in ("mean", "std", "count")
+            }
+            for name, aggregate in (("test", result.test_aggregate), ("cv", result.cv_aggregate))
         },
     }
 
@@ -817,32 +832,22 @@ def write_long_csv(path, rows, header=("split", "metric", "class", "value")) -> 
 
 def evaluation_csv_rows(report: MetricReport, classes):
     """Long-format rows for a single evaluation (split column = 'all')."""
-    rows = []
-    for key, value in report.flat().items():
-        metric, cls = _metric_and_class(key, classes)
-        rows.append(("all", metric, cls, value))
-    return rows
+    return [("all", *row) for row in _named_rows(report.flat(), classes)]
 
 
 def protocol_csv_rows(result: ProtocolResult, classes):
     """Long-format rows: per-split test metrics, then mean/std aggregates."""
-    rows = []
+    tables = []
     for rec in result.records:
-        for key, value in rec.test_report.flat().items():
-            metric, cls = _metric_and_class(key, classes)
-            rows.append((str(rec.repetition_id), metric, cls, value))
-        for key, value in rec.cv_metrics.items():
-            metric, cls = _metric_and_class(key, classes)
-            rows.append((str(rec.repetition_id), f"cv_{metric}", cls, value))
-    for stat, table in (("mean", result.test_aggregate.mean), ("std", result.test_aggregate.std)):
-        for key, value in table.items():
-            metric, cls = _metric_and_class(key, classes)
-            rows.append((stat, metric, cls, value))
-    for stat, table in (("mean", result.cv_aggregate.mean), ("std", result.cv_aggregate.std)):
-        for key, value in table.items():
-            metric, cls = _metric_and_class(key, classes)
-            rows.append((stat, f"cv_{metric}", cls, value))
-    return rows
+        split = str(rec.repetition_id)
+        tables += [(split, "", rec.test_report.flat()), (split, "cv_", rec.cv_metrics)]
+    for prefix, aggregate in (("", result.test_aggregate), ("cv_", result.cv_aggregate)):
+        tables += [("mean", prefix, aggregate.mean), ("std", prefix, aggregate.std)]
+    return [
+        (split, prefix + metric, cls, value)
+        for split, prefix, table in tables
+        for metric, cls, value in _named_rows(table, classes)
+    ]
 
 
 def _csv_field(value) -> str:

@@ -28,20 +28,6 @@ NEG_EIG_TOL = 1e-8
 DENSE_DIM_LIMIT = 4096
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Eigensystem of a real symmetric matrix.
-
-    ``eigenvalues`` are ascending and ``eigenvectors`` holds the matching
-    orthonormal eigenvectors as columns, so that
-    ``eigenvectors @ diag(eigenvalues) @ eigenvectors.T`` reconstructs the
-    input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def symmetrize(a) -> np.ndarray:
     """Return the symmetric part ``(A + A.T) / 2`` as a float64 array.
 
@@ -58,15 +44,13 @@ def symmetrize(a) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def eig_sym(a) -> SpectralDecomposition:
-    """Eigendecompose a real symmetric matrix.
+def eig_sym(a):
+    """``np.linalg.eigh`` of a real symmetric matrix: ascending eigenvalues, eigenvector columns.
 
     The input is symmetrized first, so mildly asymmetric round-off is
     tolerated.
     """
-    sym = symmetrize(a)
-    eigenvalues, eigenvectors = np.linalg.eigh(sym)
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return np.linalg.eigh(symmetrize(a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,13 +84,13 @@ def pinv_sqrt(a) -> PinvSqrt:
     a : array_like
         Symmetric PSD matrix (eigenvalues above ``-NEG_EIG_TOL``).
     """
-    dec = eig_sym(a)
-    low = float(dec.eigenvalues[0])
+    w, v = eig_sym(a)
+    low = float(w[0])
     if low < -NEG_EIG_TOL:
         raise NotPositiveSemidefinite(f"eigenvalue {low:.3e} below -{NEG_EIG_TOL:.0e}")
-    w = np.clip(dec.eigenvalues, 0.0, None)
+    w = np.clip(w, 0.0, None)
     keep = w > RANK_TOL * float(w[-1])
-    vs = dec.eigenvectors[:, keep]
+    vs = v[:, keep]
     inv_sqrt = symmetrize((vs * w[keep] ** -0.5) @ vs.T)
     return PinvSqrt(inv_sqrt=inv_sqrt, image_basis=vs)
 

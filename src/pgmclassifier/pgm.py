@@ -172,24 +172,12 @@ class Priors:
         object.__setattr__(self, "values", values)
 
 
-def uniform_priors(n_classes: int) -> Priors:
-    """Equal prior 1/l for each of the l classes."""
-    return Priors(mode="uniform", values=np.full(n_classes, 1.0 / n_classes))
-
-
-def empirical_priors(class_counts) -> Priors:
-    """Class-frequency priors m_i / m."""
+def make_priors(mode: str, class_counts) -> Priors:
+    """Priors of ``mode`` for these class sizes: 1/l (uniform) or m_i / m (empirical)."""
     counts = np.asarray(class_counts, dtype=float)
-    return Priors(mode="empirical", values=counts / counts.sum())
-
-
-def make_priors(mode: str, train: LabeledStateSet) -> Priors:
-    """Build priors of the requested mode from a training set."""
-    if mode == "uniform":
-        return uniform_priors(train.n_classes)
     if mode == "empirical":
-        return empirical_priors(train.class_counts)
-    raise InvalidOperator(f"unknown prior mode {mode!r}, expected one of {PRIOR_MODES}")
+        return Priors(mode=mode, values=counts / counts.sum())
+    return Priors(mode=mode, values=np.full(counts.size, 1.0 / counts.size))
 
 
 def quantum_centroid(states) -> np.ndarray:
@@ -222,7 +210,7 @@ def copies_centroid(states, n: int) -> np.ndarray:
 def _resolve_priors(train: LabeledStateSet, priors: Priors | None) -> Priors:
     """``priors``, uniform when None, after checking it holds one value per class."""
     if priors is None:
-        return uniform_priors(train.n_classes)
+        return make_priors("uniform", train.class_counts)
     if priors.values.shape[0] != train.n_classes:
         raise DimMismatch(
             f"{priors.values.shape[0]} priors for {train.n_classes} classes"
@@ -341,11 +329,6 @@ def build_gram_pgm(
     )
 
 
-def attach_pipeline(model, config: EncodingConfig, params: NormalizerParams):
-    """Return a copy of the model carrying the feature-to-state pipeline."""
-    return replace(model, encoding=config, normalizer=params)
-
-
 def _score_blocks(model, rows, *, encoded: bool):
     """``(labels, scores)`` of checked 2-d ``rows``, :data:`SCORE_BLOCK` rows at a time.
 
@@ -441,7 +424,7 @@ def encode_training_set(features, labels, n_classes: int, config: PgmConfig):
     """
     states, params = fit_encode(features, config.encoding)
     train = LabeledStateSet(states=states, labels=labels, n_classes=n_classes)
-    return train, make_priors(config.prior_mode, train), params
+    return train, make_priors(config.prior_mode, train.class_counts), params
 
 
 def build_pgm(train: LabeledStateSet, priors: Priors, copies: int, engine: str):
@@ -462,8 +445,8 @@ def fit_pgm(features, labels, n_classes: int, config: PgmConfig = PgmConfig()):
 
     Fits the normalizer on the given features, encodes them, builds the
     measurement with the configured engine (see :func:`build_pgm`), and
-    attaches the pipeline so that :func:`predict_batch` accepts raw features.
+    carries the pipeline so that :func:`predict_batch` accepts raw features.
     """
     train, priors, params = encode_training_set(features, labels, n_classes, config)
     model = build_pgm(train, priors, config.copies, config.engine)
-    return attach_pipeline(model, config.encoding, params)
+    return replace(model, encoding=config.encoding, normalizer=params)

@@ -72,20 +72,6 @@ class SplitPlan:
     seed: int
 
 
-@dataclass(frozen=True, eq=False)
-class FoldPlan:
-    """k disjoint, exhaustive folds with per-class counts differing by <= 1."""
-
-    folds: tuple
-    k: int
-
-    def splits(self):
-        """Yield (train_indices, validation_indices) per fold."""
-        for j in range(self.k):
-            train = np.concatenate([self.folds[i] for i in range(self.k) if i != j])
-            yield np.sort(train), self.folds[j]
-
-
 def _distinct(labels) -> list:
     """The distinct labels, ascending.
 
@@ -168,13 +154,15 @@ def stratified_holdout(labels, test_fraction: float, repetitions: int, seed: int
     return plans
 
 
-def stratified_kfold(train_labels, k: int, seed: int) -> FoldPlan:
-    """Partition indices into k stratified folds.
+def stratified_kfold(train_labels, k: int, seed: int) -> list:
+    """Partition indices into k stratified folds, as sorted ``(train, validation)`` pairs.
 
-    Each class's shuffled indices are dealt into k chunks whose sizes
-    differ by at most one; the chunk-to-fold assignment is rotated by a
-    random offset per class so no fold systematically collects the larger
-    chunks.
+    The k validation folds are disjoint and exhaustive, and a class's count
+    in any two of them differs by at most one; each fold trains on all the
+    other indices. Each class's shuffled indices are dealt into k chunks
+    whose sizes differ by at most one; the chunk-to-fold assignment is
+    rotated by a random offset per class so no fold systematically collects
+    the larger chunks.
     """
     train_labels = np.asarray(train_labels)
     if k < 2:
@@ -193,9 +181,8 @@ def stratified_kfold(train_labels, k: int, seed: int) -> FoldPlan:
         offset = int(rng.integers(k))
         for j, chunk in enumerate(np.array_split(perm, k)):
             folds[(j + offset) % k].append(chunk)
-    return FoldPlan(
-        folds=tuple(np.sort(np.concatenate(parts)) for parts in folds), k=k
-    )
+    folds = [np.sort(np.concatenate(parts)) for parts in folds]
+    return [(np.sort(np.concatenate(folds[:j] + folds[j + 1 :])), folds[j]) for j in range(k)]
 
 
 #: Rescaling factors of the default hyperparameter grid.
@@ -235,10 +222,11 @@ def make_grid(
     """Enumerate grid points in canonical order: encoding, then alpha, then copies.
 
     List position defines the lexicographic order used for residual
-    tie-breaking, so the same grid always resolves ties the same way.
+    tie-breaking, so the same grid always resolves ties the same way. The
+    values are kept as given: the configuration types check them.
     """
     return tuple(
-        GridPoint(encoding=e, alpha=float(a), copies=int(n), prior_mode=prior_mode)
+        GridPoint(encoding=e, alpha=a, copies=n, prior_mode=prior_mode)
         for e in encodings
         for a in alphas
         for n in copies
@@ -356,14 +344,17 @@ def _quota_cpus() -> int | None:
 def _resolve_workers(workers, n_tasks: int) -> int:
     """Worker count for ``n_tasks`` tasks: ``workers``, by default one per
     usable core, and at most one per task. Usable cores are those of the CPU
-    affinity mask, capped by a cgroup v2 CPU quota (:func:`_quota_cpus`)."""
+    affinity mask, capped by a cgroup v2 CPU quota (:func:`_quota_cpus`).
+    A ``workers`` that is not None or an integer of at least 1 is refused."""
     if workers is None:
         try:
             workers = len(os.sched_getaffinity(0))
         except AttributeError:  # platforms without CPU affinity
             workers = os.cpu_count() or 1
         workers = min(workers, _quota_cpus() or workers)
-    return max(1, min(int(workers), n_tasks))
+    elif type(workers) is not int or workers < 1:
+        raise InvalidArgument(f"worker count must be an integer of at least 1, got {workers!r}")
+    return max(1, min(workers, n_tasks))
 
 
 #: ``(features, labels)`` of the rows the grid tasks index: set by
@@ -536,10 +527,7 @@ def _plan_grid(rows, labels, n_classes, grid, *, k, cv_repetitions, seed, normal
     if cv_repetitions < 1:
         raise InvalidArgument(f"need at least one repetition, got {cv_repetitions!r}")
     groups = _point_groups(grid, normalizer, engine)
-    folds = [
-        list(stratified_kfold(labels, k, derive_seed(seed, r)).splits())
-        for r in range(cv_repetitions)
-    ]
+    folds = [stratified_kfold(labels, k, derive_seed(seed, r)) for r in range(cv_repetitions)]
     tasks = [
         (rows[tr], rows[val], n_classes, config, tuple(grid[gi].copies for gi in members))
         for config, members in groups

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
 
 from pgmclassifier.operators import tensor_power
-from pgmclassifier.pgm import DensePgmModel, LabeledStateSet, stable_power
+from pgmclassifier.pgm import (
+    DensePgmModel,
+    LabeledStateSet,
+    build_dense_pgm,
+    predict_batch,
+    stable_power,
+)
 
 
 def random_unit_states(rng, m, d):
@@ -43,6 +51,40 @@ def unblocked_scores(model, states):
         scores[:, i] = usq[model.labels == i].sum(axis=0)
     kernel_mass = 1.0 - np.sum(v * (model.M @ (model.M @ v)), axis=0)
     return scores + kernel_mass[:, None] / model.n_classes
+
+
+def symmetric_power(states, n):
+    """Rows ``psi^{tensor n}`` in coordinates of the symmetric subspace.
+
+    The coordinate of a composition k of n into ``d`` parts is
+    ``sqrt(multinomial(n; k)) * prod_i psi_i^{k_i}``, so every inner product
+    is kept, ``(psi . phi)^n``, in C(n+d-1, d-1) dimensions rather than d^n.
+    The coefficients are Python integers: factorials overflow int64 from 21.
+    """
+    states = np.asarray(states, dtype=float)
+    d = states.shape[1]
+    # Stars and bars: d-1 bars among n+d-1 slots give the parts between them.
+    exponents = np.array(
+        [
+            np.diff((-1, *bars, n + d - 1)) - 1
+            for bars in itertools.combinations(range(n + d - 1), d - 1)
+        ]
+    )
+    coefficients = np.array(
+        [
+            math.sqrt(math.factorial(n) // math.prod(map(math.factorial, k)))
+            for k in exponents.tolist()
+        ]
+    )
+    powers = states[:, :, None] ** np.arange(n + 1)
+    return coefficients * np.prod(powers[:, np.arange(d), exponents], axis=2)
+
+
+def symmetric_dense_scores(train, copies, tests):
+    """Scores of ``tests`` under the dense PGM of ``copies`` copies on :func:`symmetric_power`."""
+    lifted = LabeledStateSet(symmetric_power(train.states, copies), train.labels, train.n_classes)
+    model = build_dense_pgm(lifted)
+    return predict_batch(model, symmetric_power(tests, copies))[1]
 
 
 def random_instances(seed, count):

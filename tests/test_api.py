@@ -63,6 +63,12 @@ _BAD_ARGUMENTS = {
     "grid_search-cv_repetitions": lambda: selection.grid_search(
         _FEATURES, _LABELS, 2, selection.make_grid(), seed=0, cv_repetitions=0
     ),
+    "make_grid-copies": lambda: selection.grid_search(
+        _FEATURES, _LABELS, 2, selection.make_grid(copies=(2.5,)), seed=0, k=2
+    ),
+    "grid_search-workers": lambda: selection.grid_search(
+        _FEATURES, _LABELS, 2, selection.make_grid(), seed=0, k=2, workers=0
+    ),
     "select_robust_config-lengths": lambda: selection.select_robust_config([0], [], [None]),
     "run_protocol-splits": lambda: selection.run_protocol(
         _FEATURES, _LABELS, 2, [], selection.ProtocolConfig(seed=0)

@@ -489,6 +489,24 @@ class TestLoadDatasetBlocks:
         assert row_labels(ds) == labels
         assert ds.fingerprint["value"] == digest
 
+    def test_nothing_is_read_after_the_faulty_block(self, tmp_path, block_chars, monkeypatch):
+        """After a bad cell, later blocks are not tokenised, though their rows are ragged."""
+        lines = ["f0,f1,label", "1.5,x.25,a", *self.body(block_chars)]
+        after = next(start for start in self.block_starts(lines) if start > 1)
+        lines[after:] = ["1.5,2.25ab"] * (len(lines) - after)
+        read = []
+        csv_rows = dataio._csv_rows
+
+        def recorded(path, lines, offset=0):
+            for i, row in enumerate(csv_rows(path, lines, offset)):
+                read.append(offset + i)
+                yield row
+
+        monkeypatch.setattr(dataio, "_csv_rows", recorded)
+        message = self.load_error(tmp_path / "bad.csv", lines)
+        assert message == "row 1 column 'f1': expected a finite number, got 'x.25'"
+        assert all(line < after for line in read)
+
     def test_quoted_file_over_several_reader_blocks(self, tmp_path, block_chars):
         rows = [["f0", "label", "f1"]]
         names = ["a,b", 'say "hi"', "two\nlines", "z"]

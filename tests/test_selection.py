@@ -19,7 +19,7 @@ from pgmclassifier import (
     select_robust_config,
     stratified_holdout,
 )
-from pgmclassifier.errors import ClassSmallerThanK, StratificationImpossible
+from pgmclassifier.errors import ClassSmallerThanK, InvalidArgument, StratificationImpossible
 from pgmclassifier import selection
 from pgmclassifier.selection import _resolve_workers, derive_seed, stratified_kfold
 
@@ -115,28 +115,26 @@ class TestStratifiedHoldout:
 class TestStratifiedKfold:
     def test_per_fold_class_counts(self):
         labels = np.array([0] * 10 + [1] * 5)
-        plan = stratified_kfold(labels, 5, seed=2)
-        for fold in plan.folds:
+        for _, fold in stratified_kfold(labels, 5, seed=2):
             assert (labels[fold] == 0).sum() == 2
             assert (labels[fold] == 1).sum() == 1
 
     def test_partition(self):
         labels = np.array([0] * 13 + [1] * 9)
-        plan = stratified_kfold(labels, 4, seed=6)
-        merged = np.sort(np.concatenate(plan.folds))
+        folds = [val for _, val in stratified_kfold(labels, 4, seed=6)]
+        merged = np.sort(np.concatenate(folds))
         np.testing.assert_array_equal(merged, np.arange(labels.size))
 
     def test_fold_sizes_within_one_per_class(self):
         labels = np.array([0] * 13 + [1] * 9)
-        plan = stratified_kfold(labels, 4, seed=6)
+        folds = [val for _, val in stratified_kfold(labels, 4, seed=6)]
         for c in (0, 1):
-            sizes = [(labels[f] == c).sum() for f in plan.folds]
+            sizes = [(labels[f] == c).sum() for f in folds]
             assert max(sizes) - min(sizes) <= 1
 
     def test_splits_complement(self):
         labels = np.array([0] * 8 + [1] * 8)
-        plan = stratified_kfold(labels, 4, seed=1)
-        for train, val in plan.splits():
+        for train, val in stratified_kfold(labels, 4, seed=1):
             assert np.intersect1d(train, val).size == 0
             merged = np.sort(np.concatenate([train, val]))
             np.testing.assert_array_equal(merged, np.arange(labels.size))
@@ -145,8 +143,9 @@ class TestStratifiedKfold:
         labels = np.array([0] * 9 + [1] * 6)
         a = stratified_kfold(labels, 3, seed=7)
         b = stratified_kfold(labels, 3, seed=7)
-        for fa, fb in zip(a.folds, b.folds):
-            np.testing.assert_array_equal(fa, fb)
+        for (ta, va), (tb, vb) in zip(a, b):
+            np.testing.assert_array_equal(ta, tb)
+            np.testing.assert_array_equal(va, vb)
 
     def test_k_validation(self):
         labels = np.array([0] * 6 + [1] * 6)
@@ -310,8 +309,8 @@ class TestGridSearch:
             config = result.point.to_config(engine=engine)
             expected = np.empty((2, 3))
             for r in range(2):
-                plan = stratified_kfold(labels, 3, derive_seed(23, r))
-                for j, (train_idx, val_idx) in enumerate(plan.splits()):
+                folds = stratified_kfold(labels, 3, derive_seed(23, r))
+                for j, (train_idx, val_idx) in enumerate(folds):
                     model = fit_pgm(features[train_idx], labels[train_idx], 3, config)
                     engines.add(model.engine)
                     _, scores = predict_batch(model, features[val_idx])
@@ -438,6 +437,11 @@ class TestResolveWorkers:
     def test_clamped_to_task_count(self):
         assert _resolve_workers(64, 3) == 3
         assert _resolve_workers(8, 1) == 1
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.9, True])
+    def test_count_that_is_no_positive_integer_is_refused(self, workers):
+        with pytest.raises(InvalidArgument, match="worker count must be an integer"):
+            _resolve_workers(workers, 60)
 
 
 class TestBlasThreads:
@@ -637,9 +641,10 @@ class TestRunProtocol:
             cv_seed = derive_seed(config.seed, split.repetition_id)
             rep_means = []
             for r in range(config.cv_repetitions):
-                plan = stratified_kfold(labels[tr], config.k, derive_seed(cv_seed, r))
                 folds = []
-                for train_idx, val_idx in plan.splits():
+                for train_idx, val_idx in stratified_kfold(
+                    labels[tr], config.k, derive_seed(cv_seed, r)
+                ):
                     model = fit_pgm(
                         features[tr][train_idx], labels[tr][train_idx], n_classes, fit_config
                     )
