@@ -3,13 +3,11 @@
 Everything downstream (state encodings, centroids, the measurement
 construction) works with real symmetric matrices, so this module collects the
 few dense linear-algebra primitives needed: eigendecomposition,
-pseudoinverse square roots with kernel projectors, and tensor powers of
+pseudoinverse square roots with image bases, and tensor powers of
 vectors. All functions are pure and operate on plain float64 arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,31 +51,15 @@ def eig_sym(a):
     return np.linalg.eigh(symmetrize(a))
 
 
-@dataclass(frozen=True, eq=False)
-class PinvSqrt:
-    """Pseudoinverse square root with an orthonormal basis of the kept image.
+def pinv_sqrt(a):
+    """Moore-Penrose inverse square root of a PSD matrix, with an orthonormal
+    basis of its kept image: ``(inv_sqrt, image_basis)``.
 
-    ``inv_sqrt`` acts as the inverse square root on the image of the input
-    and as zero on its kernel, onto which ``ker`` projects. The projector is
-    formed only when asked for, so callers that need just ``inv_sqrt`` do
-    not pay for it.
-    """
-
-    inv_sqrt: np.ndarray
-    image_basis: np.ndarray
-
-    @property
-    def ker(self) -> np.ndarray:
-        basis = self.image_basis
-        return symmetrize(np.eye(basis.shape[0]) - basis @ basis.T)
-
-
-def pinv_sqrt(a) -> PinvSqrt:
-    """Moore-Penrose inverse square root of a PSD matrix.
-
+    ``inv_sqrt`` acts as the inverse square root on the image and as zero on
+    the kernel, onto which ``I - image_basis @ image_basis.T`` projects.
     Eigenvalues at or below :data:`RANK_TOL` times the largest eigenvalue
     are treated as exactly zero and assigned to the kernel. The zero matrix
-    is valid input and yields ``inv_sqrt = 0``, ``ker = I``.
+    is valid input and yields ``inv_sqrt = 0`` and an empty basis.
 
     Parameters
     ----------
@@ -91,8 +73,7 @@ def pinv_sqrt(a) -> PinvSqrt:
     w = np.clip(w, 0.0, None)
     keep = w > RANK_TOL * float(w[-1])
     vs = v[:, keep]
-    inv_sqrt = symmetrize((vs * w[keep] ** -0.5) @ vs.T)
-    return PinvSqrt(inv_sqrt=inv_sqrt, image_basis=vs)
+    return symmetrize((vs * w[keep] ** -0.5) @ vs.T), vs
 
 
 def lifted_dimension(dim: int, copies: int) -> int | None:

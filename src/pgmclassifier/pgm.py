@@ -298,9 +298,8 @@ def build_dense_pgm(
         [copies_centroid(train.states[train.labels == i], copies) for i in range(l)]
     )
     p = priors.values
-    dec = pinv_sqrt(symmetrize(np.einsum("i,iab->ab", p, reps)))
-    s = dec.inv_sqrt
-    completion = dec.ker / l
+    s, basis = pinv_sqrt(symmetrize(np.einsum("i,iab->ab", p, reps)))
+    completion = symmetrize(np.eye(basis.shape[0]) - basis @ basis.T) / l
     povm = np.stack([symmetrize(s @ (p[i] * reps[i]) @ s) + completion for i in range(l)])
     return DensePgmModel(povm=povm, priors=priors, copies=copies, dim=train.dim)
 
@@ -325,7 +324,7 @@ def build_gram_pgm(
         n_classes=train.n_classes,
         priors=priors,
         copies=copies,
-        M=pinv_sqrt(gram).inv_sqrt,
+        M=pinv_sqrt(gram)[0],
     )
 
 

@@ -14,7 +14,7 @@ split first and across splits second.
 
 Everything is a deterministic function of (data, config, master seed):
 per-repetition seeds come from a fixed 64-bit mixing function, and grid
-tasks, computed with one BLAS thread whatever the number of workers, are
+tasks, computed at one BLAS thread count whatever the number of workers, are
 reduced in task order so results do not depend on the worker count.
 """
 
@@ -123,8 +123,8 @@ def stratified_holdout(labels, test_fraction: float, repetitions: int, seed: int
     labels = np.asarray(labels)
     if not 0.0 < test_fraction < 1.0:
         raise InvalidArgument(f"test fraction must lie in (0, 1), got {test_fraction!r}")
-    if repetitions < 1:
-        raise InvalidArgument(f"need at least one repetition, got {repetitions!r}")
+    if type(repetitions) is not int or repetitions < 1:
+        raise InvalidArgument(f"repetitions must be an integer of at least 1, got {repetitions!r}")
     classes = _distinct(labels)
     small = [int(c) for c in classes if (labels == c).sum() < 2]
     if small:
@@ -165,8 +165,8 @@ def stratified_kfold(train_labels, k: int, seed: int) -> list:
     the larger chunks.
     """
     train_labels = np.asarray(train_labels)
-    if k < 2:
-        raise InvalidArgument(f"k-fold needs k of at least 2, got {k!r}")
+    if type(k) is not int or k < 2:
+        raise InvalidArgument(f"k-fold needs an integer k of at least 2, got {k!r}")
     classes = _distinct(train_labels)
     members = [np.flatnonzero(train_labels == c) for c in classes]
     for c, idx in zip(classes, members):
@@ -269,15 +269,11 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-#: Thread-count variables of the BLAS builds numpy may load, set to 1 in the
-#: environment of spawned workers (see :func:`_spawned_outcomes`).
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-#: The thread-count getter and setter that the OpenBLAS bundled with numpy's
-#: wheels exports.
+#: The thread-count getter and setter pairs that the OpenBLAS bundled with
+#: numpy's wheels may export, tried in turn: numpy 2's, then numpy 1.x's.
 _OPENBLAS_THREAD_FUNCTIONS = (
-    "scipy_openblas_get_num_threads64_",
-    "scipy_openblas_set_num_threads64_",
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
 )
 
 
@@ -295,12 +291,17 @@ def _openblas_thread_functions():
 
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
-        get, set_ = (getattr(lib, name) for name in _OPENBLAS_THREAD_FUNCTIONS)
-    except (OSError, AttributeError):
+    except OSError:
         return None
-    get.argtypes, get.restype = (), ctypes.c_int
-    set_.argtypes, set_.restype = (ctypes.c_int,), None
-    return get, set_
+    for names in _OPENBLAS_THREAD_FUNCTIONS:
+        try:
+            get, set_ = (getattr(lib, name) for name in names)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
+    return None
 
 
 @contextmanager
@@ -358,33 +359,29 @@ def _resolve_workers(workers, n_tasks: int) -> int:
 
 
 #: ``(features, labels)`` of the rows the grid tasks index: set by
-#: :func:`_task_outcomes` before any worker is forked, or in a spawned
-#: worker by the pool's initializer.
+#: :func:`_task_outcomes` before any worker is forked.
 _worker_data = None
-
-
-def _receive_data(features, labels):
-    global _worker_data
-    _worker_data = (features, labels)
 
 
 @contextmanager
 def _task_outcomes(workers, features, labels, tasks):
     """Yield an iterator over the outcomes of ``tasks``, in task order.
 
-    Every score is computed with one BLAS thread, whatever the worker count,
-    so the scores do not depend on it: grid tasks are serial ``eigh`` calls
-    on small matrices, where more threads only contend for the cores the
-    other workers use. When :func:`_blas_threads` can set numpy's OpenBLAS,
-    the calling process is pinned to one thread for the whole block, and
-    ``features`` and ``labels`` become :data:`_worker_data`. Then a single
-    worker (from :func:`_resolve_workers`) runs the tasks in this process,
-    and more workers are forked from it, so they inherit both the data and
-    the pinned thread count and their tasks carry only row indices. Any
-    other BLAS takes :func:`_spawned_outcomes`. The process machinery is
-    imported only when a pool starts, so importing the package does not
-    load it. The data and the thread count are process-wide, so two threads
-    must not run grid searches at once.
+    ``features`` and ``labels`` become :data:`_worker_data` for the block.
+    When :func:`_blas_threads` can set numpy's OpenBLAS, the calling process
+    is pinned to one thread for the whole block: grid tasks are serial
+    ``eigh`` calls on small matrices, where more threads only contend for
+    the cores the other workers use. A single worker (from
+    :func:`_resolve_workers`) then runs the tasks in this process, and more
+    workers are forked from it, so they inherit both the data and the
+    pinned thread count and their tasks carry only row indices. With any
+    other BLAS the tasks run in this process at that BLAS's own thread
+    count, whatever ``workers`` is. Either way every task runs at the same
+    thread count, so the scores do not depend on the worker count. The
+    process machinery is imported only when a pool starts, so importing the
+    package does not load it; leaving the block early drops the tasks not
+    yet started. The data and the thread count are process-wide, so two
+    threads must not run grid searches at once.
 
     Not tested on Python 3.12 or later: those versions warn
     (``DeprecationWarning``) when a process with more than one thread
@@ -395,63 +392,24 @@ def _task_outcomes(workers, features, labels, tasks):
     global _worker_data
     workers = _resolve_workers(workers, len(tasks))
     with _blas_threads(1) as pinned:
-        if not pinned:
-            with _spawned_outcomes(workers, features, labels, tasks) as outcomes:
-                yield outcomes
-            return
         _worker_data = (features, labels)
         try:
-            if workers == 1:
+            if workers == 1 or not pinned:
                 yield map(_evaluate_group, tasks)
             else:
-                with _pool_outcomes(workers, "fork", tasks) as outcomes:
-                    yield outcomes
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+
+                with ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork")
+                ) as pool:
+                    try:
+                        yield pool.map(_evaluate_group, tasks)
+                    except BaseException:
+                        pool.shutdown(cancel_futures=True)
+                        raise
         finally:
             _worker_data = None
-
-
-@contextmanager
-def _spawned_outcomes(workers, features, labels, tasks):
-    """:func:`_task_outcomes` where the BLAS thread count cannot be set from
-    within the process: the tasks run in ``workers`` spawned processes, a
-    single worker included, and each receives ``features`` and ``labels``
-    once, at start-up. A spawned child imports numpy while it re-imports the
-    parent's main module, before any initializer could run, so the thread
-    variables are set in the environment it inherits, and the parent's
-    values are restored once the pool is shut down. This re-import is why a
-    script calling :func:`grid_search` needs a ``__main__`` guard here.
-    """
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        with _pool_outcomes(
-            workers, "spawn", tasks, initializer=_receive_data, initargs=(features, labels)
-        ) as outcomes:
-            yield outcomes
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
-@contextmanager
-def _pool_outcomes(workers, start_method, tasks, **pool_options):
-    """Yield the outcomes of ``tasks`` from a pool of ``workers`` processes
-    started by ``start_method``; leaving the block early drops the tasks not
-    yet started."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context(start_method), **pool_options
-    ) as pool:
-        try:
-            yield pool.map(_evaluate_group, tasks)
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
 
 
 def _round_tie(x: float) -> float:
@@ -524,8 +482,8 @@ def _plan_grid(rows, labels, n_classes, grid, *, k, cv_repetitions, seed, normal
     ``labels``; the tasks index the data by those rows."""
     if not grid:
         raise InvalidArgument("grid must contain at least one point")
-    if cv_repetitions < 1:
-        raise InvalidArgument(f"need at least one repetition, got {cv_repetitions!r}")
+    if type(cv_repetitions) is not int or cv_repetitions < 1:
+        raise InvalidArgument(f"cv_repetitions must be an integer of at least 1, got {cv_repetitions!r}")
     groups = _point_groups(grid, normalizer, engine)
     folds = [stratified_kfold(labels, k, derive_seed(seed, r)) for r in range(cv_repetitions)]
     tasks = [
@@ -597,17 +555,16 @@ def grid_search(
     the grid, so all points see identical folds. Points sharing encoding,
     alpha and prior mode form a group: one task per (group, repetition,
     fold) encodes the fold once and then builds and scores one measurement
-    per copy count. Tasks run on ``workers`` workers (default: one per
-    usable core, at most one per task), each with one BLAS thread: with
-    numpy's bundled OpenBLAS, one worker runs them in this process and more
-    are forked from it; with any other BLAS, every worker is a spawned
-    process, and a script calling this must then guard its top level with
-    ``if __name__ == "__main__":`` (see :func:`_task_outcomes`). Outcomes
-    are reduced in task order, so the results do not depend on the worker
-    count. Points whose any cell fails are excluded from the ranking and
-    returned at the tail with the error. Ranked points keep their
-    validation scores, so callers can derive further fold metrics without
-    refitting.
+    per copy count. With numpy's bundled OpenBLAS, tasks run on ``workers``
+    workers (default: one per usable core, at most one per task), each with
+    one BLAS thread: one worker runs them in this process and more are
+    forked from it. With any other BLAS they run in this process at that
+    BLAS's own thread count, whatever ``workers`` is (see
+    :func:`_task_outcomes`). Outcomes are reduced in task order, so the
+    results do not depend on the worker count. Points whose any cell fails
+    are excluded from the ranking and returned at the tail with the error.
+    Ranked points keep their validation scores, so callers can derive
+    further fold metrics without refitting.
 
     Returns a tuple of :class:`GridResult`, ranked entries first
     (descending mean, ties by grid order).
@@ -763,8 +720,7 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
     aborts the protocol with a diagnostic naming the split.
 
     The tasks of every split's grid search run on one set of
-    ``config.workers`` workers, as in :func:`grid_search` (with the same
-    ``__main__`` guard on the spawn fallback), and each split is ranked,
+    ``config.workers`` workers, as in :func:`grid_search`, and each split is ranked,
     refitted and evaluated as soon as its own tasks are done, so the parent
     holds about one split's validation scores at a time. The refits run
     while the workers do, so with numpy's OpenBLAS they too use one BLAS

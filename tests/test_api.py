@@ -58,10 +58,26 @@ _BAD_ARGUMENTS = {
     ),
     "stratified_holdout-fraction": lambda: selection.stratified_holdout(_LABELS, 1.0, 1, 0),
     "stratified_holdout-repetitions": lambda: selection.stratified_holdout(_LABELS, 0.5, 0, 0),
+    "stratified_holdout-repetitions-float": lambda: selection.stratified_holdout(
+        _LABELS, 0.5, 2.5, 0
+    ),
+    "stratified_holdout-repetitions-bool": lambda: selection.stratified_holdout(
+        _LABELS, 0.5, True, 0
+    ),
     "stratified_kfold-k": lambda: selection.stratified_kfold(_LABELS, 1, 0),
+    "stratified_kfold-k-float": lambda: selection.stratified_kfold(_LABELS, 2.5, 0),
     "grid_search-grid": lambda: selection.grid_search(_FEATURES, _LABELS, 2, [], seed=0),
     "grid_search-cv_repetitions": lambda: selection.grid_search(
         _FEATURES, _LABELS, 2, selection.make_grid(), seed=0, cv_repetitions=0
+    ),
+    "grid_search-cv_repetitions-float": lambda: selection.grid_search(
+        _FEATURES, _LABELS, 2, selection.make_grid(), seed=0, k=2, cv_repetitions=1.5
+    ),
+    "grid_search-cv_repetitions-bool": lambda: selection.grid_search(
+        _FEATURES, _LABELS, 2, selection.make_grid(), seed=0, k=2, cv_repetitions=True
+    ),
+    "grid_search-k-float": lambda: selection.grid_search(
+        _FEATURES, _LABELS, 2, selection.make_grid(), seed=0, k=2.5
     ),
     "make_grid-copies": lambda: selection.grid_search(
         _FEATURES, _LABELS, 2, selection.make_grid(copies=(2.5,)), seed=0, k=2

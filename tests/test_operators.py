@@ -48,30 +48,36 @@ class TestEigSym:
         assert np.abs(gram - np.eye(5)).max() <= 1e-12
 
 
+def kernel_projector(basis):
+    return np.eye(basis.shape[0]) - basis @ basis.T
+
+
 class TestPinvSqrt:
     def test_identity(self):
-        dec = pinv_sqrt(np.eye(3))
-        np.testing.assert_allclose(dec.inv_sqrt, np.eye(3))
-        np.testing.assert_allclose(dec.ker, np.zeros((3, 3)))
+        inv_sqrt, basis = pinv_sqrt(np.eye(3))
+        np.testing.assert_allclose(inv_sqrt, np.eye(3))
+        np.testing.assert_allclose(kernel_projector(basis), np.zeros((3, 3)))
 
     def test_zero_matrix(self):
-        dec = pinv_sqrt(np.zeros((3, 3)))
-        np.testing.assert_allclose(dec.inv_sqrt, np.zeros((3, 3)))
-        np.testing.assert_allclose(dec.ker, np.eye(3))
+        inv_sqrt, basis = pinv_sqrt(np.zeros((3, 3)))
+        np.testing.assert_allclose(inv_sqrt, np.zeros((3, 3)))
+        assert basis.shape == (3, 0)
+        np.testing.assert_allclose(kernel_projector(basis), np.eye(3))
 
     def test_rank_deficient_random(self, rng):
         b = rng.normal(size=(6, 3))
         a = b @ b.T
-        dec = pinv_sqrt(a)
-        image = dec.inv_sqrt @ a @ dec.inv_sqrt
-        assert np.abs(image + dec.ker - np.eye(6)).max() <= 1e-8
-        assert np.abs(dec.ker @ dec.ker - dec.ker).max() <= 1e-10
-        assert np.abs(a @ dec.ker).max() <= 1e-10
-        assert abs(np.trace(dec.ker) - 3.0) <= 1e-8
+        inv_sqrt, basis = pinv_sqrt(a)
+        ker = kernel_projector(basis)
+        image = inv_sqrt @ a @ inv_sqrt
+        assert np.abs(image + ker - np.eye(6)).max() <= 1e-8
+        assert np.abs(ker @ ker - ker).max() <= 1e-10
+        assert np.abs(a @ ker).max() <= 1e-10
+        assert abs(np.trace(ker) - 3.0) <= 1e-8
 
     def test_acts_as_inverse_sqrt_on_image(self):
-        dec = pinv_sqrt(np.diag([4.0, 0.0]))
-        np.testing.assert_allclose(dec.inv_sqrt, np.diag([0.5, 0.0]))
+        inv_sqrt, _ = pinv_sqrt(np.diag([4.0, 0.0]))
+        np.testing.assert_allclose(inv_sqrt, np.diag([0.5, 0.0]))
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveSemidefinite):

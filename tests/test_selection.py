@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 
 import numpy as np
@@ -345,37 +346,28 @@ class TestGridSearch:
         # its point.
         self.check_infeasible_point_marked_failed(workers=2)
 
-    def test_spawn_fallback_matches_pinned_path(self, monkeypatch):
-        # Same BLAS-sensitive problem as above: without a BLAS thread control,
-        # spawned workers with one BLAS thread each must give the bits that the
-        # in-process and forked workers of the pinned path give.
+    def test_unpinned_blas_runs_in_process_at_any_worker_count(self, monkeypatch):
+        # Without a BLAS thread control no worker process starts, and workers 1
+        # and 2 give the same bits.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(selection, "_openblas_thread_functions", lambda: None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         features, labels = blob_features(1.5, 125, d=2, seed=8)
         grid = make_grid(alphas=(0.5,), copies=(1, 5, 15))
-
-        def run(workers):
-            return grid_search(
+        runs = [
+            grid_search(
                 features, labels, 3, grid, k=5, cv_repetitions=1, seed=4,
                 engine="gram", workers=workers,
             )
-
-        pinned = [run(w) for w in (1, 2)]
-        spawned = selection._spawned_outcomes
-        spawned_counts = []
-
-        def counting(workers, *args):
-            spawned_counts.append(workers)
-            return spawned(workers, *args)
-
-        monkeypatch.setattr(selection, "_openblas_thread_functions", lambda: None)
-        monkeypatch.setattr(selection, "_spawned_outcomes", counting)
-        fallback = [run(w) for w in (1, 2)]
-        assert spawned_counts == [1, 2]
+            for workers in (1, 2)
+        ]
         assert selection._worker_data is None
-        for other in pinned[1:] + fallback:
-            for a, b in zip(pinned[0], other):
-                assert (a.grid_index, a.rank) == (b.grid_index, b.rank)
-                np.testing.assert_array_equal(a.values, b.values)
-                assert_same_fold_scores(a, b)
+        for a, b in zip(*runs):
+            assert (a.grid_index, a.rank) == (b.grid_index, b.rank)
+            np.testing.assert_array_equal(a.values, b.values)
+            assert_same_fold_scores(a, b)
 
     def test_validation(self):
         features, labels = small_blob_problem()
@@ -445,6 +437,24 @@ class TestResolveWorkers:
 
 
 class TestBlasThreads:
+    def test_lookup_tries_each_name_pair_in_turn(self, monkeypatch):
+        lookup = selection._openblas_thread_functions
+        lookup.cache_clear()
+        try:
+            functions = lookup()
+            if functions is None:
+                pytest.skip("numpy's BLAS exports no thread control")
+            found = tuple(f.__name__ for f in functions)
+            missing = ("no_such_get_num_threads", "no_such_set_num_threads")
+            monkeypatch.setattr(selection, "_OPENBLAS_THREAD_FUNCTIONS", (missing, found))
+            lookup.cache_clear()
+            assert tuple(f.__name__ for f in lookup()) == found
+            monkeypatch.setattr(selection, "_OPENBLAS_THREAD_FUNCTIONS", (missing,))
+            lookup.cache_clear()
+            assert lookup() is None
+        finally:
+            lookup.cache_clear()
+
     def test_sets_and_restores_thread_count(self):
         functions = selection._openblas_thread_functions()
         if functions is None:
