@@ -12,6 +12,7 @@ plan cannot silently be applied to a different dataset.
 
 from __future__ import annotations
 
+import codecs
 import collections
 import csv
 import hashlib
@@ -19,6 +20,8 @@ import io
 import itertools
 import json
 import math
+import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -78,9 +81,13 @@ def fingerprint_bytes(raw: bytes) -> dict:
     return {"algorithm": FINGERPRINT_ALGORITHM, "value": digest}
 
 
-#: Characters of dataset text tokenised at a time: a load holds the cells
-#: of one block, not of the whole file. Blocks are cut at a newline.
-_BLOCK_CHARS = 1 << 18
+#: Bytes of a dataset file the fast route reads, hashes and decodes at a time.
+_BLOCK_BYTES = 1 << 18
+
+#: Bytes that keep a file off the fast route: ``"`` and NUL, which
+#: ``csv.reader`` treats apart, and ``\x1c``-``\x1f``, which ``np.loadtxt``
+#: strips from a number as whitespace where ``float`` refuses them.
+_UNSCREENED = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,22 +128,124 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
     the header). The label column is optional so prediction inputs may omit
     it; when present, labels are arbitrary nonempty strings.
 
-    The text is tokenised once, in blocks of about :data:`_BLOCK_CHARS`
-    characters: text with no ``"`` and no NUL by splitting on newlines and
-    commas (:func:`_split_quote_free`), any other text by ``csv.reader``
-    (:func:`_split_csv`). Both give the cells ``csv.reader`` gives. A block
-    of rows as wide as the header goes through :func:`_parse_fast` into one
-    feature matrix, sized from the line count; any other block, or one
-    the fast parse refuses, through :func:`_parse_checked`, which names the
-    first faulty row or cell. Nothing is parsed after the first header, row
-    or cell fault: the text is only scanned for a line ``csv.reader``
-    cannot read (:func:`_check_readable`), which is reported first wherever
-    it stands, so no diagnostic depends on where blocks end.
+    Every file goes to the fast route first, numpy's C reader over a
+    screened stream of lines (:func:`_load_fast`). A file it might read
+    otherwise than ``csv.reader`` and ``float`` do is read again by the
+    exact route (:func:`_load_exact`), so the accepted files, their
+    datasets and every diagnostic are those of the exact route.
+    """
+    return _load_fast(path, label_column) or _load_exact(path, label_column)
+
+
+def _dataset(path, header, label_pos, features, codes, label_codes, fingerprint) -> Dataset:
+    """A :class:`Dataset`; ``codes`` maps each label to the code ``label_codes`` gives per row."""
+    classes = label_indices = None
+    if label_pos >= 0:
+        classes = tuple(sorted(codes))
+        position = {name: i for i, name in enumerate(classes)}
+        label_indices = np.array([position[name] for name in codes], dtype=np.int64)
+        label_indices = label_indices[label_codes]
+    return Dataset(
+        path=str(path),
+        feature_names=tuple(name for i, name in enumerate(header) if i != label_pos),
+        features=features,
+        classes=classes,
+        label_indices=label_indices,
+        fingerprint=fingerprint,
+    )
+
+
+def _load_fast(path, label_column: str) -> Dataset | None:
+    """The dataset of ``path`` by ``np.loadtxt``, or None where :func:`_load_exact` must read it.
+
+    One pass over a regular file, :data:`_BLOCK_BYTES` at a time: each block
+    is canonicalised (a trailing CR waits for the next block's LF), hashed,
+    decoded and cut into lines. It gives up wherever ``loadtxt`` might read
+    a line otherwise than ``csv.reader`` and ``float`` do: at a decode error,
+    a byte of :data:`_UNSCREENED`, an empty line (a final newline aside), a
+    line past ``csv.field_size_limit()``, a header fault, no rows, a cell
+    ``loadtxt`` refuses (such as ``1_0``; it reads no cell ``float`` refuses,
+    and each cell to ``float``'s value), an empty label, a non-finite value,
+    or a table not as wide as the header or not of one row per line. A
+    pipe, which cannot be read twice, is not tried.
+    """
+    if not os.path.isfile(path):
+        return None
+    digest = hashlib.sha256()
+    n_lines = 0
+
+    def blocks(fh):
+        nonlocal n_lines
+        limit = csv.field_size_limit()
+        decoder = codecs.getincrementaldecoder("utf-8-sig")()
+        held, tail = b"", ""
+        while True:
+            raw = fh.read(_BLOCK_BYTES)
+            block = held + raw
+            held = b"\r" if raw and block.endswith(b"\r") else b""
+            block = canonical_bytes(block[: len(block) - len(held)])
+            if any(map(block.__contains__, _UNSCREENED)):
+                raise ValueError("not for the fast route")
+            digest.update(block)
+            text = decoder.decode(block, final=not raw)
+            tail += text  # in place, split only at a new line end: a long line takes linear time
+            *lines, tail = tail.split("\n") if "\n" in text else [tail]
+            if "" in lines or max(map(len, lines), default=0) > limit or len(tail) > limit:
+                raise ValueError("not for the fast route")
+            n_lines += len(lines)
+            yield lines
+            if not raw:
+                break
+        if tail:
+            n_lines += 1
+            yield [tail]
+
+    # Each new label gets the next code, with no Python call for a label seen before.
+    codes = collections.defaultdict()
+    codes.default_factory = codes.__len__
+    with _opened(path, "rb") as fh:
+        rows = itertools.chain.from_iterable(blocks(fh))
+        try:
+            header = next(rows, "").split(",")
+            first = next(rows, None)
+            if first is None or not any(header) or len(set(header)) != len(header):
+                return None
+            label_pos = header.index(label_column) if label_column in header else -1
+            # encoding=None hands converters str cells; numpy 1.x defaults to Latin-1 bytes.
+            table = np.loadtxt(
+                itertools.chain([first], rows),
+                delimiter=",",
+                comments=None,
+                ndmin=2,
+                encoding=None,
+                converters={label_pos: codes.__getitem__} if label_pos >= 0 else None,
+            )
+        except ValueError:  # a UnicodeDecodeError too
+            return None
+    if table.shape != (n_lines - 1, len(header)) or "" in codes:
+        return None
+    label_codes = None
+    if label_pos >= 0:
+        label_codes = table[:, label_pos].astype(np.int64)
+        table = np.delete(table, label_pos, axis=1)
+    if not np.isfinite(table).all():
+        return None
+    fingerprint = {"algorithm": FINGERPRINT_ALGORITHM, "value": digest.hexdigest()}
+    return _dataset(path, header, label_pos, table, codes, label_codes, fingerprint)
+
+
+def _load_exact(path, label_column: str) -> Dataset:
+    """The dataset of ``path`` by ``csv.reader`` and ``float``, row by row, into one matrix.
+
+    Raises at the first header, row or cell fault, naming it; nothing is
+    parsed after it. A line ``csv.reader`` cannot read is named first
+    wherever it stands, so after a fault the reader goes on to the end, but
+    only where one can follow: in text holding a ``"`` or a NUL, or a run
+    of more than ``csv.field_size_limit()`` characters between commas.
     """
     text, fingerprint = _read_text(path)
-    quoted = '"' in text or "\0" in text
-    blocks = (_split_csv if quoted else _split_quote_free)(path, text)
-    header = next(blocks, [])
+    rows = _csv_rows(path, _lines(text))
+    header = next(rows, [])
     fault = None
     if not any(header):
         fault = DatasetFormatError(f"{path}: missing header row")
@@ -150,39 +259,40 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
     matrix = np.empty((n_rows, width - (label_pos >= 0)))
     label_codes = np.empty(n_rows if label_pos >= 0 else 0, dtype=np.int64)
     codes: dict = {}
-    row = 0
-    for cells, rows in blocks if fault is None else ():
-        stop = row + (len(rows) if cells is None else len(cells) // width)
-        out = matrix[row:stop]
-        labels = None if cells is None else _parse_fast(cells, width, label_pos, out)
-        if labels is None:
-            if cells is not None:
-                rows = (cells[i : i + width] for i in range(0, len(cells), width))
-            try:
-                labels = _parse_checked(path, header, rows, label_pos, row, out)
-            except DatasetFormatError as exc:
-                fault = exc
-                break
-        if label_pos >= 0:
-            label_codes[row:stop] = _label_codes(codes, labels)
-        row = stop
+    r = 0
+    try:
+        for r, row in enumerate(rows if fault is None else (), start=1):
+            if len(row) != width:
+                raise DatasetFormatError(f"{path}: row {r} has {len(row)} fields, expected {width}")
+            values = []
+            for i, cell in enumerate(row):
+                if i == label_pos:
+                    if cell == "":
+                        raise DatasetFormatError(
+                            f"{path}: row {r} column {header[i]!r}: missing label"
+                        )
+                    label_codes[r - 1] = codes.setdefault(cell, len(codes))
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise DatasetFormatError(
+                        f"{path}: row {r} column {header[i]!r}: "
+                        f"expected a finite number, got {cell!r}"
+                    )
+                values.append(value)
+            matrix[r - 1] = values
+    except DatasetFormatError as exc:
+        fault = exc
     if fault is not None:
-        _check_readable(path, text, quoted)
+        limit = csv.field_size_limit()
+        long_field = limit < len(text) and re.search(f"(?:^|[,\n])[^,\n]{{{limit + 1}}}", text)
+        if '"' in text or "\0" in text or long_field:
+            collections.deque(rows, maxlen=0)
         raise fault
-    classes = label_indices = None
-    if label_pos >= 0:
-        classes = tuple(sorted(codes))
-        position = {name: i for i, name in enumerate(classes)}
-        label_indices = np.array([position[name] for name in codes], dtype=np.int64)
-        label_indices = label_indices[label_codes[:row]]
-    return Dataset(
-        path=str(path),
-        feature_names=tuple(name for i, name in enumerate(header) if i != label_pos),
-        features=matrix[:row],
-        classes=classes,
-        label_indices=label_indices,
-        fingerprint=fingerprint,
-    )
+    return _dataset(path, header, label_pos, matrix[:r], codes, label_codes[:r], fingerprint)
 
 
 def _read_text(path):
@@ -200,28 +310,6 @@ def _read_text(path):
         raise DatasetFormatError(f"{path}: not valid UTF-8 ({exc})") from None
 
 
-def _label_codes(codes: dict, labels) -> np.ndarray:
-    """Each label's code in ``codes``, where a label not yet in it gets the next code."""
-    for name in set(labels).difference(codes):
-        codes[name] = len(codes)
-    return np.fromiter(map(codes.__getitem__, labels), dtype=np.int64, count=len(labels))
-
-
-def _text_blocks(text: str):
-    """Runs of whole lines of LF ``text``, each about :data:`_BLOCK_CHARS` long.
-
-    A block ends before a newline, which belongs to no block; the last
-    block holds what follows the last newline, if anything does.
-    """
-    start, end = 0, len(text)
-    while start < end:
-        cut = text.find("\n", min(start + _BLOCK_CHARS, end) - 1)
-        if cut < 0:
-            cut = end
-        yield text[start:cut]
-        start = cut + 1
-
-
 def _lines(text: str):
     """The lines of LF ``text``, each with its newline, as ``csv.reader`` reads a file."""
     start, end = 0, len(text)
@@ -231,145 +319,14 @@ def _lines(text: str):
         start = stop
 
 
-def _split_quote_free(path, text: str):
-    """Header cells, then a ``(cells, rows)`` pair per block, of text free of ``"`` and NUL.
-
-    ``csv.reader`` splits such a line exactly as ``str.split`` does on
-    commas, as long as the line is not empty and not longer than
-    ``csv.field_size_limit()``. A block whose lines keep these rules and
-    have the header's comma count gives its flat row-major ``cells``; any
-    other gives its ``rows`` by ``csv.reader``, so rows never trade cells.
-    """
-    limit = csv.field_size_limit()
-    commas = end = 0
-    for block in _text_blocks(text):
-        lines = block.split("\n")
-        start, end = end, end + len(lines)
-        if start == 0:
-            commas = lines[0].count(",")
-        if (
-            "" in lines
-            or max(map(len, lines)) > limit
-            or set(map(str.count, lines, itertools.repeat(","))) != {commas}
-        ):
-            rows = list(_csv_rows(path, lines, start))
-            if start == 0:
-                yield rows.pop(0)
-            yield None, rows
-            continue
-        del lines
-        cells = block.replace("\n", ",").split(",")
-        if start == 0:
-            yield cells[: commas + 1]
-            del cells[: commas + 1]
-        yield cells, None
-
-
-def _split_csv(path, text: str):
-    """Blocks by ``csv.reader`` over :func:`_lines`, as :func:`_split_quote_free` yields them.
-
-    A block holds about :data:`_BLOCK_CHARS` characters' worth of rows of
-    the average line length; one with a row not as wide as the header
-    gives its ``rows``, any other its ``cells``.
-    """
-    rows = _csv_rows(path, _lines(text))
-    per_block = max(1, _BLOCK_CHARS * (text.count("\n") + 1) // max(len(text), 1))
-    header = next(rows, [])
-    yield header
-    while block := list(itertools.islice(rows, per_block)):
-        if any(len(row) != len(header) for row in block):
-            yield None, block
-        else:
-            yield list(itertools.chain.from_iterable(block)), None
-
-
-def _check_readable(path, text: str, quoted: bool) -> None:
-    """Raise the error of the first line of ``text`` that ``csv.reader`` cannot read, if any.
-
-    Keeps no rows. In ``text`` free of ``"`` and NUL only a line longer than
-    ``csv.field_size_limit()`` can be one, so only blocks holding such a
-    line are read.
-    """
-    if quoted:
-        collections.deque(_csv_rows(path, _lines(text)), maxlen=0)
-        return
-    start = 0
-    for block in _text_blocks(text):
-        lines = block.split("\n")
-        if max(map(len, lines)) > csv.field_size_limit():
-            collections.deque(_csv_rows(path, lines, start), maxlen=0)
-        start += len(lines)
-
-
-def _csv_rows(path, lines, offset: int = 0):
-    """Rows by ``csv.reader`` of ``lines``, which follow line ``offset`` of the file.
-
-    A ``csv.Error`` becomes :class:`DatasetFormatError` naming the file's line.
-    """
+def _csv_rows(path, lines):
+    """Rows by ``csv.reader`` of ``lines``; a ``csv.Error`` becomes :class:`DatasetFormatError`
+    naming the file's line."""
     reader = csv.reader(lines)
     try:
         yield from reader
     except csv.Error as exc:
-        raise DatasetFormatError(f"{path}: line {offset + reader.line_num}: {exc}") from None
-
-
-def _parse_fast(cells: list, width: int, label_pos: int, out: np.ndarray):
-    """Labels of a flat row-major cell list whose features go into ``out``, or None.
-
-    ``cells`` holds ``width`` cells for each row of ``out``, and is left
-    whole for :func:`_parse_checked`. Every feature cell goes through
-    ``float`` in one vectorized pass; a cell ``float`` rejects, a
-    non-finite value or an empty label makes it give up.
-    """
-    labels, features = [], cells
-    if label_pos >= 0:
-        labels = cells[label_pos::width]
-        if "" in labels:
-            return None
-        features = cells.copy()
-        del features[label_pos::width]
-    try:
-        flat = np.fromiter(map(float, features), dtype=float, count=len(features))
-    except ValueError:
-        return None
-    if not np.isfinite(flat).all():
-        return None
-    out[...] = flat.reshape(out.shape)
-    return labels
-
-
-def _parse_checked(path, header, rows, label_pos: int, offset: int, out: np.ndarray) -> list:
-    """Labels of ``rows``, parsed cell by cell into ``out``; raises at the first bad row or cell.
-
-    Rows are counted from 1, excluding the header; ``rows`` follow row ``offset``.
-    """
-    labels = []
-    for r, row in enumerate(rows, start=offset + 1):
-        if len(row) != len(header):
-            raise DatasetFormatError(
-                f"{path}: row {r} has {len(row)} fields, expected {len(header)}"
-            )
-        values = []
-        for i, cell in enumerate(row):
-            if i == label_pos:
-                if cell == "":
-                    raise DatasetFormatError(
-                        f"{path}: row {r} column {header[i]!r}: missing label"
-                    )
-                labels.append(cell)
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if cell == "" or not math.isfinite(value):
-                raise DatasetFormatError(
-                    f"{path}: row {r} column {header[i]!r}: "
-                    f"expected a finite number, got {cell!r}"
-                )
-            values.append(value)
-        out[r - offset - 1] = values
-    return labels
+        raise DatasetFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def features_for_model(dataset: Dataset, feature_columns) -> np.ndarray:

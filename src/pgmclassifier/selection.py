@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -50,13 +51,19 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def _check_seed(seed) -> None:
+    if type(seed) is not int:
+        raise InvalidArgument(f"seed must be an integer, got {seed!r}")
+
+
 def derive_seed(master: int, index: int) -> int:
     """Mix a master seed with an index into an independent 64-bit seed.
 
     Fixed finalizer-style mixing (multiply-xorshift), so derived seeds are
     reproducible across platforms and decoupled for consecutive indices.
     """
-    z = (int(master) + (int(index) + 1) * _GOLDEN) & _MASK64
+    _check_seed(master)
+    z = (master + (int(index) + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -167,6 +174,7 @@ def stratified_kfold(train_labels, k: int, seed: int) -> list:
     train_labels = np.asarray(train_labels)
     if type(k) is not int or k < 2:
         raise InvalidArgument(f"k-fold needs an integer k of at least 2, got {k!r}")
+    _check_seed(seed)
     classes = _distinct(train_labels)
     members = [np.flatnonzero(train_labels == c) for c in classes]
     for c, idx in zip(classes, members):
@@ -362,6 +370,9 @@ def _resolve_workers(workers, n_tasks: int) -> int:
 #: :func:`_task_outcomes` before any worker is forked.
 _worker_data = None
 
+#: Held by :func:`_task_outcomes` for its whole block: one grid search at a time owns the process.
+_grid_lock = threading.Lock()
+
 
 @contextmanager
 def _task_outcomes(workers, features, labels, tasks):
@@ -380,8 +391,9 @@ def _task_outcomes(workers, features, labels, tasks):
     thread count, so the scores do not depend on the worker count. The
     process machinery is imported only when a pool starts, so importing the
     package does not load it; leaving the block early drops the tasks not
-    yet started. The data and the thread count are process-wide, so two
-    threads must not run grid searches at once.
+    yet started. The data and the thread count are process-wide, so the
+    block holds :data:`_grid_lock`: grid searches that threads start at once
+    run one after the other.
 
     Not tested on Python 3.12 or later: those versions warn
     (``DeprecationWarning``) when a process with more than one thread
@@ -391,7 +403,7 @@ def _task_outcomes(workers, features, labels, tasks):
     """
     global _worker_data
     workers = _resolve_workers(workers, len(tasks))
-    with _blas_threads(1) as pinned:
+    with _grid_lock, _blas_threads(1) as pinned:
         _worker_data = (features, labels)
         try:
             if workers == 1 or not pinned:

@@ -64,8 +64,22 @@ _BAD_ARGUMENTS = {
     "stratified_holdout-repetitions-bool": lambda: selection.stratified_holdout(
         _LABELS, 0.5, True, 0
     ),
+    "stratified_holdout-seed-float": lambda: selection.stratified_holdout(_LABELS, 0.5, 1, 2.5),
+    "stratified_holdout-seed-bool": lambda: selection.stratified_holdout(_LABELS, 0.5, 1, True),
     "stratified_kfold-k": lambda: selection.stratified_kfold(_LABELS, 1, 0),
     "stratified_kfold-k-float": lambda: selection.stratified_kfold(_LABELS, 2.5, 0),
+    "stratified_kfold-seed-float": lambda: selection.stratified_kfold(_LABELS, 2, 2.5),
+    "stratified_kfold-seed-bool": lambda: selection.stratified_kfold(_LABELS, 2, False),
+    "grid_search-seed-float": lambda: selection.grid_search(
+        _FEATURES, _LABELS, 2, selection.make_grid(), seed=1.0, k=2
+    ),
+    "run_protocol-seed-bool": lambda: selection.run_protocol(
+        np.arange(16.0).reshape(8, 2),
+        np.repeat([0, 1], 4),
+        2,
+        selection.stratified_holdout(np.repeat([0, 1], 4), 0.25, 1, 0),
+        selection.ProtocolConfig(seed=True, grid=selection.make_grid(copies=(1,)), k=2),
+    ),
     "grid_search-grid": lambda: selection.grid_search(_FEATURES, _LABELS, 2, [], seed=0),
     "grid_search-cv_repetitions": lambda: selection.grid_search(
         _FEATURES, _LABELS, 2, selection.make_grid(), seed=0, cv_repetitions=0

@@ -1,10 +1,11 @@
 import csv
 import hashlib
 import io
-import itertools
 import json
 import math
+import os
 import tempfile
+import threading
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -169,7 +170,7 @@ _FAULTS = st.lists(st.sampled_from(["cell", "label", "short", "long", "blank"]),
 
 
 def add_faults(draw, rows, at):
-    """Apply drawn faults to the body of ``rows`` (header first); returns their names.
+    """Apply drawn faults to the body of ``rows`` (header first).
 
     Empty lines go in last, so no other fault lands in one.
     """
@@ -187,7 +188,6 @@ def add_faults(draw, rows, at):
             rows[r].insert(c, draw(_CELLS))
         elif fault == "blank":
             rows.insert(r, [])
-    return faults
 
 
 @st.composite
@@ -216,7 +216,7 @@ _PLAIN_LABELS = st.sampled_from(["a", "z", " padded ", "b c", "\u00e9", "x\u2028
 
 @st.composite
 def quote_free_datasets(draw):
-    """``(raw bytes, label position or None, faults)`` for a small quote-free CSV.
+    """``(raw bytes, label position or None)`` for a small quote-free CSV.
 
     Line endings are LF, CRLF or lone CR, with or without a final one; files
     may be header-only, lack the label column or have a single column.
@@ -231,12 +231,12 @@ def quote_free_datasets(draw):
         rows[0].insert(at, "label")
         for row in rows[1:]:
             row.insert(at, draw(_PLAIN_LABELS))
-    faults = add_faults(draw, rows, at)
+    add_faults(draw, rows, at)
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(",".join(row) for row in rows)
     if draw(st.booleans()):
         text += newline
-    return text.encode("utf-8"), at, faults
+    return text.encode("utf-8"), at
 
 
 def load_outcome(path):
@@ -322,24 +322,15 @@ def matches_cell_by_cell_parse(case):
 @given(case=quote_free_datasets())
 def quote_free_files_match_the_csv_reader_route(case):
     """A quote-free file gives the outcome of the ``csv.reader`` route and of the reference."""
-    raw, at, faults = case
+    raw, at = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.csv"
         path.write_bytes(raw)
         outcome = load_outcome(path)
-        with mock.patch.object(dataio, "_split_quote_free", dataio._split_csv):
+        with mock.patch.object(dataio, "_load_fast", lambda path, label_column: None):
             reference = load_outcome(path)
         assert_matches_reference(path, outcome, raw, at)
         assert_matches_reference(path, reference, raw, at)
-    text = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode("utf-8")
-    header, *blocks = dataio._split_quote_free(path, text)
-    split = all(rows is None for _, rows in blocks)
-    assert split or faults
-    if split:
-        csv_header, *body = csv.reader(io.StringIO(text))
-        assert all(len(row) == len(header) for row in body)
-        assert header == csv_header
-        assert sum((cells for cells, _ in blocks), []) == [cell for row in body for cell in row]
 
 
 #: Valid rows enough to fill more than one block of the default size.
@@ -421,34 +412,35 @@ class TestLoadDatasetEquivalence:
             load_dataset(path)
         assert str(info.value) == f"{path}: {message}"
 
-    @pytest.mark.parametrize("block_chars", [1, 64])
-    def test_generated_files_in_small_blocks(self, block_chars):
-        with mock.patch.object(dataio, "_BLOCK_CHARS", block_chars):
+    @pytest.mark.parametrize("block_bytes", [1, 64])
+    def test_generated_files_in_small_blocks(self, block_bytes):
+        with mock.patch.object(dataio, "_BLOCK_BYTES", block_bytes):
             matches_cell_by_cell_parse()
             quote_free_files_match_the_csv_reader_route()
 
 
-@pytest.fixture(params=[1, 64, dataio._BLOCK_CHARS])
-def block_chars(request):
-    """Runs a test with one line per block, a few lines per block and the default size."""
-    with mock.patch.object(dataio, "_BLOCK_CHARS", request.param):
+@pytest.fixture(params=[1, 64, dataio._BLOCK_BYTES])
+def block_bytes(request):
+    """Runs a test with one byte per block, a few lines per block and the default size."""
+    with mock.patch.object(dataio, "_BLOCK_BYTES", request.param):
         yield request.param
 
 
 class TestLoadDatasetBlocks:
-    """Faults and files that straddle the blocks ``load_dataset`` tokenises."""
+    """Faults and files that straddle the byte blocks ``load_dataset`` reads."""
 
     @staticmethod
-    def body(block_chars):
+    def body(block_bytes):
         """Ten-character rows, enough for more than three blocks."""
-        n_rows = 3 * block_chars // 10 + 3
+        n_rows = 3 * block_bytes // 10 + 3
         return [f"{i % 10}.5,{i % 7}.25,{'ab'[i % 2]}" for i in range(n_rows)]
 
     @staticmethod
     def block_starts(lines):
-        """The row number (from 1, header excluded) that starts each block after the first."""
-        sizes = [block.count("\n") + 1 for block in dataio._text_blocks("\n".join(lines))]
-        return list(itertools.accumulate(sizes[:-1]))
+        """The rows (from 1, header excluded) holding the first byte of a block after the first."""
+        raw = ("\n".join(lines) + "\n").encode()
+        size = dataio._BLOCK_BYTES
+        return sorted({raw.count(b"\n", 0, start) for start in range(size, len(raw), size)} - {0})
 
     def load_error(self, path, lines):
         path.write_text("\n".join(lines) + "\n")
@@ -456,30 +448,30 @@ class TestLoadDatasetBlocks:
             load_dataset(path)
         return str(info.value).removeprefix(f"{path}: ")
 
-    def test_bad_cell_in_the_second_block(self, tmp_path, block_chars):
-        lines = ["f0,f1,label", *self.body(block_chars)]
+    def test_bad_cell_in_the_second_block(self, tmp_path, block_bytes):
+        lines = ["f0,f1,label", *self.body(block_bytes)]
         r = self.block_starts(lines)[0] + 1
         lines[r] = "1.5,x.25,a"
         message = self.load_error(tmp_path / "bad.csv", lines)
         assert message == f"row {r} column 'f1': expected a finite number, got 'x.25'"
 
-    def test_short_and_long_rows_straddling_a_boundary(self, tmp_path, block_chars):
-        lines = ["f0,f1,label", *self.body(block_chars)]
+    def test_short_and_long_rows_straddling_a_boundary(self, tmp_path, block_bytes):
+        lines = ["f0,f1,label", *self.body(block_bytes)]
         r = self.block_starts(lines)[1]
         lines[r - 1] = "1.5,2.25;a"
         lines[r] = "1,5,2.25,a"
         message = self.load_error(tmp_path / "bad.csv", lines)
         assert message == f"row {r - 1} has 2 fields, expected 3"
 
-    def test_empty_line_at_a_boundary(self, tmp_path, block_chars):
-        lines = ["f0,f1,label", *self.body(block_chars)]
+    def test_empty_line_at_a_boundary(self, tmp_path, block_bytes):
+        lines = ["f0,f1,label", *self.body(block_bytes)]
         r = self.block_starts(lines)[1]
         lines.insert(r, "")
         message = self.load_error(tmp_path / "bad.csv", lines)
         assert message == f"row {r} has 0 fields, expected 3"
 
-    def test_last_block_without_a_final_newline(self, tmp_path, block_chars):
-        raw = "\n".join(["f0,f1,label", *self.body(block_chars)]).encode()
+    def test_last_block_without_a_final_newline(self, tmp_path, block_bytes):
+        raw = "\n".join(["f0,f1,label", *self.body(block_bytes)]).encode()
         path = tmp_path / "d.csv"
         path.write_bytes(raw)
         names, features, labels, digest = reference_parse(raw, 2)
@@ -489,28 +481,28 @@ class TestLoadDatasetBlocks:
         assert row_labels(ds) == labels
         assert ds.fingerprint["value"] == digest
 
-    def test_nothing_is_read_after_the_faulty_block(self, tmp_path, block_chars, monkeypatch):
-        """After a bad cell, later blocks are not tokenised, though their rows are ragged."""
-        lines = ["f0,f1,label", "1.5,x.25,a", *self.body(block_chars)]
+    def test_nothing_is_read_after_the_faulty_block(self, tmp_path, block_bytes, monkeypatch):
+        """After a bad cell no later row is read, though later blocks hold ragged rows."""
+        lines = ["f0,f1,label", "1.5,x.25,a", *self.body(block_bytes)]
         after = next(start for start in self.block_starts(lines) if start > 1)
         lines[after:] = ["1.5,2.25ab"] * (len(lines) - after)
         read = []
         csv_rows = dataio._csv_rows
 
-        def recorded(path, lines, offset=0):
-            for i, row in enumerate(csv_rows(path, lines, offset)):
-                read.append(offset + i)
+        def recorded(path, lines):
+            for row in csv_rows(path, lines):
+                read.append(row)
                 yield row
 
         monkeypatch.setattr(dataio, "_csv_rows", recorded)
         message = self.load_error(tmp_path / "bad.csv", lines)
         assert message == "row 1 column 'f1': expected a finite number, got 'x.25'"
-        assert all(line < after for line in read)
+        assert read == [lines[0].split(","), lines[1].split(",")]
 
-    def test_quoted_file_over_several_reader_blocks(self, tmp_path, block_chars):
+    def test_quoted_file_over_several_reader_blocks(self, tmp_path, block_bytes):
         rows = [["f0", "label", "f1"]]
         names = ["a,b", 'say "hi"', "two\nlines", "z"]
-        for i, line in enumerate(self.body(block_chars)):
+        for i, line in enumerate(self.body(block_bytes)):
             f0, f1, _ = line.split(",")
             rows.append([f0, names[i % 4], f1])
         buf = io.StringIO()
@@ -536,7 +528,7 @@ class TestLoadDatasetBlocks:
         message = f"row {r} column 'f1': expected a finite number, got 'nan'"
         assert str(info.value) == f"{path}: {message}"
 
-    def test_lines_over_the_field_limit_with_short_fields(self, tmp_path, block_chars):
+    def test_lines_over_the_field_limit_with_short_fields(self, tmp_path, block_bytes):
         """A quote-free line past ``csv.field_size_limit()`` is valid if its fields are not."""
         rng = np.random.default_rng(51)
         features = rng.normal(size=(3, 20_000)).round(4)
@@ -548,7 +540,8 @@ class TestLoadDatasetBlocks:
 
     @pytest.mark.parametrize("bad_last_cell", [False, True], ids=["valid", "bad-last-cell"])
     def test_peak_memory_stays_under_four_times_the_file(self, tmp_path, bad_last_cell):
-        """Loading, or refusing a file at its last cell, holds no copy of its rows."""
+        """Loading, or refusing a file at its last cell, holds no copy of its rows; a
+        valid file is read by the fast route, which holds neither its bytes nor its text."""
         rng = np.random.default_rng(50)
         features = rng.normal(size=(50_000, 4))
         names = np.array(["neg", "pos"])[rng.integers(0, 2, 50_000)]
@@ -559,10 +552,106 @@ class TestLoadDatasetBlocks:
             cells[1] = "x"
             Path(path).write_text("\n".join([*head, ",".join(cells)]) + "\n")
         size = Path(path).stat().st_size
-        assert peak_allocation(load_outcome, path) < 4 * size
+        assert peak_allocation(load_outcome, path) <= (4.0 if bad_last_cell else 1.0) * size
         if bad_last_cell:
             message = "row 50000 column 'f1': expected a finite number, got 'x'"
             assert load_outcome(path) == f"{path}: {message}"
+
+
+@pytest.fixture
+def exact_route_runs(monkeypatch):
+    """A list that gets the path of each file :func:`dataio._load_exact` reads."""
+    runs = []
+    load_exact = dataio._load_exact
+
+    def recorded(path, label_column):
+        runs.append(path)
+        return load_exact(path, label_column)
+
+    monkeypatch.setattr(dataio, "_load_exact", recorded)
+    return runs
+
+
+class TestLoadRoutes:
+    """Which route reads a file: the fast route must read plain files, and hand
+    the exact route every file it might read differently."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"f0,f1,label\n1.5,-2,b\n0.25,3e-7,a\n",
+            b"\xef\xbb\xbff0,f1,label\r\n1.5,-2,b\r\n0.25,3e-7,a\r\n",
+            b"label,f0\r1, 1.5 \rb c,-0\r",
+            b"f0,label\n1,\xce\x94\n2,\xe6\x97\xa5\xe6\x9c\xac\n3,\xc3\xa9",
+            b"label\nx\ny\n",
+            b"f0,f1\n1,2\n",
+        ],
+        ids=["lf", "bom-crlf", "cr-label-first", "non-latin-1-labels", "label-only", "unlabeled"],
+    )
+    def test_plain_quote_free_files_never_reach_the_exact_route(
+        self, tmp_path, exact_route_runs, raw
+    ):
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        ds = load_dataset(path)
+        assert exact_route_runs == []
+        with mock.patch.object(dataio, "_load_fast", lambda path, label_column: None):
+            ref = load_dataset(path)
+        assert exact_route_runs == [path]
+        assert ds.feature_names == ref.feature_names
+        assert ds.features.shape == ref.features.shape
+        assert ds.features.tobytes() == ref.features.tobytes()
+        assert ds.classes == ref.classes
+        assert row_labels(ds) == row_labels(ref)
+        assert ds.fingerprint == ref.fingerprint
+
+    @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("\u0661\u0662", 12.0)])
+    def test_cells_numpy_refuses_are_read_by_the_exact_route(
+        self, tmp_path, exact_route_runs, cell, value
+    ):
+        path = tmp_path / "d.csv"
+        path.write_text(f"f0,label\n2.5,a\n{cell},b\n", encoding="utf-8")
+        ds = load_dataset(path)
+        np.testing.assert_array_equal(ds.features, [[2.5], [value]])
+        assert exact_route_runs == [path]
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1.0\n\n2.0\n", "row 2 has 0 fields, expected 1"),
+            ("1.0\n \n2.0\n", "row 2 column 'f0': expected a finite number, got ' '"),
+            ("1.0\n2.0\x1c\n", "row 2 column 'f0': expected a finite number, got '2.0\\x1c'"),
+        ],
+        ids=["blank-line", "whitespace-line", "file-separator"],
+    )
+    def test_one_column_lines_numpy_would_skip_or_strip(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0\n" + body)
+        assert load_outcome(path) == f"{path}: {message}"
+
+    def test_crlf_split_across_a_block_end(self, tmp_path, exact_route_runs):
+        """Every block size, ones that end between a CR and its LF included."""
+        raw = b"f0,label\r\n1.5,a\r\n-2,b\r0.25,a\r\n"
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        for size in range(1, len(raw) + 1):
+            with mock.patch.object(dataio, "_BLOCK_BYTES", size):
+                assert_matches_reference(path, load_outcome(path), raw, 1)
+        assert exact_route_runs == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_is_read_once(self, tmp_path):
+        """A file that cannot be read twice goes straight to the exact route."""
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        raw = b'f0,label\n1.5,"a"\n2,b\n'
+        outcome = []
+        reader = threading.Thread(target=lambda: outcome.append(load_outcome(path)), daemon=True)
+        reader.start()
+        path.write_bytes(raw)  # waits for the reader to open the pipe
+        reader.join(timeout=30)
+        assert outcome, "the load opened the pipe a second time"
+        assert_matches_reference(path, outcome[0], raw, 1)
 
 
 class TestFingerprint:

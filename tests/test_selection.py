@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -368,6 +369,37 @@ class TestGridSearch:
             assert (a.grid_index, a.rank) == (b.grid_index, b.rank)
             np.testing.assert_array_equal(a.values, b.values)
             assert_same_fold_scores(a, b)
+
+    def test_concurrent_searches_run_one_after_the_other(self):
+        """Two threads' grid searches each give their lone result, and the BLAS
+        thread count ends where it began."""
+        functions = selection._openblas_thread_functions()
+        before = functions[0]() if functions else None
+        grid = make_grid(alphas=(0.5, 2.0), copies=(1, 5))
+        problems = [blob_features(1.5, 27, seed=seed) for seed in (5, 6)]
+
+        def search(features, labels):
+            return grid_search(
+                features, labels, 3, grid, k=5, cv_repetitions=2, seed=9,
+                engine="gram", workers=1,
+            )
+
+        alone = [search(*problem) for problem in problems]
+        for _ in range(10):
+            start = threading.Barrier(2)
+
+            def run(problem):
+                start.wait()
+                return search(*problem)
+
+            with concurrent.futures.ThreadPoolExecutor(2) as pool:
+                together = list(pool.map(run, problems))
+            for lone, run_result in zip(alone, together):
+                for a, b in zip(lone, run_result, strict=True):
+                    assert (a.grid_index, a.rank, a.error) == (b.grid_index, b.rank, b.error)
+                    np.testing.assert_array_equal(a.values, b.values)
+        assert selection._worker_data is None
+        assert (functions[0]() if functions else None) == before
 
     def test_validation(self):
         features, labels = small_blob_problem()
