@@ -7,9 +7,8 @@ value that click's ranges or the configuration types refuse (``--k`` below
 2, a NaN alpha) exits 1 before any input is read. ``auto`` fits dense
 while (d+1)^copies <= 4096, gram past it. Randomness needs an explicit
 --seed, so identical inputs give byte-identical outputs on one machine at
-one BLAS thread count, and grid-search reports at any PGM_WORKERS
-(default: one per usable core); README.md ("Command-line interface") has
-the details.
+any PGM_WORKERS (default: one per usable core); README.md ("Command-line
+interface") says when they are also at any BLAS thread count.
 """
 
 from __future__ import annotations

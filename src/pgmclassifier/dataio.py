@@ -36,7 +36,7 @@ from .errors import (
     SchemaMismatch,
 )
 from .metrics import MetricReport
-from .operators import DENSE_DIM_LIMIT, lifted_dimension
+from .operators import DENSE_DIM_LIMIT, lifted_dimension, one_blas_thread
 from .pgm import (
     MAX_COPIES,
     SCORE_BLOCK,
@@ -531,8 +531,9 @@ def load_model(path) -> LoadedModel:
     ``classes`` and ``feature_columns`` lists of distinct strings. Counts,
     shapes and finiteness are checked before any numpy work. A Gram
     model is then rebuilt from its training states by the fit's own
-    :class:`LabeledStateSet` and :func:`build_gram_pgm`; the ``M``, ``P``
-    and ``weights`` keys of older files are ignored.
+    :class:`LabeledStateSet` and :func:`build_gram_pgm` at one BLAS thread
+    (:func:`one_blas_thread`); the ``M``, ``P`` and ``weights`` keys of
+    older files are ignored.
     """
     obj = read_json(path, MODEL_FORMAT)
     engine = obj.get("engine")
@@ -604,7 +605,8 @@ def load_model(path) -> LoadedModel:
     else:
         try:
             train = LabeledStateSet(stored["train_states"], labels, n)
-            model = build_gram_pgm(train, priors, copies)
+            with one_blas_thread():
+                model = build_gram_pgm(train, priors, copies)
         except PgmError as exc:
             raise SchemaMismatch(f"{path}: {exc}") from None
     model = replace(model, encoding=encoding, normalizer=normalizer)

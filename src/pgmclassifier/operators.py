@@ -1,13 +1,20 @@
-"""Real symmetric operator algebra.
+"""Real symmetric operator algebra, and the BLAS thread count it runs at.
 
 Everything downstream (state encodings, centroids, the measurement
 construction) works with real symmetric matrices, so this module collects the
 few dense linear-algebra primitives needed: eigendecomposition,
 pseudoinverse square roots with image bases, and tensor powers of
-vectors. All functions are pure and operate on plain float64 arrays.
+vectors, on plain float64 arrays. ``eigh``'s result depends on the
+process-wide BLAS thread count: :func:`one_blas_thread` pins it under a
+module lock, and :func:`resolve_workers` counts the usable cores.
 """
 
 from __future__ import annotations
+
+import functools
+import os
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -107,3 +114,99 @@ def tensor_power(v, n: int) -> np.ndarray:
     for _ in range(n - 1):
         out = np.kron(out, v)
     return out
+
+
+#: The thread-count getter and setter pairs that the OpenBLAS bundled with
+#: numpy's wheels may export, tried in turn: numpy 2's, then numpy 1.x's.
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+@functools.cache
+def _openblas_thread_functions():
+    """``(get, set)`` thread-count functions of the BLAS numpy's ``eigh``
+    calls, or None when that BLAS does not export them (MKL, Accelerate, a
+    system BLAS). The symbols are looked up through numpy's linear-algebra
+    extension, whose library search covers the BLAS it is linked to, so the
+    functions control that copy and no other. Looked up on the first call,
+    so importing the package does not do it."""
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for names in _OPENBLAS_THREAD_FUNCTIONS:
+        try:
+            get, set_ = (getattr(lib, name) for name in names)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
+    return None
+
+
+#: Held by :func:`one_blas_thread` for its whole block.
+_blas_lock = threading.Lock()
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with numpy's BLAS set to one thread, restoring the
+    previous count on exit. Yields whether the count could be set; when it
+    cannot, nothing is changed and the block runs with False. The thread
+    count is process-wide, so the block holds a module lock either way:
+    blocks that threads enter at once run one after the other."""
+    with _blas_lock:
+        functions = _openblas_thread_functions()
+        if functions is None:
+            yield False
+            return
+        get, set_ = functions
+        previous = get()
+        set_(1)
+        try:
+            yield True
+        finally:
+            set_(previous)
+
+
+#: cgroup v2 CPU quota of the process's cgroup: ``"<quota> <period>"`` in
+#: microseconds, or ``"max <period>"`` for none. Inside a container's cgroup
+#: namespace this file is the container's own.
+_CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
+def _quota_cpus() -> int | None:
+    """CPUs the cgroup v2 quota allows, ``ceil(quota / period)``; None when
+    there is no quota or the file is missing or malformed."""
+    try:
+        with open(_CGROUP_CPU_MAX, encoding="ascii") as fh:
+            quota, period = fh.read().split()
+        if quota == "max":
+            return None
+        quota, period = int(quota), int(period)
+    except (OSError, ValueError):
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
+
+
+def resolve_workers(workers, n_tasks: int) -> int:
+    """Worker count for ``n_tasks`` tasks: ``workers``, by default one per
+    usable core, and at most one per task. Usable cores are those of the CPU
+    affinity mask, capped by a cgroup v2 CPU quota (:func:`_quota_cpus`).
+    A ``workers`` that is not None or an integer of at least 1 is refused."""
+    if workers is None:
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # platforms without CPU affinity
+            workers = os.cpu_count() or 1
+        workers = min(workers, _quota_cpus() or workers)
+    elif type(workers) is not int or workers < 1:
+        raise InvalidArgument(f"worker count must be an integer of at least 1, got {workers!r}")
+    return max(1, min(workers, n_tasks))

@@ -14,15 +14,12 @@ split first and across splits second.
 
 Everything is a deterministic function of (data, config, master seed):
 per-repetition seeds come from a fixed 64-bit mixing function, and grid
-tasks, computed at one BLAS thread count whatever the number of workers, are
-reduced in task order so results do not depend on the worker count.
+tasks run at one BLAS thread count (:func:`one_blas_thread`) and are
+reduced in task order, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
-import functools
-import os
-import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -37,6 +34,7 @@ from .errors import (
     StratificationImpossible,
 )
 from .metrics import MetricReport, ovr_aucs, report_from_predictions
+from .operators import one_blas_thread, resolve_workers
 from .pgm import (
     SCORE_DECIMALS,
     PgmConfig,
@@ -51,18 +49,14 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _check_seed(seed) -> None:
-    if type(seed) is not int:
-        raise InvalidArgument(f"seed must be an integer, got {seed!r}")
-
-
 def derive_seed(master: int, index: int) -> int:
     """Mix a master seed with an index into an independent 64-bit seed.
 
     Fixed finalizer-style mixing (multiply-xorshift), so derived seeds are
     reproducible across platforms and decoupled for consecutive indices.
     """
-    _check_seed(master)
+    if type(master) is not int:
+        raise InvalidArgument(f"seed must be an integer, got {master!r}")
     z = (master + (int(index) + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -174,7 +168,8 @@ def stratified_kfold(train_labels, k: int, seed: int) -> list:
     train_labels = np.asarray(train_labels)
     if type(k) is not int or k < 2:
         raise InvalidArgument(f"k-fold needs an integer k of at least 2, got {k!r}")
-    _check_seed(seed)
+    if type(seed) is not int or seed < 0:
+        raise InvalidArgument(f"k-fold seed must be a non-negative integer, got {seed!r}")
     classes = _distinct(train_labels)
     members = [np.flatnonzero(train_labels == c) for c in classes]
     for c, idx in zip(classes, members):
@@ -277,133 +272,31 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-#: The thread-count getter and setter pairs that the OpenBLAS bundled with
-#: numpy's wheels may export, tried in turn: numpy 2's, then numpy 1.x's.
-_OPENBLAS_THREAD_FUNCTIONS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-)
-
-
-@functools.cache
-def _openblas_thread_functions():
-    """``(get, set)`` thread-count functions of the BLAS numpy's ``eigh``
-    calls, or None when that BLAS does not export them (MKL, Accelerate, a
-    system BLAS). The symbols are looked up through numpy's linear-algebra
-    extension, whose library search covers the BLAS it is linked to, so the
-    functions control that copy and no other. Looked up on the first call,
-    so importing the package does not do it."""
-    import ctypes
-
-    from numpy.linalg import _umath_linalg
-
-    try:
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except OSError:
-        return None
-    for names in _OPENBLAS_THREAD_FUNCTIONS:
-        try:
-            get, set_ = (getattr(lib, name) for name in names)
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = (), ctypes.c_int
-        set_.argtypes, set_.restype = (ctypes.c_int,), None
-        return get, set_
-    return None
-
-
-@contextmanager
-def _blas_threads(n: int):
-    """Run the block with numpy's BLAS set to ``n`` threads, restoring the
-    previous count on exit. Yields whether the count could be set; when it
-    cannot, nothing is changed and the block runs with False."""
-    functions = _openblas_thread_functions()
-    if functions is None:
-        yield False
-        return
-    get, set_ = functions
-    previous = get()
-    set_(n)
-    try:
-        yield True
-    finally:
-        set_(previous)
-
-
-#: cgroup v2 CPU quota of the process's cgroup: ``"<quota> <period>"`` in
-#: microseconds, or ``"max <period>"`` for none. Inside a container's cgroup
-#: namespace this file is the container's own.
-_CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
-
-
-def _quota_cpus() -> int | None:
-    """CPUs the cgroup v2 quota allows, ``ceil(quota / period)``; None when
-    there is no quota or the file is missing or malformed."""
-    try:
-        with open(_CGROUP_CPU_MAX, encoding="ascii") as fh:
-            quota, period = fh.read().split()
-        if quota == "max":
-            return None
-        quota, period = int(quota), int(period)
-    except (OSError, ValueError):
-        return None
-    return -(-quota // period) if quota > 0 and period > 0 else None
-
-
-def _resolve_workers(workers, n_tasks: int) -> int:
-    """Worker count for ``n_tasks`` tasks: ``workers``, by default one per
-    usable core, and at most one per task. Usable cores are those of the CPU
-    affinity mask, capped by a cgroup v2 CPU quota (:func:`_quota_cpus`).
-    A ``workers`` that is not None or an integer of at least 1 is refused."""
-    if workers is None:
-        try:
-            workers = len(os.sched_getaffinity(0))
-        except AttributeError:  # platforms without CPU affinity
-            workers = os.cpu_count() or 1
-        workers = min(workers, _quota_cpus() or workers)
-    elif type(workers) is not int or workers < 1:
-        raise InvalidArgument(f"worker count must be an integer of at least 1, got {workers!r}")
-    return max(1, min(workers, n_tasks))
-
-
 #: ``(features, labels)`` of the rows the grid tasks index: set by
 #: :func:`_task_outcomes` before any worker is forked.
 _worker_data = None
-
-#: Held by :func:`_task_outcomes` for its whole block: one grid search at a time owns the process.
-_grid_lock = threading.Lock()
 
 
 @contextmanager
 def _task_outcomes(workers, features, labels, tasks):
     """Yield an iterator over the outcomes of ``tasks``, in task order.
 
-    ``features`` and ``labels`` become :data:`_worker_data` for the block.
-    When :func:`_blas_threads` can set numpy's OpenBLAS, the calling process
-    is pinned to one thread for the whole block: grid tasks are serial
-    ``eigh`` calls on small matrices, where more threads only contend for
-    the cores the other workers use. A single worker (from
-    :func:`_resolve_workers`) then runs the tasks in this process, and more
-    workers are forked from it, so they inherit both the data and the
-    pinned thread count and their tasks carry only row indices. With any
-    other BLAS the tasks run in this process at that BLAS's own thread
-    count, whatever ``workers`` is. Either way every task runs at the same
-    thread count, so the scores do not depend on the worker count. The
-    process machinery is imported only when a pool starts, so importing the
-    package does not load it; leaving the block early drops the tasks not
-    yet started. The data and the thread count are process-wide, so the
-    block holds :data:`_grid_lock`: grid searches that threads start at once
-    run one after the other.
-
-    Not tested on Python 3.12 or later: those versions warn
-    (``DeprecationWarning``) when a process with more than one thread
-    forks, and OpenBLAS keeps its helper thread alive while pinned. The
-    ``forkserver`` default start method of 3.14 does not apply, since the
-    fork context is asked for by name.
+    ``features`` and ``labels`` become :data:`_worker_data` for the block,
+    which runs inside :func:`one_blas_thread`, so one grid search at a time
+    owns the data and the thread count. When the BLAS is pinned, a single
+    worker (from :func:`resolve_workers`) runs the tasks in this process,
+    and more are forked from it, inheriting the data and the thread count,
+    so their tasks carry only row indices. With a BLAS that cannot be
+    pinned the tasks run in this process at its own thread count. Either
+    way every task runs at one thread count, so the scores do not depend on
+    the worker count. Leaving the block early drops the tasks not yet
+    started. Not tested on Python 3.12 or later, which warn when a process
+    with more than one thread forks; the fork context is asked for by name,
+    so the ``forkserver`` default of 3.14 does not apply.
     """
     global _worker_data
-    workers = _resolve_workers(workers, len(tasks))
-    with _grid_lock, _blas_threads(1) as pinned:
+    workers = resolve_workers(workers, len(tasks))
+    with one_blas_thread() as pinned:
         _worker_data = (features, labels)
         try:
             if workers == 1 or not pinned:
@@ -567,12 +460,9 @@ def grid_search(
     the grid, so all points see identical folds. Points sharing encoding,
     alpha and prior mode form a group: one task per (group, repetition,
     fold) encodes the fold once and then builds and scores one measurement
-    per copy count. With numpy's bundled OpenBLAS, tasks run on ``workers``
-    workers (default: one per usable core, at most one per task), each with
-    one BLAS thread: one worker runs them in this process and more are
-    forked from it. With any other BLAS they run in this process at that
-    BLAS's own thread count, whatever ``workers`` is (see
-    :func:`_task_outcomes`). Outcomes are reduced in task order, so the
+    per copy count. Tasks run on ``workers`` workers (default: one per
+    usable core, at most one per task) under :func:`one_blas_thread`; see
+    :func:`_task_outcomes`. Outcomes are reduced in task order, so the
     results do not depend on the worker count. Points whose any cell fails
     are excluded from the ranking and returned at the tail with the error.
     Ranked points keep their validation scores, so callers can derive
@@ -615,9 +505,10 @@ def select_robust_config(winner_indices, test_aucs, grid) -> SelectionReport:
 
     ``winner_indices[s]`` is the grid index chosen by split s and
     ``test_aucs[s]`` that split's test macro AUC (None tolerated, skipped
-    in means). Residual ties resolve to the smallest grid index.
+    in means). Residual ties resolve to the smallest grid index. A winner
+    index that is not an integer position of ``grid`` is refused.
     """
-    winner_indices = tuple(int(w) for w in winner_indices)
+    winner_indices = tuple(winner_indices)
     test_aucs = tuple(test_aucs)
     if not winner_indices or len(winner_indices) != len(test_aucs):
         raise InvalidArgument(
@@ -625,6 +516,10 @@ def select_robust_config(winner_indices, test_aucs, grid) -> SelectionReport:
             f"got {len(winner_indices)} and {len(test_aucs)}"
         )
     grid = tuple(grid)
+    for w in winner_indices:
+        if isinstance(w, bool) or not isinstance(w, (int, np.integer)) or not 0 <= w < len(grid):
+            raise InvalidArgument(f"winner index must be an integer in [0, {len(grid)}), got {w!r}")
+    winner_indices = tuple(map(int, winner_indices))
     frequency = dict(Counter(winner_indices))
     mean_test_auc = {}
     for gi in sorted(frequency):
@@ -732,11 +627,10 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
     aborts the protocol with a diagnostic naming the split.
 
     The tasks of every split's grid search run on one set of
-    ``config.workers`` workers, as in :func:`grid_search`, and each split is ranked,
-    refitted and evaluated as soon as its own tasks are done, so the parent
-    holds about one split's validation scores at a time. The refits run
-    while the workers do, so with numpy's OpenBLAS they too use one BLAS
-    thread.
+    ``config.workers`` workers, as in :func:`grid_search`, and each split is
+    ranked, refitted and evaluated as soon as its own tasks are done, so the
+    parent holds about one split's validation scores at a time. The refits
+    run inside the same :func:`one_blas_thread` block.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)

@@ -70,6 +70,7 @@ _BAD_ARGUMENTS = {
     "stratified_kfold-k-float": lambda: selection.stratified_kfold(_LABELS, 2.5, 0),
     "stratified_kfold-seed-float": lambda: selection.stratified_kfold(_LABELS, 2, 2.5),
     "stratified_kfold-seed-bool": lambda: selection.stratified_kfold(_LABELS, 2, False),
+    "stratified_kfold-seed-negative": lambda: selection.stratified_kfold(_LABELS, 2, -1),
     "grid_search-seed-float": lambda: selection.grid_search(
         _FEATURES, _LABELS, 2, selection.make_grid(), seed=1.0, k=2
     ),
@@ -100,6 +101,18 @@ _BAD_ARGUMENTS = {
         _FEATURES, _LABELS, 2, selection.make_grid(), seed=0, k=2, workers=0
     ),
     "select_robust_config-lengths": lambda: selection.select_robust_config([0], [], [None]),
+    "select_robust_config-index-negative": lambda: selection.select_robust_config(
+        [-1], [0.9], [None, None]
+    ),
+    "select_robust_config-index-out-of-range": lambda: selection.select_robust_config(
+        [5], [0.9], [None, None]
+    ),
+    "select_robust_config-index-bool": lambda: selection.select_robust_config(
+        [True], [0.9], [None, None]
+    ),
+    "select_robust_config-index-string": lambda: selection.select_robust_config(
+        ["1"], [0.9], [None, None]
+    ),
     "run_protocol-splits": lambda: selection.run_protocol(
         _FEATURES, _LABELS, 2, [], selection.ProtocolConfig(seed=0)
     ),

@@ -1441,17 +1441,18 @@ class TestWithoutScipy:
 
 class TestProcessMachineryIsLazy:
     """Importing the CLI, or a command without a grid search, loads no
-    process pool and does not look up the BLAS thread control."""
+    process pool. ``--help`` and ``train`` do not look up the BLAS thread
+    control either; ``predict`` and ``evaluate`` do, through ``load_model``."""
 
     SCRIPT = (
         "import sys; from pgmclassifier.cli import main\n"
         "try:\n"
         "    main(sys.argv[1:], prog_name='pgm')\n"
         "finally:\n"
-        "    from pgmclassifier import selection\n"
+        "    from pgmclassifier import operators\n"
         "    print(sorted(m for m in ('multiprocessing', 'concurrent.futures')"
         " if m in sys.modules),"
-        " selection._openblas_thread_functions.cache_info().currsize)"
+        " operators._openblas_thread_functions.cache_info().currsize)"
     )
 
     @pytest.mark.parametrize("command", ["--help", "train"])

@@ -25,7 +25,7 @@ from pgmclassifier import (
     report_from_predictions,
     stratified_holdout,
 )
-from pgmclassifier import dataio
+from pgmclassifier import dataio, operators
 from pgmclassifier.dataio import (
     Dataset,
     check_splits,
@@ -786,6 +786,31 @@ class TestModelFile:
         after = predict_batch(loaded.model, features)
         np.testing.assert_array_equal(before[0], after[0])
         np.testing.assert_array_equal(before[1], after[1])
+
+    def test_load_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        functions = operators._openblas_thread_functions()
+        if functions is None:
+            pytest.skip("numpy's BLAS exports no thread control")
+        get, set_ = functions
+        features, labels = blob_features(3.0, 50, d=4, seed=1)
+        config = PgmConfig(
+            encoding=EncodingConfig(encoding="stereographic", alpha=0.5), copies=8
+        )
+        out = tmp_path / "model.json"
+        save_model(
+            out, fit_pgm(features, labels, 3, config),
+            classes=("a", "b", "c"), feature_columns=("f0", "f1", "f2", "f3"),
+        )
+        rows = np.random.default_rng(2).normal(1.5, 2.0, size=(20_000, 4))
+        before = get()
+        scores = []
+        try:
+            for threads in (2, 1):
+                set_(threads)
+                scores.append(predict_batch(load_model(out).model, rows)[1])
+        finally:
+            set_(before)
+        np.testing.assert_array_equal(scores[0], scores[1])
 
     def test_gram_payload_is_one_factor_and_older_keys_are_ignored(self, tmp_path):
         features, _, model = self.fit(9)

@@ -38,6 +38,7 @@ from pgmclassifier.pgm import (
     round_scores,
     stable_power,
 )
+from pgmclassifier.selection import DEFAULT_COPIES
 
 _FLUSH = 1e-300
 
@@ -415,6 +416,56 @@ class TestScoreAndClassify:
         model = build_dense_pgm(train)
         with pytest.raises(DimMismatch):
             predict_batch(model, random_unit_states(rng, 2, 4))
+
+
+def uniform_states(shape, n_states):
+    """N unit states ``psi_k = U^k psi_0`` for the rotation U by 2 pi / N:
+    the N-gon in R^2, or the cone ``(0.6 cos, 0.6 sin, 0.8)`` in R^3."""
+    theta = 2.0 * np.pi * np.arange(n_states) / n_states
+    if shape == "polygon":
+        return np.column_stack([np.cos(theta), np.sin(theta)])
+    return np.column_stack([0.6 * np.cos(theta), 0.6 * np.sin(theta), np.full(n_states, 0.8)])
+
+
+_UNIFORM_ENSEMBLES = [(shape, n) for shape in ("polygon", "cone") for n in (3, 4, 5, 7, 12)]
+
+
+class TestGeometricallyUniformOptimality:
+    """For N equiprobable states ``psi_k = U^k psi_0`` (U orthogonal, U^N = I),
+    one per class, the PGM is the optimal measurement, and its success is
+    ``(sum_k sqrt(lambda_k))^2 / N^2``; the lambda_k are the eigenvalues of
+    the circulant Gram matrix of the n-copy states, the real DFT of
+    ``g_j = (psi_0 . psi_j)^n`` (Ban et al. 1997; Eldar and Forney 2001).
+    n copies of such a set are again geometrically uniform, so the form
+    holds at every copy count, and it shares no code with either engine."""
+
+    @staticmethod
+    def check(build, shape, n_states, copies):
+        states = uniform_states(shape, n_states)
+        train = LabeledStateSet(states=states, labels=np.arange(n_states), n_classes=n_states)
+        model = build(train, make_priors("uniform", train.class_counts), copies)
+        f = predict_batch(model, states)[1]
+        lam = np.fft.fft((states[0] @ states.T) ** copies).real
+        # Exactly-zero eigenvalues come out of the FFT as round-off, whose
+        # square roots would add up; drop them.
+        lam = lam[lam > 1e-12 * lam.max()]
+        optimal = np.sqrt(lam).sum() ** 2 / n_states**2
+        if shape == "polygon" and copies == 1:
+            assert abs(optimal - 2.0 / n_states) <= 1e-14
+        assert abs(np.trace(f) / n_states - optimal) <= 1e-12
+        # f_i(psi_j) depends only on j - i mod N.
+        shift = (np.arange(n_states)[None, :] - np.arange(n_states)[:, None]) % n_states
+        np.testing.assert_allclose(f, f[0, shift], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("copies", sorted({1, 2, *DEFAULT_COPIES}))
+    @pytest.mark.parametrize("shape, n_states", _UNIFORM_ENSEMBLES)
+    def test_gram_reaches_the_closed_form(self, shape, n_states, copies):
+        self.check(build_gram_pgm, shape, n_states, copies)
+
+    @pytest.mark.parametrize("copies", [1, 2, 5])
+    @pytest.mark.parametrize("shape, n_states", _UNIFORM_ENSEMBLES)
+    def test_dense_reaches_the_closed_form(self, shape, n_states, copies):
+        self.check(build_dense_pgm, shape, n_states, copies)
 
 
 class TestInvariants:

@@ -22,8 +22,9 @@ from pgmclassifier import (
     stratified_holdout,
 )
 from pgmclassifier.errors import ClassSmallerThanK, InvalidArgument, StratificationImpossible
-from pgmclassifier import selection
-from pgmclassifier.selection import _resolve_workers, derive_seed, stratified_kfold
+from pgmclassifier import operators, selection
+from pgmclassifier.operators import resolve_workers
+from pgmclassifier.selection import derive_seed, stratified_kfold
 
 
 class TestDeriveSeed:
@@ -353,7 +354,7 @@ class TestGridSearch:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(selection, "_openblas_thread_functions", lambda: None)
+        monkeypatch.setattr(operators, "_openblas_thread_functions", lambda: None)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         features, labels = blob_features(1.5, 125, d=2, seed=8)
         grid = make_grid(alphas=(0.5,), copies=(1, 5, 15))
@@ -373,7 +374,7 @@ class TestGridSearch:
     def test_concurrent_searches_run_one_after_the_other(self):
         """Two threads' grid searches each give their lone result, and the BLAS
         thread count ends where it began."""
-        functions = selection._openblas_thread_functions()
+        functions = operators._openblas_thread_functions()
         before = functions[0]() if functions else None
         grid = make_grid(alphas=(0.5, 2.0), copies=(1, 5))
         problems = [blob_features(1.5, 27, seed=seed) for seed in (5, 6)]
@@ -413,10 +414,10 @@ class TestGridSearch:
 
 class TestResolveWorkers:
     def test_default_is_usable_core_count(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(selection, "_CGROUP_CPU_MAX", str(tmp_path / "missing"))
+        monkeypatch.setattr(operators, "_CGROUP_CPU_MAX", str(tmp_path / "missing"))
         cores = len(os.sched_getaffinity(0))
-        assert _resolve_workers(None, 60) == min(cores, 60)
-        assert _resolve_workers(None, 1) == 1
+        assert resolve_workers(None, 60) == min(cores, 60)
+        assert resolve_workers(None, 1) == 1
 
     @pytest.mark.parametrize(
         "content, cpus",
@@ -438,39 +439,39 @@ class TestResolveWorkers:
     def test_cgroup_quota(self, monkeypatch, tmp_path, content, cpus):
         cpu_max = tmp_path / "cpu.max"
         cpu_max.write_text(content)
-        monkeypatch.setattr(selection, "_CGROUP_CPU_MAX", str(cpu_max))
-        assert selection._quota_cpus() == cpus
+        monkeypatch.setattr(operators, "_CGROUP_CPU_MAX", str(cpu_max))
+        assert operators._quota_cpus() == cpus
 
     def test_missing_cgroup_file_is_no_quota(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(selection, "_CGROUP_CPU_MAX", str(tmp_path / "missing"))
-        assert selection._quota_cpus() is None
+        monkeypatch.setattr(operators, "_CGROUP_CPU_MAX", str(tmp_path / "missing"))
+        assert operators._quota_cpus() is None
 
     @pytest.mark.parametrize("quota_cpus", [1, 2, 3, 64])
     def test_default_is_capped_by_cgroup_quota(self, monkeypatch, tmp_path, quota_cpus):
         cpu_max = tmp_path / "cpu.max"
         cpu_max.write_text(f"{quota_cpus * 100000} 100000\n")
-        monkeypatch.setattr(selection, "_CGROUP_CPU_MAX", str(cpu_max))
+        monkeypatch.setattr(operators, "_CGROUP_CPU_MAX", str(cpu_max))
         cores = len(os.sched_getaffinity(0))
-        assert _resolve_workers(None, 60) == min(cores, quota_cpus)
-        assert _resolve_workers(None, 1) == 1
-        assert _resolve_workers(3, 60) == 3
+        assert resolve_workers(None, 60) == min(cores, quota_cpus)
+        assert resolve_workers(None, 1) == 1
+        assert resolve_workers(3, 60) == 3
 
     def test_explicit_count_kept(self):
-        assert _resolve_workers(2, 60) == 2
+        assert resolve_workers(2, 60) == 2
 
     def test_clamped_to_task_count(self):
-        assert _resolve_workers(64, 3) == 3
-        assert _resolve_workers(8, 1) == 1
+        assert resolve_workers(64, 3) == 3
+        assert resolve_workers(8, 1) == 1
 
     @pytest.mark.parametrize("workers", [0, -3, 2.9, True])
     def test_count_that_is_no_positive_integer_is_refused(self, workers):
         with pytest.raises(InvalidArgument, match="worker count must be an integer"):
-            _resolve_workers(workers, 60)
+            resolve_workers(workers, 60)
 
 
 class TestBlasThreads:
     def test_lookup_tries_each_name_pair_in_turn(self, monkeypatch):
-        lookup = selection._openblas_thread_functions
+        lookup = operators._openblas_thread_functions
         lookup.cache_clear()
         try:
             functions = lookup()
@@ -478,24 +479,24 @@ class TestBlasThreads:
                 pytest.skip("numpy's BLAS exports no thread control")
             found = tuple(f.__name__ for f in functions)
             missing = ("no_such_get_num_threads", "no_such_set_num_threads")
-            monkeypatch.setattr(selection, "_OPENBLAS_THREAD_FUNCTIONS", (missing, found))
+            monkeypatch.setattr(operators, "_OPENBLAS_THREAD_FUNCTIONS", (missing, found))
             lookup.cache_clear()
             assert tuple(f.__name__ for f in lookup()) == found
-            monkeypatch.setattr(selection, "_OPENBLAS_THREAD_FUNCTIONS", (missing,))
+            monkeypatch.setattr(operators, "_OPENBLAS_THREAD_FUNCTIONS", (missing,))
             lookup.cache_clear()
             assert lookup() is None
         finally:
             lookup.cache_clear()
 
     def test_sets_and_restores_thread_count(self):
-        functions = selection._openblas_thread_functions()
+        functions = operators._openblas_thread_functions()
         if functions is None:
             pytest.skip("numpy's BLAS exports no thread control")
         get, set_ = functions
         before = get()
         try:
             set_(2)
-            with selection._blas_threads(1) as pinned:
+            with operators.one_blas_thread() as pinned:
                 assert pinned
                 assert get() == 1
             assert get() == 2
@@ -503,19 +504,19 @@ class TestBlasThreads:
             set_(before)
 
     def test_restores_thread_count_on_error(self):
-        functions = selection._openblas_thread_functions()
+        functions = operators._openblas_thread_functions()
         if functions is None:
             pytest.skip("numpy's BLAS exports no thread control")
         get, _ = functions
         before = get()
         with pytest.raises(KeyError):
-            with selection._blas_threads(1):
+            with operators.one_blas_thread():
                 raise KeyError("x")
         assert get() == before
 
     def test_without_thread_control_changes_nothing(self, monkeypatch):
-        monkeypatch.setattr(selection, "_openblas_thread_functions", lambda: None)
-        with selection._blas_threads(1) as pinned:
+        monkeypatch.setattr(operators, "_openblas_thread_functions", lambda: None)
+        with operators.one_blas_thread() as pinned:
             assert pinned is False
 
 
