@@ -7,8 +7,8 @@ value that click's ranges or the configuration types refuse (``--k`` below
 2, a NaN alpha) exits 1 before any input is read. ``auto`` fits dense
 while (d+1)^copies <= 4096, gram past it. Randomness needs an explicit
 --seed, so identical inputs give byte-identical outputs on one machine at
-any PGM_WORKERS (default: one per usable core); README.md ("Command-line
-interface") says when they are also at any BLAS thread count.
+any PGM_WORKERS (default: one per usable core), and with numpy's OpenBLAS
+at any BLAS thread count, but for a dense model file (README.md).
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def _check_output_dirs(kwargs) -> None:
 
 
 def _data_errors(func):
-    """Check the command's output directories, then run it, translating
-    library data/consistency errors into exit code 2."""
+    """Check the command's output directories, then run it, translating library
+    errors into exit code 2 and naming a class they carry by its dataset label."""
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
@@ -92,6 +92,8 @@ def _data_errors(func):
             _check_output_dirs(kwargs)
             return func(*args, **kwargs)
         except PgmError as exc:
+            classes = click.get_current_context().meta.get("classes", ())
+            exc.args = (*exc.args[:1], *(repr(classes[i]) for i in exc.args[1:]))
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 
@@ -101,6 +103,7 @@ def _data_errors(func):
 def _require_labels(dataset: Dataset, label_column: str) -> None:
     if dataset.classes is None:
         raise DatasetFormatError(f"{dataset.path}: no label column {label_column!r}")
+    click.get_current_context().meta["classes"] = dataset.classes  # named by _data_errors
 
 
 def _require_trainable(dataset: Dataset, label_column: str) -> None:
@@ -127,12 +130,14 @@ def _positive_index(positive_class: str | None, classes) -> int | None:
 
 
 def _predict_saved(model_file, model, features):
-    """``predict_batch``, refusing score rows that are not probability distributions.
+    """``predict_batch`` at one BLAS thread, refusing score rows that are not distributions.
 
     Every fitted model scores rows that are finite and sum to 1 within
     :data:`_SCORE_SUM_TOL`; a model file edited after saving may not.
     """
-    predicted, scores = predict_batch(model, features)
+    from .operators import one_blas_thread
+    with one_blas_thread():
+        predicted, scores = predict_batch(model, features)
     bad = np.flatnonzero(~(np.abs(scores.sum(axis=1) - 1.0) <= _SCORE_SUM_TOL))
     if bad.size:
         raise SchemaMismatch(

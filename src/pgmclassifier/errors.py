@@ -4,6 +4,9 @@
 class PgmError(Exception):
     """Base class for all errors raised by this package."""
 
+    def __str__(self):
+        return self.args[0].format(*self.args[1:]) if len(self.args) > 1 else super().__str__()
+
 
 class InvalidArgument(PgmError, ValueError):
     """An argument lies outside the values a function accepts."""
@@ -62,11 +65,11 @@ class MetricSetMismatch(PgmError):
 
 
 class StratificationImpossible(PgmError):
-    """The requested stratified split cannot be built from the data."""
+    """The requested stratified split cannot be built; ``args[1]`` is a class too small for it."""
 
 
 class ClassSmallerThanK(PgmError):
-    """Stratified k-fold needs at least k samples of every class."""
+    """Stratified k-fold needs at least k samples of every class; ``args[1]`` is one with fewer."""
 
 
 class DatasetFormatError(PgmError):

@@ -50,8 +50,10 @@ SCORE_DECIMALS = 12
 _POWER_FLUSH = 1e-300
 
 #: Rows scored per block: bounds scoring's temporaries at O(m * SCORE_BLOCK)
-#: floats for m training states, whatever the number of input rows.
-SCORE_BLOCK = 4096
+#: floats for m training states, whatever the number of input rows. 512 keeps a
+#: temporary in a 2 MB L2 cache (0.6 MB at m = 143): 10^5 rows took 0.42-0.48 s
+#: at 4096 and 0.24-0.32 s at 256 to 2048 rows, one BLAS thread, same scores.
+SCORE_BLOCK = 512
 
 PRIOR_MODES = ("uniform", "empirical")
 

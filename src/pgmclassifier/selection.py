@@ -130,7 +130,7 @@ def stratified_holdout(labels, test_fraction: float, repetitions: int, seed: int
     small = [int(c) for c in classes if (labels == c).sum() < 2]
     if small:
         raise StratificationImpossible(
-            f"every class needs at least 2 samples to stratify, class {small[0]} is smaller"
+            "every class needs at least 2 samples to stratify, class {} is smaller", small[0]
         )
     take = _class_test_counts(labels, classes, test_fraction)
     plans = []
@@ -175,7 +175,7 @@ def stratified_kfold(train_labels, k: int, seed: int) -> list:
     for c, idx in zip(classes, members):
         if idx.size < k:
             raise ClassSmallerThanK(
-                f"class {int(c)} has {idx.size} samples, fewer than k={k}"
+                f"class {{}} has {idx.size} sample{'s' * (idx.size > 1)}, fewer than k={k}", int(c)
             )
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
@@ -637,20 +637,22 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
     splits = list(splits)
     if not splits:
         raise InvalidArgument("protocol needs at least one split")
-    plans = [
-        _plan_grid(
-            split.train_indices,
-            labels[split.train_indices],
-            n_classes,
-            tuple(config.grid),
-            k=config.k,
-            cv_repetitions=config.cv_repetitions,
-            seed=derive_seed(config.seed, split.repetition_id),
-            normalizer=config.normalizer,
-            engine=config.engine,
-        )
-        for split in splits
-    ]
+    plans = []
+    for split in splits:
+        try:
+            plans.append(_plan_grid(
+                split.train_indices,
+                labels[split.train_indices],
+                n_classes,
+                tuple(config.grid),
+                k=config.k,
+                cv_repetitions=config.cv_repetitions,
+                seed=derive_seed(config.seed, split.repetition_id),
+                normalizer=config.normalizer,
+                engine=config.engine,
+            ))
+        except ClassSmallerThanK as exc:
+            raise ClassSmallerThanK(f"split {split.repetition_id}: {exc.args[0]}", *exc.args[1:])
     tasks = [task for plan in plans for task in plan.tasks]
     records = []
     with _task_outcomes(config.workers, features, labels, tasks) as outcomes:

@@ -112,6 +112,15 @@ def blob_features(side, per_class, d=2, seed=20240814):
     return features, labels
 
 
+def paper_features(rng, n):
+    """Paper-shaped data: ``n`` rows of 4 features on unrelated scales, in two
+    overlapping classes of ``n - n // 3`` and ``n // 3`` rows, in random
+    order; class 1 is shifted on every feature."""
+    labels = rng.permutation(np.repeat([0, 1], [n - n // 3, n // 3]))
+    z = rng.normal(size=(n, 4)) + np.array([0.9, -0.6, 0.7, 0.5]) * labels[:, None]
+    return np.array([0.0, 60.0, 1.0, 900.0]) + np.array([1.0, 12.0, 0.05, 150.0]) * z, labels
+
+
 def row_labels(dataset):
     """Each row's label name of a loaded dataset, or None for unlabeled data."""
     if dataset.classes is None:

@@ -17,14 +17,14 @@ except ImportError:  # not on Windows
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from helpers import blob_features, write_dataset_csv
+from helpers import blob_features, paper_features, write_dataset_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgmclassifier
-from pgmclassifier import predict_batch
+from pgmclassifier import EncodingConfig, PgmConfig, fit_pgm, operators, predict_batch
 from pgmclassifier.cli import main
-from pgmclassifier.dataio import load_model
+from pgmclassifier.dataio import load_model, save_model
 from pgmclassifier.pgm import MAX_COPIES
 
 
@@ -1297,6 +1297,36 @@ class TestLabelDiagnostics:
         assert result.exit_code == 2
         assert result.stderr == f"error: {unlabeled}: no label column {label_column or 'label'!r}\n"
 
+    @staticmethod
+    def with_zeta(tmp_path, rows):
+        """Blob data plus a fourth class, ``zeta``, of ``rows`` rows."""
+        features, labels = blob_features(8.0, 12, seed=42)
+        names = list(np.array(["ant", "bee", "cat"])[labels]) + ["zeta"] * rows
+        features = np.vstack([features, np.full((rows, 2), 4.0)])
+        return write_dataset_csv(tmp_path / "zeta.csv", features, names)
+
+    def test_splits_names_a_class_too_small_to_stratify(self, runner, tmp_path):
+        dataset = self.with_zeta(tmp_path, 1)
+        result = runner.invoke(
+            main, ["splits", dataset, "--seed", "1", "--out", str(tmp_path / "s.json")]
+        )
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: every class needs at least 2 samples to stratify, class 'zeta' is smaller\n"
+        )
+
+    def test_gridsearch_names_the_split_and_the_class_smaller_than_k(self, runner, tmp_path):
+        dataset = self.with_zeta(tmp_path, 2)
+        splits = make_splits(runner, tmp_path, dataset, test_fraction=0.5)
+        for rep in json.loads(splits.read_text())["repetitions"]:
+            assert len({36, 37} & set(rep["test"])) == 1  # one zeta row in training
+        result = runner.invoke(
+            main,
+            ["gridsearch", dataset, str(splits), "--seed", "1", "--out", str(tmp_path / "r.json")],
+        )
+        assert result.exit_code == 2
+        assert result.stderr == "error: split 0: class 'zeta' has 1 sample, fewer than k=5\n"
+
     def test_evaluating_a_header_only_file_names_it(self, runner, tmp_path, blob_csv):
         model_path, _ = train_model(runner, tmp_path, blob_csv)
         empty = tmp_path / "empty.csv"
@@ -1437,6 +1467,54 @@ class TestWithoutScipy:
         )
         assert evaluation.returncode == 0, evaluation.stderr
         assert json.loads((tmp_path / "eval.json").read_text())["kind"] == "evaluate"
+
+
+class TestScoringThreadCount:
+    """``predict`` and ``evaluate`` score at one BLAS thread, so their output
+    bytes do not depend on the thread count the process runs at."""
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, runner, tmp_path):
+        functions = operators._openblas_thread_functions()
+        if functions is None:
+            pytest.skip("numpy's BLAS exports no thread control")
+        get, set_ = functions
+        # A model whose `M @ v` products differ in the last bits between one
+        # and two OpenBLAS threads when they are not pinned.
+        features, labels = paper_features(np.random.default_rng(4), 400)
+        config = PgmConfig(
+            encoding=EncodingConfig(encoding="amplitude", alpha=0.5), copies=20, engine="gram"
+        )
+        model = tmp_path / "model.json"
+        save_model(
+            model, fit_pgm(features, labels, 2, config),
+            classes=("control", "relapse"), feature_columns=("f0", "f1", "f2", "f3"),
+        )
+        rows, row_labels = paper_features(np.random.default_rng(5), 20_000)
+        dataset = write_dataset_csv(
+            tmp_path / "rows.csv", rows, np.array(["control", "relapse"])[row_labels]
+        )
+        names = ("predictions.csv", "eval.json", "eval.csv")
+        before = get()
+        outputs = []
+        try:
+            for threads in (2, 1):
+                set_(threads)
+                if get() != threads:
+                    pytest.skip(f"OpenBLAS does not run {threads} threads here")
+                out = tmp_path / str(threads)
+                out.mkdir()
+                for args in (
+                    ["predict", str(model), dataset, "--out", str(out / names[0])],
+                    ["evaluate", str(model), dataset, "--out", str(out / names[1]),
+                     "--out-csv", str(out / names[2])],
+                ):
+                    result = runner.invoke(main, args, catch_exceptions=False)
+                    assert result.exit_code == 0, result.output
+                outputs.append([(out / name).read_bytes() for name in names])
+        finally:
+            set_(before)
+        for name, one, two in zip(names, *outputs):
+            assert one == two, name
 
 
 class TestProcessMachineryIsLazy:
