@@ -167,6 +167,7 @@ def _parse_grid(raw: str | None):
     """
     dims = {"encodings": ENCODINGS, "alphas": DEFAULT_ALPHAS, "copies": DEFAULT_COPIES}
     types = {"encodings": str, "alphas": float, "copies": int}
+    given = set()
     for part in filter(None, (p.strip() for p in (raw or "").split(";"))):
         key, sep, values = part.partition("=")
         key = key.strip()
@@ -174,6 +175,9 @@ def _parse_grid(raw: str | None):
             raise click.UsageError(
                 f"bad grid dimension {part!r}: expected 'encodings=...;alphas=...;copies=...'"
             )
+        if key in given:
+            raise click.UsageError(f"grid dimension {key!r} is given more than once")
+        given.add(key)
         items = [v.strip() for v in values.split(",") if v.strip()]
         if not items:
             raise click.UsageError(f"grid dimension {key!r} is empty")

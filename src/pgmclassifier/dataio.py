@@ -569,6 +569,8 @@ def load_model(path) -> LoadedModel:
     def fail(message):
         raise SchemaMismatch(f"{path}: {message}")
 
+    if normalizer.kind != encoding.normalizer:
+        fail(f"normalizer kind {normalizer.kind!r}, expected {encoding.normalizer!r}")
     if not 1 <= copies <= MAX_COPIES:  # named as out of range whatever its JSON type
         fail(f"copy count must lie in [1, {MAX_COPIES}], got {copies}")
     for key, value in integers.items():

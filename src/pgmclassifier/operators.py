@@ -3,8 +3,8 @@
 Everything downstream (state encodings, centroids, the measurement
 construction) works with real symmetric matrices, so this module collects the
 few dense linear-algebra primitives needed: eigendecomposition,
-pseudoinverse square roots with image bases, and tensor powers of
-vectors, on plain float64 arrays. ``eigh``'s result depends on the
+pseudoinverse square roots with image bases, and tensor powers of vectors
+and matrix rows, on plain float64 arrays. ``eigh``'s result depends on the
 process-wide BLAS thread count: :func:`one_blas_thread` pins it under a
 module lock, and :func:`resolve_workers` counts the usable cores.
 """
@@ -94,25 +94,26 @@ def lifted_dimension(dim: int, copies: int) -> int | None:
 
 
 def tensor_power(v, n: int) -> np.ndarray:
-    """n-fold Kronecker power of a vector.
+    """n-fold Kronecker power of a vector, or of every row of a matrix.
 
     The entry at multi-index ``(i_1, ..., i_n)`` is the product
-    ``v[i_1] * ... * v[i_n]``; unit vectors stay unit. Raises
-    :class:`DenseBlowup` when ``len(v) ** n`` exceeds :data:`DENSE_DIM_LIMIT`.
+    ``v[i_1] * ... * v[i_n]``; unit vectors stay unit, and rows lift bit for
+    bit as vectors do. Raises :class:`DenseBlowup` past :data:`DENSE_DIM_LIMIT`.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise InvalidOperator(f"expected a vector, got shape {v.shape}")
+    if v.ndim not in (1, 2):
+        raise InvalidOperator(f"expected a vector or a matrix, got shape {v.shape}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgument(f"copy count must be a positive integer, got {n!r}")
-    if lifted_dimension(v.size, n) is None:
+    d = v.shape[-1]
+    if lifted_dimension(d, n) is None:
         raise DenseBlowup(
-            f"tensor power dimension {v.size}^{n} exceeds the dense limit "
+            f"tensor power dimension {d}^{n} exceeds the dense limit "
             f"{DENSE_DIM_LIMIT}; use the gram engine"
         )
     out = v
-    for _ in range(n - 1):
-        out = np.kron(out, v)
+    for _ in range(n - 1):  # an explicit width, so a matrix with no rows reshapes too
+        out = (out[..., :, None] * v[..., None, :]).reshape(*v.shape[:-1], out.shape[-1] * d)
     return out
 
 

@@ -203,10 +203,7 @@ def copies_centroid(states, n: int) -> np.ndarray:
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[0] < 1:
         raise EmptyClass("a class centroid needs at least one state")
-    if n == 1:
-        return quantum_centroid(states)
-    lifted = np.stack([tensor_power(row, n) for row in states])
-    return quantum_centroid(lifted)
+    return quantum_centroid(tensor_power(states, n))
 
 
 def _resolve_priors(train: LabeledStateSet, priors: Priors | None) -> Priors:
@@ -288,21 +285,21 @@ def build_dense_pgm(
 ) -> DensePgmModel:
     """Construct the POVM explicitly: ``F_i = S p_i rho_i S + P_ker / l``.
 
-    ``rho_i`` is the :func:`copies_centroid` of class i, and ``S`` the
-    Moore-Penrose inverse square root of the mixture
-    ``sigma = sum_i p_i rho_i``; priors default to uniform. The
-    completeness defect ``sum_i F_i - I`` vanishes by construction because
-    ``S sigma S`` is exactly the image projector.
+    ``rho_i`` is the centroid of the m_i lifted rows ``L_i`` of class i, and
+    ``S`` the Moore-Penrose inverse square root of the mixture
+    ``sigma = sum_i p_i rho_i``; priors default to uniform. Each effect is
+    taken as ``(p_i / m_i) (L_i S)^T (L_i S)``. The completeness defect
+    ``sum_i F_i - I`` vanishes by construction because ``S sigma S`` is
+    exactly the image projector.
     """
     priors = _resolve_priors(train, priors)
-    l = train.n_classes
-    reps = np.stack(
-        [copies_centroid(train.states[train.labels == i], copies) for i in range(l)]
-    )
-    p = priors.values
-    s, basis = pinv_sqrt(symmetrize(np.einsum("i,iab->ab", p, reps)))
+    l, p = train.n_classes, priors.values
+    lifted = [tensor_power(train.states[train.labels == i], copies) for i in range(l)]
+    s, basis = pinv_sqrt(sum(p[i] * quantum_centroid(rows) for i, rows in enumerate(lifted)))
     completion = symmetrize(np.eye(basis.shape[0]) - basis @ basis.T) / l
-    povm = np.stack([symmetrize(s @ (p[i] * reps[i]) @ s) + completion for i in range(l)])
+    halves = [rows @ s for rows in lifted]
+    povm = np.stack([symmetrize(p[i] / len(h) * (h.T @ h)) for i, h in enumerate(halves)])
+    povm += completion
     return DensePgmModel(povm=povm, priors=priors, copies=copies, dim=train.dim)
 
 
@@ -354,8 +351,9 @@ def _score_blocks(model, rows, *, encoded: bool):
 
 
 def _score_dense_block(model: DensePgmModel, block, out) -> None:
-    lifted = np.stack([tensor_power(row, model.copies) for row in block])
-    out[:] = np.einsum("ka,iab,kb->ki", lifted, model.povm, lifted)
+    lifted = tensor_power(block, model.copies)
+    for i, effect in enumerate(model.povm):
+        out[:, i] = np.einsum("ka,ka->k", lifted @ effect, lifted)
 
 
 def _score_gram_block(model: GramPgmModel, block, out) -> None:

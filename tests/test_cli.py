@@ -377,6 +377,7 @@ class TestGridsearchCommand:
             "copies=1000001",
             "bogus=1",
             "alphas",
+            "encodings=amplitude;alphas=1;copies=1;copies=5",
         ],
     )
     def test_malformed_grid_is_usage_error(self, runner, tmp_path, blob_csv, grid):
@@ -764,6 +765,8 @@ CORRUPTIONS = {
     "gram-class-string": ("gram", _set("classes", "ab")),
     "gram-duplicate-classes": ("gram", _set("classes", lambda names: [names[0]] * 2)),
     "gram-integer-classes": ("gram", _set("classes", [1, 2])),
+    "gram-unknown-normalizer-kind": ("gram", _set("normalizer", "kind", "bogus")),
+    "dense-normalizer-kind-mismatch": ("dense", _set("normalizer", "kind", "minmax")),
 }
 
 
@@ -1474,22 +1477,33 @@ class TestScoringThreadCount:
     bytes do not depend on the thread count the process runs at."""
 
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, runner, tmp_path):
+        # A gram model whose `M @ v` products differ in the last bits between
+        # one and two OpenBLAS threads when they are not pinned.
+        config = PgmConfig(
+            encoding=EncodingConfig(encoding="amplitude", alpha=0.5), copies=20, engine="gram"
+        )
+        self.check(runner, tmp_path, config, 20_000)
+
+    def test_dense_outputs_do_not_depend_on_the_blas_thread_count(self, runner, tmp_path):
+        # A dense model of lifted dimension 5^4 = 625, scored by BLAS products.
+        self.check(runner, tmp_path, PgmConfig(copies=4, engine="dense"), 2_000)
+
+    @staticmethod
+    def check(runner, tmp_path, config, n_rows):
+        """Train ``config`` on 400 paper-shaped rows, then compare the
+        ``predict`` and ``evaluate`` outputs on ``n_rows`` rows at two and
+        at one OpenBLAS threads."""
         functions = operators._openblas_thread_functions()
         if functions is None:
             pytest.skip("numpy's BLAS exports no thread control")
         get, set_ = functions
-        # A model whose `M @ v` products differ in the last bits between one
-        # and two OpenBLAS threads when they are not pinned.
         features, labels = paper_features(np.random.default_rng(4), 400)
-        config = PgmConfig(
-            encoding=EncodingConfig(encoding="amplitude", alpha=0.5), copies=20, engine="gram"
-        )
         model = tmp_path / "model.json"
         save_model(
             model, fit_pgm(features, labels, 2, config),
             classes=("control", "relapse"), feature_columns=("f0", "f1", "f2", "f3"),
         )
-        rows, row_labels = paper_features(np.random.default_rng(5), 20_000)
+        rows, row_labels = paper_features(np.random.default_rng(5), n_rows)
         dataset = write_dataset_csv(
             tmp_path / "rows.csv", rows, np.array(["control", "relapse"])[row_labels]
         )

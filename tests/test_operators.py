@@ -3,7 +3,12 @@ import time
 import numpy as np
 import pytest
 
-from pgmclassifier.errors import DenseBlowup, InvalidOperator, NotPositiveSemidefinite
+from pgmclassifier.errors import (
+    DenseBlowup,
+    InvalidArgument,
+    InvalidOperator,
+    NotPositiveSemidefinite,
+)
 from pgmclassifier.operators import (
     DENSE_DIM_LIMIT,
     eig_sym,
@@ -120,6 +125,29 @@ class TestTensorPower:
         with pytest.raises(DenseBlowup):
             tensor_power(np.full(5, 5**-0.5), 10**6)
         assert time.perf_counter() - start < 0.01
+
+    @pytest.mark.parametrize("copies", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_matrix_rows_lift_bit_for_bit_as_vectors(self, rng, k, d, copies):
+        rows = rng.normal(size=(k, d))
+        expected = np.empty((k, d**copies))
+        for i, row in enumerate(rows):
+            power = row
+            for _ in range(copies - 1):
+                power = np.kron(power, row)
+            expected[i] = power
+        out = tensor_power(rows, copies)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+    def test_matrix_refusals(self):
+        with pytest.raises(InvalidOperator):
+            tensor_power(np.ones((2, 2, 2)), 2)
+        with pytest.raises(DenseBlowup):
+            tensor_power(np.ones((3, 10)), 5)
+        with pytest.raises(InvalidArgument):
+            tensor_power(np.ones((3, 2)), 0)
 
 
 class TestLiftedDimension:
