@@ -637,25 +637,13 @@ def flat_with_names(flat: dict, classes) -> dict:
 
 def report_dict(report: MetricReport, classes, positive_name: str | None) -> dict:
     """Nested JSON form of a metric report with named classes."""
-    per_class = {}
-    for i, name in enumerate(classes):
-        rates = report.per_class[i]
-        per_class[str(name)] = {
-            "auc": report.per_class_auc[i],
-            "precision": rates.precision,
-            "recall": rates.recall,
-            "specificity": rates.specificity,
-            "f1": rates.f1,
-        }
+    per_class = {
+        str(name): {"auc": report.per_class_auc[i], **report.per_class[i].named()}
+        for i, name in enumerate(classes)
+    }
     binary = None
     if report.binary is not None:
-        binary = {
-            "positive_class": positive_name,
-            "precision": report.binary.precision,
-            "recall": report.binary.recall,
-            "specificity": report.binary.specificity,
-            "f1": report.binary.f1,
-        }
+        binary = {"positive_class": positive_name, **report.binary.named()}
     return {
         "n_samples": report.n_samples,
         "accuracy": report.accuracy,

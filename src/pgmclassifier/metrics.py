@@ -11,7 +11,7 @@ flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,9 +34,8 @@ def confusion(true_labels, predicted_labels, n_classes: int) -> np.ndarray:
         raise DimMismatch(
             f"label shapes differ: {true_labels.shape} vs {predicted_labels.shape}"
         )
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
     if true_labels.size == 0:
-        return cm
+        return np.zeros((n_classes, n_classes), dtype=np.int64)
     for name, arr in (("true", true_labels), ("predicted", predicted_labels)):
         if not np.issubdtype(arr.dtype, np.integer):
             raise LabelOutOfRange(f"{name} labels must be integers, got dtype {arr.dtype}")
@@ -45,8 +44,9 @@ def confusion(true_labels, predicted_labels, n_classes: int) -> np.ndarray:
                 f"{name} labels must lie in [0, {n_classes}), "
                 f"got range [{arr.min()}, {arr.max()}]"
             )
-    np.add.at(cm, (true_labels, predicted_labels), 1)
-    return cm
+    # Cell indices in intp, so that a narrow label dtype cannot overflow them.
+    cells = true_labels.astype(np.intp) * n_classes + predicted_labels.astype(np.intp)
+    return np.bincount(cells, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
 
 
 def _check_nonempty(cm: np.ndarray) -> np.ndarray:
@@ -80,7 +80,8 @@ class BinaryRates:
     """Precision/recall/specificity/F1 for one class against the rest.
 
     ``degenerate`` lists the rates whose denominator was zero and were
-    therefore reported as 0.
+    therefore reported as 0. :meth:`named` is the one place the report keys
+    of the rates come from.
     """
 
     precision: float
@@ -89,12 +90,9 @@ class BinaryRates:
     f1: float
     degenerate: tuple[str, ...] = ()
 
-
-def _safe_rate(numerator: float, denominator: float, name: str, flags: list) -> float:
-    if denominator == 0:
-        flags.append(name)
-        return 0.0
-    return float(numerator / denominator)
+    def named(self, suffix: str = "") -> dict:
+        """The four rates in field order, each keyed by its name plus ``suffix``."""
+        return {f.name + suffix: getattr(self, f.name) for f in fields(self) if f.name != "degenerate"}
 
 
 def one_vs_rest_rates(cm, class_index: int) -> BinaryRates:
@@ -109,17 +107,15 @@ def one_vs_rest_rates(cm, class_index: int) -> BinaryRates:
     fp = cm[:, class_index].sum() - tp
     fn = cm[class_index, :].sum() - tp
     tn = total - tp - fp - fn
-    flags: list = []
-    precision = _safe_rate(tp, tp + fp, "precision", flags)
-    recall = _safe_rate(tp, tp + fn, "recall", flags)
-    specificity = _safe_rate(tn, tn + fp, "specificity", flags)
-    f1 = _safe_rate(2 * tp, 2 * tp + fp + fn, "f1", flags)
+    ratios = {
+        "precision": (tp, tp + fp),
+        "recall": (tp, tp + fn),
+        "specificity": (tn, tn + fp),
+        "f1": (2 * tp, 2 * tp + fp + fn),
+    }
     return BinaryRates(
-        precision=precision,
-        recall=recall,
-        specificity=specificity,
-        f1=f1,
-        degenerate=tuple(flags),
+        **{name: float(num / den) if den != 0 else 0.0 for name, (num, den) in ratios.items()},
+        degenerate=tuple(name for name, (_, den) in ratios.items() if den == 0),
     )
 
 
@@ -220,16 +216,9 @@ class MetricReport:
         }
         for i in range(self.n_classes):
             out[f"auc_class_{i}"] = self.per_class_auc[i]
-            rates = self.per_class[i]
-            out[f"precision_class_{i}"] = rates.precision
-            out[f"recall_class_{i}"] = rates.recall
-            out[f"specificity_class_{i}"] = rates.specificity
-            out[f"f1_class_{i}"] = rates.f1
+            out.update(self.per_class[i].named(f"_class_{i}"))
         if self.binary is not None:
-            out["precision"] = self.binary.precision
-            out["recall"] = self.binary.recall
-            out["specificity"] = self.binary.specificity
-            out["f1"] = self.binary.f1
+            out.update(self.binary.named())
         return out
 
 

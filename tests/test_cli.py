@@ -1954,3 +1954,84 @@ class TestOptionValues:
         _ends_cleanly(result)
         if result.exit_code:
             assert os.listdir(option_inputs["DIR"]) == []
+
+
+#: Cells that a float parse reads in its own way (underscores, non-ASCII
+#: digits, an overflow to infinity, padding) or refuses; labels with spaces,
+#: quotes, a comma or nothing.
+ODD_CELLS = ["1_0", "nan", "1e400", "-inf", "", " 2 ", "\u0663", "\uff11.5", "0x1", "x"]
+ODD_LABELS = ["lo ", " hi", "l o", '"hi"', '"l""o"', '"', "", "'lo'", "lo,hi"]
+
+
+@st.composite
+def dataset_bytes(draw):
+    """A CSV file of the model's four features: up to five rows of numbers
+    and ``lo``/``hi`` labels, with or without a label column, then up to
+    two edits (an odd cell or label, a short or long row), one line
+    ending, maybe a BOM and a final line ending."""
+    header = draw(st.sampled_from(["f0,f1,f2,f3,label", "label,f0,f1,f2,f3", "f0,f1,f2,f3"]))
+    labeled = "label" in header
+    rows = [
+        [repr(v) for v in draw(st.lists(st.floats(-5, 5), min_size=4, max_size=4))]
+        + ([draw(st.sampled_from(["lo", "hi"]))] if labeled else [])
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    for kind, at, value in draw(st.lists(st.tuples(
+        st.sampled_from(["cell", "label", "short", "long"]), st.integers(0, 99),
+        st.sampled_from(ODD_CELLS + ODD_LABELS),
+    ), max_size=2)):
+        if not rows:
+            break
+        row = rows[at % len(rows)]
+        if kind == "cell":
+            row[at % len(row)] = value
+        elif kind == "label" and labeled:
+            row[-1] = value
+        elif kind == "short":
+            row.pop()
+        elif kind == "long":
+            row.append(value)
+    if header.startswith("label"):
+        rows = [row[-1:] + row[:-1] for row in rows]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join([header] + [",".join(row) for row in rows]) + draw(st.sampled_from(["", end]))
+    return (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def dataset_inputs(tmp_path_factory):
+    """A model trained on the four-feature ``lo``/``hi`` data, and a directory for runs."""
+    root = tmp_path_factory.mktemp("dataset-inputs")
+    model, _ = train_model(CliRunner(), root, write_quad_csv(root / "quad.csv"))
+    return root, model
+
+
+class TestGeneratedDatasets:
+    """``predict`` and ``evaluate`` on any dataset file end in exit 0, or in
+    exit 2 with one ``error:`` line and no output file."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(content=dataset_bytes(), positive=st.sampled_from([[], ["--positive-class", "hi"]]))
+    def test_predict_and_evaluate_end_cleanly(self, dataset_inputs, content, positive):
+        root, model = dataset_inputs
+        data = root / "data.csv"
+        data.write_bytes(content)
+        predictions, report, table = (root / name for name in ("p.csv", "e.json", "e.csv"))
+        runs = {
+            (predictions,): ["predict", model, data, "--out", predictions],
+            (report, table): [
+                "evaluate", model, data, "--out", report, "--out-csv", table, *positive
+            ],
+        }
+        for written, args in runs.items():
+            for path in written:
+                path.unlink(missing_ok=True)
+            result = CliRunner().invoke(main, list(map(str, args)))
+            assert result.exception is None or isinstance(result.exception, SystemExit), repr(
+                result.exception
+            )
+            assert result.exit_code in (0, 2), (content, result.output, result.stderr)
+            if result.exit_code == 2:
+                lines = result.stderr.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), (content, lines)
+                assert not [path for path in written if path.exists()]

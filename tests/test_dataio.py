@@ -962,6 +962,40 @@ class TestReportSerialization:
         obj = report_dict(report, ("neg", "pos"), "pos")
         assert obj["degenerate"] == ["precision_class_pos", "precision"]
 
+    def test_key_order_of_flat_and_json_reports(self):
+        """Reports keep their key order: a three-class report whose classes
+        ``b`` and ``c`` are never predicted and ``c`` never true, and a binary one."""
+        scores = np.array([[0.7, 0.2, 0.1], [0.3, 0.3, 0.4], [0.6, 0.3, 0.1], [0.5, 0.4, 0.1]])
+        report = report_from_predictions([0, 0, 1, 1], [0, 0, 0, 0], scores, 3)
+        rates = ["precision", "recall", "specificity", "f1"]
+        assert list(report.flat()) == ["accuracy", "macro_accuracy", "macro_auc"] + [
+            f"{metric}_class_{i}" for i in range(3) for metric in ["auc", *rates]
+        ]
+        assert report.degenerate == (
+            "auc_class_2", "precision_class_1", "precision_class_2", "recall_class_2", "f1_class_2"
+        )
+        obj = report_dict(report, ("a", "b", "c"), None)
+        assert list(obj) == [
+            "n_samples", "accuracy", "macro_accuracy", "macro_auc", "per_class", "binary",
+            "degenerate",
+        ]
+        assert list(obj["per_class"]) == ["a", "b", "c"]
+        assert all(list(entry) == ["auc", *rates] for entry in obj["per_class"].values())
+        assert obj["binary"] is None
+        assert obj["degenerate"] == [
+            "auc_class_c", "precision_class_b", "precision_class_c", "recall_class_c", "f1_class_c"
+        ]
+
+        scores = np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.3]])
+        report = report_from_predictions([0, 0, 1], [0, 0, 0], scores, 2, positive_class=1)
+        assert list(report.flat()) == ["accuracy", "macro_accuracy", "macro_auc"] + [
+            f"{metric}_class_{i}" for i in range(2) for metric in ["auc", *rates]
+        ] + rates
+        assert report.degenerate == ("precision_class_1", "precision")
+        obj = report_dict(report, ("neg", "pos"), "pos")
+        assert list(obj["per_class"]["pos"]) == ["auc", *rates]
+        assert list(obj["binary"]) == ["positive_class", *rates]
+
     def test_flat_with_names(self):
         flat = flat_with_names(toy_report().flat(), ("neg", "pos"))
         assert "recall_class_pos" in flat

@@ -45,6 +45,15 @@ class TestConfusion:
         for i, j in itertools.product(range(4), range(4)):
             assert cm[i, j] == np.sum((true == i) & (pred == j))
 
+    @pytest.mark.parametrize("dtype, n", [(np.int8, 12), (np.uint8, 20)])
+    def test_narrow_label_dtypes_count_like_int64(self, dtype, n):
+        rng = np.random.default_rng(4)
+        true = rng.integers(0, n, size=300)
+        pred = rng.integers(0, n, size=300)
+        np.testing.assert_array_equal(
+            confusion(true.astype(dtype), pred.astype(dtype), n), confusion(true, pred, n)
+        )
+
     def test_empty_inputs_give_zero_matrix(self):
         np.testing.assert_array_equal(confusion([], [], 2), np.zeros((2, 2)))
 
