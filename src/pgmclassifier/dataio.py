@@ -12,7 +12,6 @@ plan cannot silently be applied to a different dataset.
 
 from __future__ import annotations
 
-import codecs
 import collections
 import csv
 import hashlib
@@ -81,13 +80,13 @@ def fingerprint_bytes(raw: bytes) -> dict:
     return {"algorithm": FINGERPRINT_ALGORITHM, "value": digest}
 
 
-#: Bytes of a dataset file the fast route reads, hashes and decodes at a time.
-_BLOCK_BYTES = 1 << 18
+#: Characters of a dataset file the fast route reads, hashes and screens at a time.
+_BLOCK_CHARS = 1 << 18
 
-#: Bytes that keep a file off the fast route: ``"`` and NUL, which
+#: Characters that keep a file off the fast route: ``"`` and NUL, which
 #: ``csv.reader`` treats apart, and ``\x1c``-``\x1f``, which ``np.loadtxt``
 #: strips from a number as whitespace where ``float`` refuses them.
-_UNSCREENED = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_UNSCREENED = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,16 +157,16 @@ def _dataset(path, header, label_pos, features, codes, label_codes, fingerprint)
 def _load_fast(path, label_column: str) -> Dataset | None:
     """The dataset of ``path`` by ``np.loadtxt``, or None where :func:`_load_exact` must read it.
 
-    One pass over a regular file, :data:`_BLOCK_BYTES` at a time: each block
-    is canonicalised (a trailing CR waits for the next block's LF), hashed,
-    decoded and cut into lines. It gives up wherever ``loadtxt`` might read
-    a line otherwise than ``csv.reader`` and ``float`` do: at a decode error,
-    a byte of :data:`_UNSCREENED`, an empty line (a final newline aside), a
-    line past ``csv.field_size_limit()``, a header fault, no rows, a cell
-    ``loadtxt`` refuses (such as ``1_0``; it reads no cell ``float`` refuses,
-    and each cell to ``float``'s value), an empty label, a non-finite value,
-    or a table not as wide as the header or not of one row per line. A
-    pipe, which cannot be read twice, is not tried.
+    One pass over a regular file in text mode, :data:`_BLOCK_CHARS` at a
+    time (Python's io layer decodes UTF-8 and makes CR and CRLF LF): each
+    block is screened, hashed as UTF-8 and cut into lines. It gives up
+    wherever ``loadtxt`` might read a line otherwise than ``csv.reader`` and
+    ``float`` do: at a decode error, a character of :data:`_UNSCREENED`, an
+    empty line (a final newline aside), a line past ``csv.field_size_limit()``,
+    a header fault, no rows, a cell ``loadtxt`` refuses (such as ``1_0``; it
+    reads no cell ``float`` refuses, and each cell to ``float``'s value), an
+    empty label, a non-finite value, or a table not as wide as the header or
+    not of one row per line. A pipe, which cannot be read twice, is not tried.
     """
     if not os.path.isfile(path):
         return None
@@ -177,25 +176,17 @@ def _load_fast(path, label_column: str) -> Dataset | None:
     def blocks(fh):
         nonlocal n_lines
         limit = csv.field_size_limit()
-        decoder = codecs.getincrementaldecoder("utf-8-sig")()
-        held, tail = b"", ""
-        while True:
-            raw = fh.read(_BLOCK_BYTES)
-            block = held + raw
-            held = b"\r" if raw and block.endswith(b"\r") else b""
-            block = canonical_bytes(block[: len(block) - len(held)])
-            if any(map(block.__contains__, _UNSCREENED)):
+        tail = ""
+        while text := fh.read(_BLOCK_CHARS):
+            if any(map(text.__contains__, _UNSCREENED)):
                 raise ValueError("not for the fast route")
-            digest.update(block)
-            text = decoder.decode(block, final=not raw)
+            digest.update(text.encode())
             tail += text  # in place, split only at a new line end: a long line takes linear time
             *lines, tail = tail.split("\n") if "\n" in text else [tail]
             if "" in lines or max(map(len, lines), default=0) > limit or len(tail) > limit:
                 raise ValueError("not for the fast route")
             n_lines += len(lines)
             yield lines
-            if not raw:
-                break
         if tail:
             n_lines += 1
             yield [tail]
@@ -203,10 +194,10 @@ def _load_fast(path, label_column: str) -> Dataset | None:
     # Each new label gets the next code, with no Python call for a label seen before.
     codes = collections.defaultdict()
     codes.default_factory = codes.__len__
-    with _opened(path, "rb") as fh:
+    with _opened(path, "r", encoding="utf-8", newline=None) as fh:
         rows = itertools.chain.from_iterable(blocks(fh))
         try:
-            header = next(rows, "").split(",")
+            header = next(rows, "").removeprefix("\ufeff").split(",")
             first = next(rows, None)
             if first is None or not any(header) or len(set(header)) != len(header):
                 return None

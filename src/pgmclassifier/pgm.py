@@ -194,18 +194,6 @@ def quantum_centroid(states) -> np.ndarray:
     return symmetrize(states.T @ states / states.shape[0])
 
 
-def copies_centroid(states, n: int) -> np.ndarray:
-    """Centroid of the n-copy lifts ``(1/m) sum_j (psi_j^{tensor n})(...)^T``.
-
-    This is the mean of lifted pure states, which differs from the n-fold
-    tensor power of the single-copy centroid as soon as the class is mixed.
-    """
-    states = np.asarray(states, dtype=float)
-    if states.ndim != 2 or states.shape[0] < 1:
-        raise EmptyClass("a class centroid needs at least one state")
-    return quantum_centroid(tensor_power(states, n))
-
-
 def _resolve_priors(train: LabeledStateSet, priors: Priors | None) -> Priors:
     """``priors``, uniform when None, after checking it holds one value per class."""
     if priors is None:

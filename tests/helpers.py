@@ -8,12 +8,14 @@ import tracemalloc
 
 import numpy as np
 
+from pgmclassifier.errors import EmptyClass
 from pgmclassifier.operators import tensor_power
 from pgmclassifier.pgm import (
     DensePgmModel,
     LabeledStateSet,
     build_dense_pgm,
     predict_batch,
+    quantum_centroid,
     stable_power,
 )
 
@@ -31,6 +33,18 @@ def random_labeled_states(rng, n_classes, d, m):
     return LabeledStateSet(
         states=random_unit_states(rng, m, d), labels=labels, n_classes=n_classes
     )
+
+
+def copies_centroid(states, n: int) -> np.ndarray:
+    """Centroid of the n-copy lifts ``(1/m) sum_j (psi_j^{tensor n})(...)^T``.
+
+    This is the mean of lifted pure states, which differs from the n-fold
+    tensor power of the single-copy centroid as soon as the class is mixed.
+    """
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 2 or states.shape[0] < 1:
+        raise EmptyClass("a class centroid needs at least one state")
+    return quantum_centroid(tensor_power(states, n))
 
 
 def unblocked_scores(model, states):

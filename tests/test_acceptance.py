@@ -11,7 +11,13 @@ import time
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from helpers import blob_features, random_instances, random_unit_states, write_dataset_csv
+from helpers import (
+    blob_features,
+    copies_centroid,
+    random_instances,
+    random_unit_states,
+    write_dataset_csv,
+)
 
 from pgmclassifier import (
     GridPoint,
@@ -34,7 +40,6 @@ from pgmclassifier.pgm import (
     LabeledStateSet,
     build_dense_pgm,
     build_gram_pgm,
-    copies_centroid,
     quantum_centroid,
 )
 

@@ -1717,17 +1717,15 @@ def write_quad_csv(path):
 
 
 def _ends_cleanly(result, outputs=()):
-    """Exit 0; exit 1 with an ``Error:`` line; or exit 2 with one ``error:``
+    """Exit 0; exit 1 with one ``Error:`` line; or exit 2 with one ``error:``
     line. Never a traceback, and no output file after a failure."""
     assert result.exception is None or isinstance(result.exception, SystemExit), repr(
         result.exception
     )
+    lines = result.stderr.splitlines()
     if result.exit_code == 1:
-        assert any(line.startswith("Error: ") for line in result.stderr.splitlines()), (
-            result.stderr
-        )
+        assert sum(line.startswith("Error: ") for line in lines) == 1, result.stderr
     elif result.exit_code == 2:
-        lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     else:
         assert result.exit_code == 0, result.stderr
@@ -1964,17 +1962,17 @@ ODD_LABELS = ["lo ", " hi", "l o", '"hi"', '"l""o"', '"', "", "'lo'", "lo,hi"]
 
 
 @st.composite
-def dataset_bytes(draw):
-    """A CSV file of the model's four features: up to five rows of numbers
-    and ``lo``/``hi`` labels, with or without a label column, then up to
-    two edits (an odd cell or label, a short or long row), one line
+def dataset_bytes(draw, max_rows=5):
+    """A CSV file of the model's four features: up to ``max_rows`` rows of
+    numbers and ``lo``/``hi`` labels, with or without a label column, then
+    up to two edits (an odd cell or label, a short or long row), one line
     ending, maybe a BOM and a final line ending."""
     header = draw(st.sampled_from(["f0,f1,f2,f3,label", "label,f0,f1,f2,f3", "f0,f1,f2,f3"]))
     labeled = "label" in header
     rows = [
         [repr(v) for v in draw(st.lists(st.floats(-5, 5), min_size=4, max_size=4))]
         + ([draw(st.sampled_from(["lo", "hi"]))] if labeled else [])
-        for _ in range(draw(st.integers(0, 5)))
+        for _ in range(draw(st.integers(0, max_rows)))
     ]
     for kind, at, value in draw(st.lists(st.tuples(
         st.sampled_from(["cell", "label", "short", "long"]), st.integers(0, 99),
@@ -2007,8 +2005,8 @@ def dataset_inputs(tmp_path_factory):
 
 
 class TestGeneratedDatasets:
-    """``predict`` and ``evaluate`` on any dataset file end in exit 0, or in
-    exit 2 with one ``error:`` line and no output file."""
+    """``splits``, ``train``, ``predict`` and ``evaluate`` on any dataset file
+    end in exit 0, or in an exit with one error line and no output file."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(content=dataset_bytes(), positive=st.sampled_from([[], ["--positive-class", "hi"]]))
@@ -2035,3 +2033,21 @@ class TestGeneratedDatasets:
                 lines = result.stderr.splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: "), (content, lines)
                 assert not [path for path in written if path.exists()]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(content=dataset_bytes(max_rows=12), fraction=st.sampled_from(["0.25", "0.5"]))
+    def test_splits_and_train_end_cleanly(self, dataset_inputs, content, fraction):
+        root, _ = dataset_inputs
+        data = root / "data.csv"
+        data.write_bytes(content)
+        splits, model = root / "s.json", root / "m.json"
+        runs = {
+            splits: [
+                "splits", data, "--seed", "3", "--repetitions", "2",
+                "--test-fraction", fraction, "--out", splits,
+            ],
+            model: ["train", data, "--out-model", model],
+        }
+        for out, args in runs.items():
+            out.unlink(missing_ok=True)
+            _ends_cleanly(CliRunner().invoke(main, list(map(str, args))), [out])

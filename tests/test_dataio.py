@@ -210,8 +210,11 @@ def csv_datasets(draw):
 
 
 #: Labels a quote-free file can hold: no ``"`` and no ``,``, padded or not.
-#: Line breaks other than LF and CR are plain text to ``csv.reader``.
-_PLAIN_LABELS = st.sampled_from(["a", "z", " padded ", "b c", "\u00e9", "x\u2028y", "\x0c"])
+#: Line breaks other than LF and CR are plain text to ``csv.reader``, and a
+#: byte order mark is plain text anywhere but at the start of the file.
+_PLAIN_LABELS = st.sampled_from(
+    ["a", "z", " padded ", "b c", "\u00e9", "x\u2028y", "\x0c", "\ufeffb", "c\ufeff"]
+)
 
 
 @st.composite
@@ -219,7 +222,9 @@ def quote_free_datasets(draw):
     """``(raw bytes, label position or None)`` for a small quote-free CSV.
 
     Line endings are LF, CRLF or lone CR, with or without a final one; files
-    may be header-only, lack the label column or have a single column.
+    may be header-only, lack the label column or have a single column. A
+    file may start with a byte order mark, and about one in four holds a byte
+    that is not valid UTF-8.
     """
     n_features = draw(st.integers(0, 3))
     wheres = ["first", "middle", "last"] + (["none"] if n_features else [])
@@ -236,7 +241,11 @@ def quote_free_datasets(draw):
     text = newline.join(",".join(row) for row in rows)
     if draw(st.booleans()):
         text += newline
-    return text.encode("utf-8"), at
+    raw = (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(raw)))
+        raw = raw[:i] + draw(st.sampled_from([b"\x80", b"\xc3", b"\xff"])) + raw[i:]
+    return raw, at
 
 
 def load_outcome(path):
@@ -250,12 +259,17 @@ def load_outcome(path):
 def reference_parse(raw, at):
     """Features, labels and LF-normalized fingerprint, parsed cell by cell.
 
-    The whole text goes through one ``csv.reader``, then the header and
-    every cell are checked in order. For a faulty file the result is the
+    The whole text, less a leading byte order mark, goes through one
+    ``csv.reader``, then the header and every cell are checked in order; the
+    fingerprint covers the mark. For a faulty file the result is the
     diagnostic ``load_dataset`` gives, less its leading file name.
     """
     lf = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    reader = csv.reader(io.StringIO(lf.decode("utf-8")))
+    try:
+        text = lf.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"not valid UTF-8 ({exc})"
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         header, *body = list(reader) or [[]]
     except csv.Error as exc:
@@ -412,35 +426,35 @@ class TestLoadDatasetEquivalence:
             load_dataset(path)
         assert str(info.value) == f"{path}: {message}"
 
-    @pytest.mark.parametrize("block_bytes", [1, 64])
-    def test_generated_files_in_small_blocks(self, block_bytes):
-        with mock.patch.object(dataio, "_BLOCK_BYTES", block_bytes):
+    @pytest.mark.parametrize("block_chars", [1, 64])
+    def test_generated_files_in_small_blocks(self, block_chars):
+        with mock.patch.object(dataio, "_BLOCK_CHARS", block_chars):
             matches_cell_by_cell_parse()
             quote_free_files_match_the_csv_reader_route()
 
 
-@pytest.fixture(params=[1, 64, dataio._BLOCK_BYTES])
-def block_bytes(request):
-    """Runs a test with one byte per block, a few lines per block and the default size."""
-    with mock.patch.object(dataio, "_BLOCK_BYTES", request.param):
+@pytest.fixture(params=[1, 64, dataio._BLOCK_CHARS])
+def block_chars(request):
+    """Runs a test with one character per block, a few lines per block and the default size."""
+    with mock.patch.object(dataio, "_BLOCK_CHARS", request.param):
         yield request.param
 
 
 class TestLoadDatasetBlocks:
-    """Faults and files that straddle the byte blocks ``load_dataset`` reads."""
+    """Faults and files that straddle the character blocks ``load_dataset`` reads."""
 
     @staticmethod
-    def body(block_bytes):
+    def body(block_chars):
         """Ten-character rows, enough for more than three blocks."""
-        n_rows = 3 * block_bytes // 10 + 3
+        n_rows = 3 * block_chars // 10 + 3
         return [f"{i % 10}.5,{i % 7}.25,{'ab'[i % 2]}" for i in range(n_rows)]
 
     @staticmethod
     def block_starts(lines):
-        """The rows (from 1, header excluded) holding the first byte of a block after the first."""
-        raw = ("\n".join(lines) + "\n").encode()
-        size = dataio._BLOCK_BYTES
-        return sorted({raw.count(b"\n", 0, start) for start in range(size, len(raw), size)} - {0})
+        """The rows (from 1, header excluded) where a block after the first begins."""
+        text = "\n".join(lines) + "\n"
+        size = dataio._BLOCK_CHARS
+        return sorted({text.count("\n", 0, start) for start in range(size, len(text), size)} - {0})
 
     def load_error(self, path, lines):
         path.write_text("\n".join(lines) + "\n")
@@ -448,30 +462,30 @@ class TestLoadDatasetBlocks:
             load_dataset(path)
         return str(info.value).removeprefix(f"{path}: ")
 
-    def test_bad_cell_in_the_second_block(self, tmp_path, block_bytes):
-        lines = ["f0,f1,label", *self.body(block_bytes)]
+    def test_bad_cell_in_the_second_block(self, tmp_path, block_chars):
+        lines = ["f0,f1,label", *self.body(block_chars)]
         r = self.block_starts(lines)[0] + 1
         lines[r] = "1.5,x.25,a"
         message = self.load_error(tmp_path / "bad.csv", lines)
         assert message == f"row {r} column 'f1': expected a finite number, got 'x.25'"
 
-    def test_short_and_long_rows_straddling_a_boundary(self, tmp_path, block_bytes):
-        lines = ["f0,f1,label", *self.body(block_bytes)]
+    def test_short_and_long_rows_straddling_a_boundary(self, tmp_path, block_chars):
+        lines = ["f0,f1,label", *self.body(block_chars)]
         r = self.block_starts(lines)[1]
         lines[r - 1] = "1.5,2.25;a"
         lines[r] = "1,5,2.25,a"
         message = self.load_error(tmp_path / "bad.csv", lines)
         assert message == f"row {r - 1} has 2 fields, expected 3"
 
-    def test_empty_line_at_a_boundary(self, tmp_path, block_bytes):
-        lines = ["f0,f1,label", *self.body(block_bytes)]
+    def test_empty_line_at_a_boundary(self, tmp_path, block_chars):
+        lines = ["f0,f1,label", *self.body(block_chars)]
         r = self.block_starts(lines)[1]
         lines.insert(r, "")
         message = self.load_error(tmp_path / "bad.csv", lines)
         assert message == f"row {r} has 0 fields, expected 3"
 
-    def test_last_block_without_a_final_newline(self, tmp_path, block_bytes):
-        raw = "\n".join(["f0,f1,label", *self.body(block_bytes)]).encode()
+    def test_last_block_without_a_final_newline(self, tmp_path, block_chars):
+        raw = "\n".join(["f0,f1,label", *self.body(block_chars)]).encode()
         path = tmp_path / "d.csv"
         path.write_bytes(raw)
         names, features, labels, digest = reference_parse(raw, 2)
@@ -481,9 +495,9 @@ class TestLoadDatasetBlocks:
         assert row_labels(ds) == labels
         assert ds.fingerprint["value"] == digest
 
-    def test_nothing_is_read_after_the_faulty_block(self, tmp_path, block_bytes, monkeypatch):
+    def test_nothing_is_read_after_the_faulty_block(self, tmp_path, block_chars, monkeypatch):
         """After a bad cell no later row is read, though later blocks hold ragged rows."""
-        lines = ["f0,f1,label", "1.5,x.25,a", *self.body(block_bytes)]
+        lines = ["f0,f1,label", "1.5,x.25,a", *self.body(block_chars)]
         after = next(start for start in self.block_starts(lines) if start > 1)
         lines[after:] = ["1.5,2.25ab"] * (len(lines) - after)
         read = []
@@ -499,10 +513,10 @@ class TestLoadDatasetBlocks:
         assert message == "row 1 column 'f1': expected a finite number, got 'x.25'"
         assert read == [lines[0].split(","), lines[1].split(",")]
 
-    def test_quoted_file_over_several_reader_blocks(self, tmp_path, block_bytes):
+    def test_quoted_file_over_several_reader_blocks(self, tmp_path, block_chars):
         rows = [["f0", "label", "f1"]]
         names = ["a,b", 'say "hi"', "two\nlines", "z"]
-        for i, line in enumerate(self.body(block_bytes)):
+        for i, line in enumerate(self.body(block_chars)):
             f0, f1, _ = line.split(",")
             rows.append([f0, names[i % 4], f1])
         buf = io.StringIO()
@@ -528,7 +542,7 @@ class TestLoadDatasetBlocks:
         message = f"row {r} column 'f1': expected a finite number, got 'nan'"
         assert str(info.value) == f"{path}: {message}"
 
-    def test_lines_over_the_field_limit_with_short_fields(self, tmp_path, block_bytes):
+    def test_lines_over_the_field_limit_with_short_fields(self, tmp_path, block_chars):
         """A quote-free line past ``csv.field_size_limit()`` is valid if its fields are not."""
         rng = np.random.default_rng(51)
         features = rng.normal(size=(3, 20_000)).round(4)
@@ -635,7 +649,7 @@ class TestLoadRoutes:
         path = tmp_path / "d.csv"
         path.write_bytes(raw)
         for size in range(1, len(raw) + 1):
-            with mock.patch.object(dataio, "_BLOCK_BYTES", size):
+            with mock.patch.object(dataio, "_BLOCK_CHARS", size):
                 assert_matches_reference(path, load_outcome(path), raw, 1)
         assert exact_route_runs == []
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from helpers import (
     blob_features,
+    copies_centroid,
     paper_features,
     peak_allocation,
     random_labeled_states,
@@ -32,7 +33,6 @@ from pgmclassifier.pgm import (
     build_dense_pgm,
     build_pgm,
     build_gram_pgm,
-    copies_centroid,
     labels_from_scores,
     make_priors,
     quantum_centroid,
