@@ -12,6 +12,7 @@ plan cannot silently be applied to a different dataset.
 
 from __future__ import annotations
 
+import array
 import collections
 import csv
 import hashlib
@@ -20,7 +21,6 @@ import itertools
 import json
 import math
 import os
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -67,20 +67,7 @@ def _opened(path, mode: str, **kwargs):
         raise PgmError(f"{path}: {exc.strerror or exc}") from None
 
 
-def canonical_bytes(raw: bytes) -> bytes:
-    """Normalize CRLF and lone CR line endings to LF."""
-    if b"\r" not in raw:
-        return raw
-    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-
-
-def fingerprint_bytes(raw: bytes) -> dict:
-    """Content hash of canonicalized bytes, tagged with the algorithm name."""
-    digest = hashlib.sha256(canonical_bytes(raw)).hexdigest()
-    return {"algorithm": FINGERPRINT_ALGORITHM, "value": digest}
-
-
-#: Characters of a dataset file the fast route reads, hashes and screens at a time.
+#: Characters of a dataset file read, hashed and screened at a time.
 _BLOCK_CHARS = 1 << 18
 
 #: Characters that keep a file off the fast route: ``"`` and NUL, which
@@ -127,17 +114,19 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
     the header). The label column is optional so prediction inputs may omit
     it; when present, labels are arbitrary nonempty strings.
 
-    Every file goes to the fast route first, numpy's C reader over a
-    screened stream of lines (:func:`_load_fast`). A file it might read
-    otherwise than ``csv.reader`` and ``float`` do is read again by the
-    exact route (:func:`_load_exact`), so the accepted files, their
-    datasets and every diagnostic are those of the exact route.
+    Both routes read one stream of text blocks (:func:`_line_blocks`), which
+    hashes the file and names a byte that is not UTF-8. Every file goes to
+    the fast route first, numpy's C reader over screened lines
+    (:func:`_load_fast`). A file it might read otherwise than ``csv.reader``
+    and ``float`` do is read again by the exact route (:func:`_load_exact`),
+    so the accepted files, their datasets and every diagnostic are those of
+    the exact route.
     """
     return _load_fast(path, label_column) or _load_exact(path, label_column)
 
 
-def _dataset(path, header, label_pos, features, codes, label_codes, fingerprint) -> Dataset:
-    """A :class:`Dataset`; ``codes`` maps each label to the code ``label_codes`` gives per row."""
+def _dataset(path, header, label_pos, features, codes, label_codes, digest) -> Dataset:
+    """A :class:`Dataset` hashed by ``digest``; ``codes`` maps labels to ``label_codes``'s codes."""
     classes = label_indices = None
     if label_pos >= 0:
         classes = tuple(sorted(codes))
@@ -150,69 +139,103 @@ def _dataset(path, header, label_pos, features, codes, label_codes, fingerprint)
         features=features,
         classes=classes,
         label_indices=label_indices,
-        fingerprint=fingerprint,
+        fingerprint={"algorithm": FINGERPRINT_ALGORITHM, "value": digest.hexdigest()},
     )
+
+
+def _line_blocks(path, digest):
+    """Runs of whole lines of the file ``path`` as text, newlines kept, one per block read.
+
+    Python's io layer decodes UTF-8 with ``errors="surrogateescape"`` and
+    makes CR and CRLF LF; each block of :data:`_BLOCK_CHARS` characters goes
+    to ``digest`` as UTF-8, so the hash covers the canonical bytes and a byte
+    order mark, which the text then drops. A line is held until its newline
+    comes (a last one may lack it), so a long line takes linear time. A block
+    holding a byte that is not UTF-8 raises the ``not valid UTF-8``
+    diagnostic, with positions in the canonical bytes, and gives no line.
+    """
+    hashed, tail = 0, []  # the blocks of a line not yet ended
+    with _opened(path, "r", encoding="utf-8", newline=None, errors="surrogateescape") as fh:
+        while text := fh.read(_BLOCK_CHARS):
+            try:
+                data = text.encode()
+            except UnicodeEncodeError as exc:  # at the first escaped byte
+                at = hashed + len(text[: exc.start].encode())
+                # The bytes that decide the decoder's message: the sequence and the one after it.
+                raw = (text[exc.start :] + fh.read(4)).encode(errors="surrogateescape")
+                try:
+                    raw.decode()
+                except UnicodeDecodeError as error:
+                    span = f"bytes in position {at}-{at + error.end - 1}"
+                    if error.end == 1:
+                        span = f"byte 0x{raw[0]:02x} in position {at}"
+                    message = f"'utf-8' codec can't decode {span}: {error.reason}"
+                    raise DatasetFormatError(f"{path}: not valid UTF-8 ({message})") from None
+            digest.update(data)
+            text = text if hashed else text.removeprefix("\ufeff")
+            hashed += len(data)
+            if cut := text.rfind("\n") + 1:
+                yield "".join([*tail, text[:cut]])
+                tail = [text[cut:]]
+            else:
+                tail.append(text)
+    if last := "".join(tail):
+        yield last
 
 
 def _load_fast(path, label_column: str) -> Dataset | None:
     """The dataset of ``path`` by ``np.loadtxt``, or None where :func:`_load_exact` must read it.
 
-    One pass over a regular file in text mode, :data:`_BLOCK_CHARS` at a
-    time (Python's io layer decodes UTF-8 and makes CR and CRLF LF): each
-    block is screened, hashed as UTF-8 and cut into lines. It gives up
-    wherever ``loadtxt`` might read a line otherwise than ``csv.reader`` and
-    ``float`` do: at a decode error, a character of :data:`_UNSCREENED`, an
-    empty line (a final newline aside), a line past ``csv.field_size_limit()``,
-    a header fault, no rows, a cell ``loadtxt`` refuses (such as ``1_0``; it
-    reads no cell ``float`` refuses, and each cell to ``float``'s value), an
-    empty label, a non-finite value, or a table not as wide as the header or
-    not of one row per line. A pipe, which cannot be read twice, is not tried.
+    One pass over a regular file by :func:`_line_blocks` (which raises at a
+    byte that is not UTF-8), each block screened and cut into lines. It gives
+    up wherever ``loadtxt`` might read a line otherwise than ``csv.reader``
+    and ``float`` do: at a character of :data:`_UNSCREENED`, an empty line (a
+    final newline aside), a line past ``csv.field_size_limit()``, a header
+    fault, no rows, a cell ``loadtxt`` refuses (such as ``1_0``; it reads no
+    cell ``float`` refuses, and each cell to ``float``'s value), an empty
+    label, a non-finite value, or a table not as wide as the header or not of
+    one row per line. A pipe, which cannot be read twice, is not tried.
     """
     if not os.path.isfile(path):
         return None
     digest = hashlib.sha256()
     n_lines = 0
 
-    def blocks(fh):
+    def screened(blocks):
         nonlocal n_lines
         limit = csv.field_size_limit()
-        tail = ""
-        while text := fh.read(_BLOCK_CHARS):
-            if any(map(text.__contains__, _UNSCREENED)):
+        for block in blocks:
+            lines = block.split("\n")
+            if not lines[-1]:
+                lines.pop()
+            if any(map(block.__contains__, _UNSCREENED)) or "" in lines:
                 raise ValueError("not for the fast route")
-            digest.update(text.encode())
-            tail += text  # in place, split only at a new line end: a long line takes linear time
-            *lines, tail = tail.split("\n") if "\n" in text else [tail]
-            if "" in lines or max(map(len, lines), default=0) > limit or len(tail) > limit:
+            if max(map(len, lines)) > limit:
                 raise ValueError("not for the fast route")
             n_lines += len(lines)
             yield lines
-        if tail:
-            n_lines += 1
-            yield [tail]
 
     # Each new label gets the next code, with no Python call for a label seen before.
     codes = collections.defaultdict()
     codes.default_factory = codes.__len__
-    with _opened(path, "r", encoding="utf-8", newline=None) as fh:
-        rows = itertools.chain.from_iterable(blocks(fh))
-        try:
-            header = next(rows, "").removeprefix("\ufeff").split(",")
-            first = next(rows, None)
-            if first is None or not any(header) or len(set(header)) != len(header):
-                return None
-            label_pos = header.index(label_column) if label_column in header else -1
-            # encoding=None hands converters str cells; numpy 1.x defaults to Latin-1 bytes.
-            table = np.loadtxt(
-                itertools.chain([first], rows),
-                delimiter=",",
-                comments=None,
-                ndmin=2,
-                encoding=None,
-                converters={label_pos: codes.__getitem__} if label_pos >= 0 else None,
-            )
-        except ValueError:  # a UnicodeDecodeError too
+    rows = itertools.chain.from_iterable(screened(_line_blocks(path, digest)))
+    try:
+        header = next(rows, "").split(",")
+        first = next(rows, None)
+        if first is None or not any(header) or len(set(header)) != len(header):
             return None
+        label_pos = header.index(label_column) if label_column in header else -1
+        # encoding=None hands converters str cells; numpy 1.x defaults to Latin-1 bytes.
+        table = np.loadtxt(
+            itertools.chain([first], rows),
+            delimiter=",",
+            comments=None,
+            ndmin=2,
+            encoding=None,
+            converters={label_pos: codes.__getitem__} if label_pos >= 0 else None,
+        )
+    except ValueError:
+        return None
     if table.shape != (n_lines - 1, len(header)) or "" in codes:
         return None
     label_codes = None
@@ -221,103 +244,79 @@ def _load_fast(path, label_column: str) -> Dataset | None:
         table = np.delete(table, label_pos, axis=1)
     if not np.isfinite(table).all():
         return None
-    fingerprint = {"algorithm": FINGERPRINT_ALGORITHM, "value": digest.hexdigest()}
-    return _dataset(path, header, label_pos, table, codes, label_codes, fingerprint)
+    return _dataset(path, header, label_pos, table, codes, label_codes, digest)
 
 
 def _load_exact(path, label_column: str) -> Dataset:
-    """The dataset of ``path`` by ``csv.reader`` and ``float``, row by row, into one matrix.
+    """The dataset of ``path`` by ``csv.reader`` and ``float``, row by row.
 
-    Raises at the first header, row or cell fault, naming it; nothing is
-    parsed after it. A line ``csv.reader`` cannot read is named first
-    wherever it stands, so after a fault the reader goes on to the end, but
-    only where one can follow: in text holding a ``"`` or a NUL, or a run
-    of more than ``csv.field_size_limit()`` characters between commas.
+    One pass over any file, a pipe included, by :func:`_line_blocks`, into
+    growing arrays of floats and label codes. Raises at the first header,
+    row or cell fault, naming it, and parses nothing after it. A line
+    ``csv.reader`` cannot read is named first wherever it stands, and a byte
+    that is not UTF-8 before all, so after a fault the file is read to its
+    end, through ``csv.reader`` from the first line holding a ``"``, a NUL
+    or more than ``csv.field_size_limit()`` characters: each line before
+    it is a row ``csv.reader`` reads.
     """
-    text, fingerprint = _read_text(path)
-    rows = _csv_rows(path, _lines(text))
-    header = next(rows, [])
-    fault = None
-    if not any(header):
-        fault = DatasetFormatError(f"{path}: missing header row")
-    elif len(set(header)) != len(header):
-        dup = min(name for name, n in collections.Counter(header).items() if n > 1)
-        fault = DatasetFormatError(f"{path}: duplicate column name {dup!r}")
-    width = len(header)
-    label_pos = header.index(label_column) if label_column in header else -1
-    # A valid row holds a character per column, so no file sizes the matrix past its text.
-    n_rows = min(text.count("\n") - text.endswith("\n"), len(text) // max(width, 1))
-    matrix = np.empty((n_rows, width - (label_pos >= 0)))
-    label_codes = np.empty(n_rows if label_pos >= 0 else 0, dtype=np.int64)
-    codes: dict = {}
-    r = 0
+    digest = hashlib.sha256()
+    values, row_codes, codes = array.array("d"), array.array("q"), {}
+    blocks = _line_blocks(path, digest)
+    lines = itertools.chain.from_iterable(map(io.StringIO, blocks))
+    reader = csv.reader(lines)
+
+    def fail(message):
+        line_num, limit = reader.line_num, csv.field_size_limit()
+        for line in lines:
+            if '"' in line or "\0" in line or len(line) > limit:
+                rest = csv.reader(itertools.chain([line], lines))
+                collections.deque(_csv_rows(path, rest, line_num), maxlen=0)
+                break
+            line_num += 1
+        raise DatasetFormatError(f"{path}: {message}")
+
     try:
-        for r, row in enumerate(rows if fault is None else (), start=1):
+        rows = _csv_rows(path, reader)
+        header = next(rows, [])
+        if not any(header):
+            fail("missing header row")
+        if len(set(header)) != len(header):
+            dup = min(name for name, n in collections.Counter(header).items() if n > 1)
+            fail(f"duplicate column name {dup!r}")
+        width = len(header)
+        label_pos = header.index(label_column) if label_column in header else -1
+        r = 0
+        for r, row in enumerate(rows, start=1):
             if len(row) != width:
-                raise DatasetFormatError(f"{path}: row {r} has {len(row)} fields, expected {width}")
-            values = []
+                fail(f"row {r} has {len(row)} fields, expected {width}")
             for i, cell in enumerate(row):
                 if i == label_pos:
                     if cell == "":
-                        raise DatasetFormatError(
-                            f"{path}: row {r} column {header[i]!r}: missing label"
-                        )
-                    label_codes[r - 1] = codes.setdefault(cell, len(codes))
+                        fail(f"row {r} column {header[i]!r}: missing label")
+                    row_codes.append(codes.setdefault(cell, len(codes)))
                     continue
                 try:
                     value = float(cell)
                 except ValueError:
                     value = math.nan
                 if not math.isfinite(value):
-                    raise DatasetFormatError(
-                        f"{path}: row {r} column {header[i]!r}: "
-                        f"expected a finite number, got {cell!r}"
-                    )
+                    fail(f"row {r} column {header[i]!r}: expected a finite number, got {cell!r}")
                 values.append(value)
-            matrix[r - 1] = values
-    except DatasetFormatError as exc:
-        fault = exc
-    if fault is not None:
-        limit = csv.field_size_limit()
-        long_field = limit < len(text) and re.search(f"(?:^|[,\n])[^,\n]{{{limit + 1}}}", text)
-        if '"' in text or "\0" in text or long_field:
-            collections.deque(rows, maxlen=0)
-        raise fault
-    return _dataset(path, header, label_pos, matrix[:r], codes, label_codes[:r], fingerprint)
+    except DatasetFormatError:
+        collections.deque(blocks, maxlen=0)  # a byte that is not UTF-8 is named before all
+        raise
+    features = np.frombuffer(values).reshape(r, width - (label_pos >= 0))
+    return _dataset(path, header, label_pos, features, codes, np.frombuffer(row_codes, "q"), digest)
 
 
-def _read_text(path):
-    """``(text, fingerprint)`` of a UTF-8 file, both taken after line endings become LF.
-
-    The bytes are dropped on return, so parsing the text does not hold them.
-    A leading byte order mark is stripped from the text, so it does not
-    become part of the first column name; the fingerprint covers it.
-    """
-    with _opened(path, "rb") as fh:
-        canonical = canonical_bytes(fh.read())
-    try:
-        return canonical.decode("utf-8").removeprefix("\ufeff"), fingerprint_bytes(canonical)
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"{path}: not valid UTF-8 ({exc})") from None
-
-
-def _lines(text: str):
-    """The lines of LF ``text``, each with its newline, as ``csv.reader`` reads a file."""
-    start, end = 0, len(text)
-    while start < end:
-        stop = text.find("\n", start) + 1 or end
-        yield text[start:stop]
-        start = stop
-
-
-def _csv_rows(path, lines):
-    """Rows by ``csv.reader`` of ``lines``; a ``csv.Error`` becomes :class:`DatasetFormatError`
+def _csv_rows(path, reader, before: int = 0):
+    """The rows of ``reader``, a ``csv.reader`` that starts after line
+    ``before`` of the file; a ``csv.Error`` becomes :class:`DatasetFormatError`
     naming the file's line."""
-    reader = csv.reader(lines)
     try:
         yield from reader
     except csv.Error as exc:
-        raise DatasetFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        raise DatasetFormatError(f"{path}: line {before + reader.line_num}: {exc}") from None
 
 
 def features_for_model(dataset: Dataset, feature_columns) -> np.ndarray:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import tracemalloc
 
 import numpy as np
 
+from pgmclassifier.dataio import FINGERPRINT_ALGORITHM
 from pgmclassifier.errors import EmptyClass
 from pgmclassifier.operators import tensor_power
 from pgmclassifier.pgm import (
@@ -126,13 +128,33 @@ def blob_features(side, per_class, d=2, seed=20240814):
     return features, labels
 
 
-def paper_features(rng, n):
-    """Paper-shaped data: ``n`` rows of 4 features on unrelated scales, in two
-    overlapping classes of ``n - n // 3`` and ``n // 3`` rows, in random
-    order; class 1 is shifted on every feature."""
-    labels = rng.permutation(np.repeat([0, 1], [n - n // 3, n // 3]))
-    z = rng.normal(size=(n, 4)) + np.array([0.9, -0.6, 0.7, 0.5]) * labels[:, None]
+#: Each class's mean shift of the standardized paper-shaped features.
+_PAPER_SHIFTS = np.array(
+    [[0.0, 0.0, 0.0, 0.0], [0.9, -0.6, 0.7, 0.5], [-0.5, 0.8, 0.4, -0.7], [0.6, 0.5, -0.8, 0.3]]
+)
+
+
+def paper_features(rng, n, n_classes=2):
+    """Paper-shaped data: ``n`` rows of 4 features on unrelated scales, in
+    ``n_classes`` (2 to 4) overlapping classes in random order. Class ``c > 0``
+    has ``n // (c + 2)`` rows, class 0 the rest, and each class is shifted on
+    every feature; two classes draw what a two-class call always drew."""
+    sizes = [n // (c + 2) for c in range(1, n_classes)]
+    labels = rng.permutation(np.repeat(np.arange(n_classes), [n - sum(sizes), *sizes]))
+    z = rng.normal(size=(n, 4)) + _PAPER_SHIFTS[labels]
     return np.array([0.0, 60.0, 1.0, 900.0]) + np.array([1.0, 12.0, 0.05, 150.0]) * z, labels
+
+
+def canonical_bytes(raw: bytes) -> bytes:
+    """Normalize CRLF and lone CR line endings to LF."""
+    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
+def fingerprint_bytes(raw: bytes) -> dict:
+    """The fingerprint of a dataset file's bytes: SHA-256 of its canonical bytes, tagged with
+    the algorithm name, as ``load_dataset`` gives it."""
+    digest = hashlib.sha256(canonical_bytes(raw)).hexdigest()
+    return {"algorithm": FINGERPRINT_ALGORITHM, "value": digest}
 
 
 def row_labels(dataset):

@@ -13,7 +13,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import blob_features, peak_allocation, row_labels, write_dataset_csv
+from helpers import (
+    blob_features,
+    fingerprint_bytes,
+    peak_allocation,
+    row_labels,
+    write_dataset_csv,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +38,6 @@ from pgmclassifier.dataio import (
     evaluation_csv_rows,
     evaluation_report_dict,
     features_for_model,
-    fingerprint_bytes,
     flat_with_names,
     load_dataset,
     load_model,
@@ -161,7 +166,7 @@ _CELLS = st.one_of(
     st.sampled_from([" 1.5", "1e-3", "1_0", "-0", "+4", "2.5 ", ".5", "1E5"]),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
 )
-_LABELS = st.sampled_from(["a", "a,b", 'say "hi"', "z", " padded "])
+_LABELS = st.sampled_from(["a", "a,b", 'say "hi"', "z", " padded ", "two\nlines", "c\rr"])
 
 
 #: Faults a file may hold, up to two of them: a cell no dataset accepts, an
@@ -190,9 +195,24 @@ def add_faults(draw, rows, at):
             rows.insert(r, [])
 
 
+def add_invalid_byte(draw, raw):
+    """``raw``, or in about one case in four ``raw`` with a byte that is not
+    valid UTF-8 inserted anywhere."""
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(raw)))
+        raw = raw[:i] + draw(st.sampled_from([b"\x80", b"\xc3", b"\xff"])) + raw[i:]
+    return raw
+
+
 @st.composite
 def csv_datasets(draw):
-    """``(raw bytes, label position or None)`` for a small dataset CSV, maybe faulty."""
+    """``(raw bytes, label position or None)`` for a small dataset CSV, maybe faulty.
+
+    ``csv.writer`` quotes every cell, or those it must, labels among them,
+    some of which hold a ``\n`` or a ``\r``. Line endings are LF, CRLF or
+    lone CR; a file may start with a byte order mark, and about one in four
+    holds a byte that is not valid UTF-8.
+    """
     n_features = draw(st.integers(1, 3))
     n_rows = draw(st.integers(0, 6))
     where = draw(st.sampled_from(["none", "first", "middle", "last"]))
@@ -205,8 +225,11 @@ def csv_datasets(draw):
             row.insert(at, draw(_LABELS))
     add_faults(draw, rows, at)
     buf = io.StringIO()
-    csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(rows)
-    return buf.getvalue().encode("utf-8"), at
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    csv.writer(buf, lineterminator=newline, quoting=quoting).writerows(rows)
+    raw = (draw(st.sampled_from(["", "\ufeff"])) + buf.getvalue()).encode("utf-8")
+    return add_invalid_byte(draw, raw), at
 
 
 #: Labels a quote-free file can hold: no ``"`` and no ``,``, padded or not.
@@ -242,10 +265,7 @@ def quote_free_datasets(draw):
     if draw(st.booleans()):
         text += newline
     raw = (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")
-    if draw(st.integers(0, 3)) == 0:
-        i = draw(st.integers(0, len(raw)))
-        raw = raw[:i] + draw(st.sampled_from([b"\x80", b"\xc3", b"\xff"])) + raw[i:]
-    return raw, at
+    return add_invalid_byte(draw, raw), at
 
 
 def load_outcome(path):
@@ -542,6 +562,15 @@ class TestLoadDatasetBlocks:
         message = f"row {r} column 'f1': expected a finite number, got 'nan'"
         assert str(info.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("head", ["f0,label\n", "f0,label\nx,a\n"], ids=["rows", "bad-cell"])
+    def test_bad_byte_blocks_after_a_malformed_line(self, tmp_path, block_chars, head):
+        """A byte that is not UTF-8 is named before a line ``csv.reader`` cannot read,
+        though it comes blocks later and a bad cell may come first."""
+        raw = f"{head}{'1' * 140_001},b\n{_PADDING[:150_000]}".encode() + b"\xff\n"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        assert_matches_reference(path, load_outcome(path), raw, 1)
+
     def test_lines_over_the_field_limit_with_short_fields(self, tmp_path, block_chars):
         """A quote-free line past ``csv.field_size_limit()`` is valid if its fields are not."""
         rng = np.random.default_rng(51)
@@ -552,24 +581,32 @@ class TestLoadDatasetBlocks:
         assert min(map(len, raw.splitlines())) > csv.field_size_limit()
         assert_matches_reference(path, load_outcome(path), raw, 20_000)
 
-    @pytest.mark.parametrize("bad_last_cell", [False, True], ids=["valid", "bad-last-cell"])
-    def test_peak_memory_stays_under_four_times_the_file(self, tmp_path, bad_last_cell):
-        """Loading, or refusing a file at its last cell, holds no copy of its rows; a
-        valid file is read by the fast route, which holds neither its bytes nor its text."""
+    @pytest.mark.parametrize("case", ["valid", "bad-last-cell", "all-quoted"])
+    def test_peak_memory_stays_under_the_file_size(self, tmp_path, case):
+        """Loading, or refusing a file at its last cell, holds no copy of its rows,
+        bytes or text: the fast route reads the valid file, and the exact route,
+        streamed as well, the quoted one and the one it refuses."""
         rng = np.random.default_rng(50)
         features = rng.normal(size=(50_000, 4))
         names = np.array(["neg", "pos"])[rng.integers(0, 2, 50_000)]
         path = write_dataset_csv(tmp_path / "big.csv", features, names)
-        if bad_last_cell:
-            *head, last = Path(path).read_text().splitlines()
+        *head, last = Path(path).read_text().splitlines()
+        if case == "bad-last-cell":
             cells = last.split(",")
             cells[1] = "x"
             Path(path).write_text("\n".join([*head, ",".join(cells)]) + "\n")
+        if case == "all-quoted":
+            buf = io.StringIO()
+            rows = csv.reader([*head, last])
+            csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
+            Path(path).write_text(buf.getvalue())
         size = Path(path).stat().st_size
-        assert peak_allocation(load_outcome, path) <= (4.0 if bad_last_cell else 1.0) * size
-        if bad_last_cell:
+        assert peak_allocation(load_outcome, path) <= 1.0 * size
+        if case == "bad-last-cell":
             message = "row 50000 column 'f1': expected a finite number, got 'x'"
             assert load_outcome(path) == f"{path}: {message}"
+        if case == "all-quoted":
+            np.testing.assert_array_equal(load_dataset(path).features, features)
 
 
 @pytest.fixture
@@ -653,19 +690,48 @@ class TestLoadRoutes:
                 assert_matches_reference(path, load_outcome(path), raw, 1)
         assert exact_route_runs == []
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_a_pipe_is_read_once(self, tmp_path):
-        """A file that cannot be read twice goes straight to the exact route."""
-        path = tmp_path / "pipe.csv"
+    @pytest.mark.parametrize("head", [b"f0,label\r\n1.5,a\r\n2", b'f0,label\r\n"1.5",a\r\n2'])
+    def test_invalid_sequence_split_across_a_block_end(self, tmp_path, head):
+        """Every block size, ones that end inside the sequence included, names the
+        sequence as a whole, followed by a byte or by the end of the file."""
+        path = tmp_path / "d.csv"
+        for bad in (b"\xe6\x97", b"\xf0\x9f\x98", b"\xed\xa0\x80"):
+            for after in (b",a\r\n", b""):
+                raw = head + bad + after
+                path.write_bytes(raw)
+                for size in range(1, len(raw) + 1):
+                    with mock.patch.object(dataio, "_BLOCK_CHARS", size):
+                        assert_matches_reference(path, load_outcome(path), raw, 1)
+
+    @staticmethod
+    def piped_outcome(path, raw):
+        """:func:`load_outcome` of a named pipe at ``path`` that ``raw`` is written to once."""
         os.mkfifo(path)
-        raw = b'f0,label\n1.5,"a"\n2,b\n'
         outcome = []
         reader = threading.Thread(target=lambda: outcome.append(load_outcome(path)), daemon=True)
         reader.start()
         path.write_bytes(raw)  # waits for the reader to open the pipe
         reader.join(timeout=30)
         assert outcome, "the load opened the pipe a second time"
-        assert_matches_reference(path, outcome[0], raw, 1)
+        return outcome[0]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_is_read_once(self, tmp_path):
+        """A file that cannot be read twice goes straight to the exact route."""
+        path = tmp_path / "pipe.csv"
+        raw = b'f0,label\n1.5,"a"\n2,b\n'
+        assert_matches_reference(path, self.piped_outcome(path, raw), raw, 1)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_names_a_bad_byte_at_its_canonical_offset(self, tmp_path):
+        """A pipe, read once, names a byte that is not UTF-8 as a regular file does:
+        by its offset in the canonical bytes (18), not in the raw ones (20)."""
+        raw = b"\xef\xbb\xbff0,label\r\n1.5,a\r\n\xff,b\r\n"
+        decoder = "'utf-8' codec can't decode byte 0xff in position 18: invalid start byte"
+        pipe, file = tmp_path / "pipe.csv", tmp_path / "file.csv"
+        file.write_bytes(raw)
+        assert self.piped_outcome(pipe, raw) == f"{pipe}: not valid UTF-8 ({decoder})"
+        assert load_outcome(file) == f"{file}: not valid UTF-8 ({decoder})"
 
 
 class TestFingerprint:

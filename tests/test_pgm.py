@@ -522,36 +522,42 @@ class TestInvariants:
 
 
 class TestMetamorphicRelations:
-    """Fits that differ only in the order, the multiplicity or the naming of
-    the training rows give the same scores within 1e-8, and the same labels.
-    Paper-shaped data, one default grid point, the gram engine at one BLAS
-    thread; the first four fifths of the rows train, the rest are scored.
-    Uniform priors, so duplicating every row keeps the centroids."""
+    """Fits that differ only in the order or the multiplicity of the training
+    rows give the same scores within 1e-8, and the same labels; renaming the
+    classes permutes the scores exactly. Paper-shaped data, one default grid
+    point, the gram engine at one BLAS thread; the first four fifths of the
+    rows train, the rest are scored. Uniform priors, so duplicating every row
+    keeps the centroids."""
 
     @staticmethod
-    def check(n, seed, encoding, alpha, copies):
+    def check(n, seed, encoding, alpha, copies, n_classes=2):
         rng = np.random.default_rng(seed)
-        features, labels = paper_features(rng, n)
+        features, labels = paper_features(rng, n, n_classes)
         config = GridPoint(encoding, alpha, copies).to_config(engine="gram")
         cut = n - n // 5
         x, y, held_out = features[:cut], labels[:cut], features[cut:]
         order = rng.permutation(cut)
+        # Each class takes the name of the next in a random order, so none keeps its own.
+        cycle = rng.permutation(n_classes)
+        rename = np.empty(n_classes, dtype=np.int64)
+        rename[cycle] = np.roll(cycle, -1)
 
         def scores(x, y):
-            return predict_batch(fit_pgm(x, y, 2, config), held_out)[1]
+            return predict_batch(fit_pgm(x, y, n_classes, config), held_out)[1]
 
         with one_blas_thread():
             base = scores(x, y)
             variants = {
                 "permuted": scores(x[order], y[order]),
                 "duplicated": scores(np.vstack([x, x]), np.concatenate([y, y])),
-                "relabelled": scores(x, 1 - y)[:, ::-1],
             }
+            renamed = scores(x, rename[y])[:, rename]
         for name, got in variants.items():
             assert np.abs(got - base).max() <= 1e-8, name
             np.testing.assert_array_equal(
                 labels_from_scores(got), labels_from_scores(base), err_msg=name
             )
+        np.testing.assert_array_equal(renamed, base, err_msg="renamed")
 
     # A fixed search: one of 16,500 random draws broke a relation (the case
     # below), so a fresh random search would fail now and then.
@@ -567,6 +573,18 @@ class TestMetamorphicRelations:
         self, n, seed, encoding, alpha, copies
     ):
         self.check(n, seed, encoding, alpha, copies)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(40, 143),
+        seed=st.integers(0, 2**32 - 1),
+        encoding=st.sampled_from(ENCODINGS),
+        alpha=st.sampled_from(DEFAULT_ALPHAS),
+        copies=st.sampled_from(DEFAULT_COPIES),
+        n_classes=st.integers(3, 4),
+    )
+    def test_three_or_four_classes(self, n, seed, encoding, alpha, copies, n_classes):
+        self.check(n, seed, encoding, alpha, copies, n_classes)
 
     @pytest.mark.xfail(
         strict=True,
