@@ -20,7 +20,6 @@ import io
 import itertools
 import json
 import math
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -70,7 +69,7 @@ def _opened(path, mode: str, **kwargs):
 #: Characters of a dataset file read, hashed and screened at a time.
 _BLOCK_CHARS = 1 << 18
 
-#: Characters that keep a file off the fast route: ``"`` and NUL, which
+#: Characters that keep a block from numpy's reader: ``"`` and NUL, which
 #: ``csv.reader`` treats apart, and ``\x1c``-``\x1f``, which ``np.loadtxt``
 #: strips from a number as whitespace where ``float`` refuses them.
 _UNSCREENED = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
@@ -114,29 +113,91 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
     the header). The label column is optional so prediction inputs may omit
     it; when present, labels are arbitrary nonempty strings.
 
-    Both routes read one stream of text blocks (:func:`_line_blocks`), which
-    hashes the file and names a byte that is not UTF-8. Every file goes to
-    the fast route first, numpy's C reader over screened lines
-    (:func:`_load_fast`). A file it might read otherwise than ``csv.reader``
-    and ``float`` do is read again by the exact route (:func:`_load_exact`),
-    so the accepted files, their datasets and every diagnostic are those of
-    the exact route.
+    One pass over any file, a pipe included, by :func:`_line_blocks`, which
+    hashes it and names a byte that is not UTF-8. Blocks go to numpy's C
+    reader (:func:`_loadtxt_block`) until the first one it might read
+    otherwise than ``csv.reader`` and ``float`` do; that block and the rest
+    go to those, row by row, into the same growing arrays of floats and
+    label codes. So the datasets and diagnostics are those of ``csv.reader``
+    and ``float``. The first header, row or cell fault is named, and nothing
+    after it parsed; but a line ``csv.reader`` cannot read is named first
+    wherever it stands, and a byte that is not UTF-8 before all, so the rest
+    is read to its end, through ``csv.reader`` from the first line holding a
+    ``"``, a NUL or more than ``csv.field_size_limit()`` characters.
     """
-    return _load_fast(path, label_column) or _load_exact(path, label_column)
+    digest = hashlib.sha256()
+    values, row_codes = array.array("d"), array.array("q")
+    # Each new label gets the next code, with no Python call for a label seen before.
+    codes = collections.defaultdict()
+    codes.default_factory = codes.__len__
+    blocks = _line_blocks(path, digest)
+    header, r, rest = None, 0, iter(())
+    for block in blocks:
+        try:
+            header, features, labels = _loadtxt_block(block, header, label_column, codes)
+        except ValueError:
+            # numpy may have coded labels of this block already; csv.reader reads
+            # the same lines, in the same order, so it gives each the same code.
+            rest = itertools.chain([block], blocks)
+            break
+        values.frombytes(features.view(np.uint8))
+        if labels is not None:
+            row_codes.frombytes(labels.view(np.uint8))
+        r += len(features)
+    before = r + (header is not None)  # numpy takes no empty line
+    lines = itertools.chain.from_iterable(map(_split_lines, rest))
+    reader = csv.reader(lines)
 
+    def fail(message):
+        line_num, limit = before + reader.line_num, csv.field_size_limit()
+        for line in lines:
+            if '"' in line or "\0" in line or len(line) > limit:
+                later = csv.reader(itertools.chain([line], lines))
+                collections.deque(_csv_rows(path, later, line_num), maxlen=0)
+                break
+            line_num += 1
+        raise DatasetFormatError(f"{path}: {message}")
 
-def _dataset(path, header, label_pos, features, codes, label_codes, digest) -> Dataset:
-    """A :class:`Dataset` hashed by ``digest``; ``codes`` maps labels to ``label_codes``'s codes."""
+    try:
+        rows = _csv_rows(path, reader, before)
+        if header is None:
+            header = next(rows, [])
+            if not any(header):
+                fail("missing header row")
+            if len(set(header)) != len(header):
+                dup = min(name for name, n in collections.Counter(header).items() if n > 1)
+                fail(f"duplicate column name {dup!r}")
+        width = len(header)
+        label_pos = header.index(label_column) if label_column in header else -1
+        for r, row in enumerate(rows, start=r + 1):
+            if len(row) != width:
+                fail(f"row {r} has {len(row)} fields, expected {width}")
+            for i, cell in enumerate(row):
+                if i == label_pos:
+                    if cell == "":
+                        fail(f"row {r} column {header[i]!r}: missing label")
+                    row_codes.append(codes.setdefault(cell, len(codes)))
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    fail(f"row {r} column {header[i]!r}: expected a finite number, got {cell!r}")
+                values.append(value)
+    except DatasetFormatError:
+        collections.deque(blocks, maxlen=0)  # a byte that is not UTF-8 is named before all
+        raise
     classes = label_indices = None
     if label_pos >= 0:
         classes = tuple(sorted(codes))
         position = {name: i for i, name in enumerate(classes)}
         label_indices = np.array([position[name] for name in codes], dtype=np.int64)
-        label_indices = label_indices[label_codes]
+        label_indices = label_indices[np.frombuffer(row_codes, "q")]
     return Dataset(
         path=str(path),
         feature_names=tuple(name for i, name in enumerate(header) if i != label_pos),
-        features=features,
+        features=np.frombuffer(values).reshape(r, width - (label_pos >= 0)),
         classes=classes,
         label_indices=label_indices,
         fingerprint={"algorithm": FINGERPRINT_ALGORITHM, "value": digest.hexdigest()},
@@ -175,138 +236,70 @@ def _line_blocks(path, digest):
             text = text if hashed else text.removeprefix("\ufeff")
             hashed += len(data)
             if cut := text.rfind("\n") + 1:
-                yield "".join([*tail, text[:cut]])
-                tail = [text[cut:]]
+                tail.append(text[:cut])
+                run, tail = "".join(tail), [text[cut:]]  # a long line is not held twice
+                yield run
             else:
                 tail.append(text)
     if last := "".join(tail):
         yield last
 
 
-def _load_fast(path, label_column: str) -> Dataset | None:
-    """The dataset of ``path`` by ``np.loadtxt``, or None where :func:`_load_exact` must read it.
+def _loadtxt_block(block, header, label_column: str, codes):
+    """``(header, features, label codes or None)`` of the rows of ``block`` by ``np.loadtxt``.
 
-    One pass over a regular file by :func:`_line_blocks` (which raises at a
-    byte that is not UTF-8), each block screened and cut into lines. It gives
-    up wherever ``loadtxt`` might read a line otherwise than ``csv.reader``
-    and ``float`` do: at a character of :data:`_UNSCREENED`, an empty line (a
-    final newline aside), a line past ``csv.field_size_limit()``, a header
-    fault, no rows, a cell ``loadtxt`` refuses (such as ``1_0``; it reads no
-    cell ``float`` refuses, and each cell to ``float``'s value), an empty
-    label, a non-finite value, or a table not as wide as the header or not of
-    one row per line. A pipe, which cannot be read twice, is not tried.
+    ``header`` None reads the header from the block's first line. New labels
+    get the next code in ``codes``. Raises ``ValueError`` wherever
+    ``loadtxt`` might read a line otherwise than ``csv.reader`` and ``float``
+    do: at a character of :data:`_UNSCREENED`, an empty line (a final newline
+    aside), a line past ``csv.field_size_limit()``, a header fault, a cell
+    ``loadtxt`` refuses (such as ``1_0``; it reads no cell ``float``
+    refuses, and each cell to ``float``'s value), an empty label, a
+    non-finite value, or a table not as wide as the header or not of one row
+    per line.
     """
-    if not os.path.isfile(path):
-        return None
-    digest = hashlib.sha256()
-    n_lines = 0
-
-    def screened(blocks):
-        nonlocal n_lines
-        limit = csv.field_size_limit()
-        for block in blocks:
-            lines = block.split("\n")
-            if not lines[-1]:
-                lines.pop()
-            if any(map(block.__contains__, _UNSCREENED)) or "" in lines:
-                raise ValueError("not for the fast route")
-            if max(map(len, lines)) > limit:
-                raise ValueError("not for the fast route")
-            n_lines += len(lines)
-            yield lines
-
-    # Each new label gets the next code, with no Python call for a label seen before.
-    codes = collections.defaultdict()
-    codes.default_factory = codes.__len__
-    rows = itertools.chain.from_iterable(screened(_line_blocks(path, digest)))
-    try:
-        header = next(rows, "").split(",")
-        first = next(rows, None)
-        if first is None or not any(header) or len(set(header)) != len(header):
-            return None
-        label_pos = header.index(label_column) if label_column in header else -1
+    if any(map(block.__contains__, _UNSCREENED)):  # before a long line is split
+        raise ValueError
+    lines = block.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if "" in lines or max(map(len, lines)) > csv.field_size_limit():
+        raise ValueError
+    if header is None:
+        header = lines.pop(0).split(",")
+        if not any(header) or len(set(header)) != len(header):
+            raise ValueError
+    label_pos = header.index(label_column) if label_column in header else -1
+    table = np.empty((0, len(header)))
+    if lines:
         # encoding=None hands converters str cells; numpy 1.x defaults to Latin-1 bytes.
         table = np.loadtxt(
-            itertools.chain([first], rows),
+            lines,
             delimiter=",",
             comments=None,
             ndmin=2,
             encoding=None,
             converters={label_pos: codes.__getitem__} if label_pos >= 0 else None,
         )
-    except ValueError:
-        return None
-    if table.shape != (n_lines - 1, len(header)) or "" in codes:
-        return None
-    label_codes = None
+    if table.shape != (len(lines), len(header)) or "" in codes:
+        raise ValueError
+    labels = None
     if label_pos >= 0:
-        label_codes = table[:, label_pos].astype(np.int64)
+        labels = table[:, label_pos].astype(np.int64)
         table = np.delete(table, label_pos, axis=1)
     if not np.isfinite(table).all():
-        return None
-    return _dataset(path, header, label_pos, table, codes, label_codes, digest)
+        raise ValueError
+    return header, table, labels
 
 
-def _load_exact(path, label_column: str) -> Dataset:
-    """The dataset of ``path`` by ``csv.reader`` and ``float``, row by row.
-
-    One pass over any file, a pipe included, by :func:`_line_blocks`, into
-    growing arrays of floats and label codes. Raises at the first header,
-    row or cell fault, naming it, and parses nothing after it. A line
-    ``csv.reader`` cannot read is named first wherever it stands, and a byte
-    that is not UTF-8 before all, so after a fault the file is read to its
-    end, through ``csv.reader`` from the first line holding a ``"``, a NUL
-    or more than ``csv.field_size_limit()`` characters: each line before
-    it is a row ``csv.reader`` reads.
-    """
-    digest = hashlib.sha256()
-    values, row_codes, codes = array.array("d"), array.array("q"), {}
-    blocks = _line_blocks(path, digest)
-    lines = itertools.chain.from_iterable(map(io.StringIO, blocks))
-    reader = csv.reader(lines)
-
-    def fail(message):
-        line_num, limit = reader.line_num, csv.field_size_limit()
-        for line in lines:
-            if '"' in line or "\0" in line or len(line) > limit:
-                rest = csv.reader(itertools.chain([line], lines))
-                collections.deque(_csv_rows(path, rest, line_num), maxlen=0)
-                break
-            line_num += 1
-        raise DatasetFormatError(f"{path}: {message}")
-
-    try:
-        rows = _csv_rows(path, reader)
-        header = next(rows, [])
-        if not any(header):
-            fail("missing header row")
-        if len(set(header)) != len(header):
-            dup = min(name for name, n in collections.Counter(header).items() if n > 1)
-            fail(f"duplicate column name {dup!r}")
-        width = len(header)
-        label_pos = header.index(label_column) if label_column in header else -1
-        r = 0
-        for r, row in enumerate(rows, start=1):
-            if len(row) != width:
-                fail(f"row {r} has {len(row)} fields, expected {width}")
-            for i, cell in enumerate(row):
-                if i == label_pos:
-                    if cell == "":
-                        fail(f"row {r} column {header[i]!r}: missing label")
-                    row_codes.append(codes.setdefault(cell, len(codes)))
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    fail(f"row {r} column {header[i]!r}: expected a finite number, got {cell!r}")
-                values.append(value)
-    except DatasetFormatError:
-        collections.deque(blocks, maxlen=0)  # a byte that is not UTF-8 is named before all
-        raise
-    features = np.frombuffer(values).reshape(r, width - (label_pos >= 0))
-    return _dataset(path, header, label_pos, features, codes, np.frombuffer(row_codes, "q"), digest)
+def _split_lines(block):
+    """The lines of ``block`` as ``csv.reader`` reads them, each but a last unended one with
+    its newline: :func:`_line_blocks` has made every line end LF."""
+    lines = block.split("\n")
+    last = lines.pop()
+    yield from (line + "\n" for line in lines)
+    if last:
+        yield last
 
 
 def _csv_rows(path, reader, before: int = 0):

@@ -268,6 +268,11 @@ def quote_free_datasets(draw):
     return add_invalid_byte(draw, raw), at
 
 
+def refuse_every_block(block, header, label_column, codes):
+    """A stand-in for :func:`dataio._loadtxt_block` that hands every block to ``csv.reader``."""
+    raise ValueError("refused")
+
+
 def load_outcome(path):
     """``load_dataset(path)``, or the message of the :class:`DatasetFormatError` it raises."""
     try:
@@ -361,7 +366,7 @@ def quote_free_files_match_the_csv_reader_route(case):
         path = Path(tmp) / "d.csv"
         path.write_bytes(raw)
         outcome = load_outcome(path)
-        with mock.patch.object(dataio, "_load_fast", lambda path, label_column: None):
+        with mock.patch.object(dataio, "_loadtxt_block", refuse_every_block):
             reference = load_outcome(path)
         assert_matches_reference(path, outcome, raw, at)
         assert_matches_reference(path, reference, raw, at)
@@ -515,23 +520,31 @@ class TestLoadDatasetBlocks:
         assert row_labels(ds) == labels
         assert ds.fingerprint["value"] == digest
 
-    def test_nothing_is_read_after_the_faulty_block(self, tmp_path, block_chars, monkeypatch):
+    def test_nothing_is_read_after_the_faulty_block(self, tmp_path, block_chars, csv_reader_rows):
         """After a bad cell no later row is read, though later blocks hold ragged rows."""
         lines = ["f0,f1,label", "1.5,x.25,a", *self.body(block_chars)]
         after = next(start for start in self.block_starts(lines) if start > 1)
         lines[after:] = ["1.5,2.25ab"] * (len(lines) - after)
-        read = []
-        csv_rows = dataio._csv_rows
-
-        def recorded(path, lines):
-            for row in csv_rows(path, lines):
-                read.append(row)
-                yield row
-
-        monkeypatch.setattr(dataio, "_csv_rows", recorded)
         message = self.load_error(tmp_path / "bad.csv", lines)
         assert message == "row 1 column 'f1': expected a finite number, got 'x.25'"
-        assert read == [lines[0].split(","), lines[1].split(",")]
+        # In blocks of one character the header is a block of its own, which numpy reads.
+        first = 1 if block_chars == 1 else 0
+        assert csv_reader_rows == [line.split(",") for line in lines[first:2]]
+
+    @pytest.mark.parametrize("cell", ["x", "1_0"], ids=["refused", "numpy-refuses"])
+    def test_blocks_before_the_one_numpy_refuses_are_parsed_once(
+        self, tmp_path, block_chars, csv_reader_rows, cell
+    ):
+        """``csv.reader`` reads no row of a block numpy took, for a file refused at
+        its last cell and for one whose last cell only ``float`` reads."""
+        lines = ["f0,f1,label", *self.body(block_chars)]
+        lines[-1] = f"1.5,{cell},a"
+        raw = ("\n".join(lines) + "\n").encode()
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        assert_matches_reference(path, load_outcome(path), raw, 2)
+        last = self.block_starts(lines)[-1]
+        assert csv_reader_rows == [line.split(",") for line in lines[last:]]
 
     def test_quoted_file_over_several_reader_blocks(self, tmp_path, block_chars):
         rows = [["f0", "label", "f1"]]
@@ -584,8 +597,8 @@ class TestLoadDatasetBlocks:
     @pytest.mark.parametrize("case", ["valid", "bad-last-cell", "all-quoted"])
     def test_peak_memory_stays_under_the_file_size(self, tmp_path, case):
         """Loading, or refusing a file at its last cell, holds no copy of its rows,
-        bytes or text: the fast route reads the valid file, and the exact route,
-        streamed as well, the quoted one and the one it refuses."""
+        bytes or text: numpy reads the valid file's blocks, ``csv.reader`` the
+        quoted one's, and the refused one's last block."""
         rng = np.random.default_rng(50)
         features = rng.normal(size=(50_000, 4))
         names = np.array(["neg", "pos"])[rng.integers(0, 2, 50_000)]
@@ -608,24 +621,43 @@ class TestLoadDatasetBlocks:
         if case == "all-quoted":
             np.testing.assert_array_equal(load_dataset(path).features, features)
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
+    def test_peak_memory_of_a_line_of_many_megabytes(self, tmp_path, quote):
+        """A 4 MB one-field line is refused holding a few copies of its text, not six."""
+        path = tmp_path / "long.csv"
+        path.write_text(f"f0\n{quote}{'1' * 4_000_000}{quote}\n")
+        assert peak_allocation(load_outcome, path) < 5.0 * path.stat().st_size
+        limit = csv.field_size_limit()
+        assert load_outcome(path) == f"{path}: line 2: field larger than field limit ({limit})"
+
 
 @pytest.fixture
-def exact_route_runs(monkeypatch):
-    """A list that gets the path of each file :func:`dataio._load_exact` reads."""
-    runs = []
-    load_exact = dataio._load_exact
+def csv_reader_rows(monkeypatch):
+    """A list that gets each row ``csv.reader`` reads of a dataset file."""
+    read = []
+    csv_rows = dataio._csv_rows
 
-    def recorded(path, label_column):
-        runs.append(path)
-        return load_exact(path, label_column)
+    def recorded(path, reader, before=0):
+        for row in csv_rows(path, reader, before):
+            read.append(row)
+            yield row
 
-    monkeypatch.setattr(dataio, "_load_exact", recorded)
-    return runs
+    monkeypatch.setattr(dataio, "_csv_rows", recorded)
+    return read
+
+
+def assert_same_dataset(ds, ref):
+    assert ds.feature_names == ref.feature_names
+    assert ds.features.shape == ref.features.shape
+    assert ds.features.tobytes() == ref.features.tobytes()
+    assert ds.classes == ref.classes
+    assert row_labels(ds) == row_labels(ref)
+    assert ds.fingerprint == ref.fingerprint
 
 
 class TestLoadRoutes:
-    """Which route reads a file: the fast route must read plain files, and hand
-    the exact route every file it might read differently."""
+    """Which reader reads a block: numpy must read plain files, and hand
+    ``csv.reader`` every block it might read differently."""
 
     @pytest.mark.parametrize(
         "raw",
@@ -640,31 +672,29 @@ class TestLoadRoutes:
         ids=["lf", "bom-crlf", "cr-label-first", "non-latin-1-labels", "label-only", "unlabeled"],
     )
     def test_plain_quote_free_files_never_reach_the_exact_route(
-        self, tmp_path, exact_route_runs, raw
+        self, tmp_path, csv_reader_rows, raw
     ):
+        """numpy reads every block of a plain file, a pipe's too."""
         path = tmp_path / "d.csv"
         path.write_bytes(raw)
         ds = load_dataset(path)
-        assert exact_route_runs == []
-        with mock.patch.object(dataio, "_load_fast", lambda path, label_column: None):
+        if hasattr(os, "mkfifo"):
+            assert_same_dataset(self.piped_outcome(tmp_path / "pipe.csv", raw), ds)
+        assert csv_reader_rows == []
+        with mock.patch.object(dataio, "_loadtxt_block", refuse_every_block):
             ref = load_dataset(path)
-        assert exact_route_runs == [path]
-        assert ds.feature_names == ref.feature_names
-        assert ds.features.shape == ref.features.shape
-        assert ds.features.tobytes() == ref.features.tobytes()
-        assert ds.classes == ref.classes
-        assert row_labels(ds) == row_labels(ref)
-        assert ds.fingerprint == ref.fingerprint
+        assert csv_reader_rows
+        assert_same_dataset(ds, ref)
 
     @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("\u0661\u0662", 12.0)])
     def test_cells_numpy_refuses_are_read_by_the_exact_route(
-        self, tmp_path, exact_route_runs, cell, value
+        self, tmp_path, csv_reader_rows, cell, value
     ):
         path = tmp_path / "d.csv"
         path.write_text(f"f0,label\n2.5,a\n{cell},b\n", encoding="utf-8")
         ds = load_dataset(path)
         np.testing.assert_array_equal(ds.features, [[2.5], [value]])
-        assert exact_route_runs == [path]
+        assert csv_reader_rows == [["f0", "label"], ["2.5", "a"], [cell, "b"]]
 
     @pytest.mark.parametrize(
         "body, message",
@@ -680,7 +710,7 @@ class TestLoadRoutes:
         path.write_text("f0\n" + body)
         assert load_outcome(path) == f"{path}: {message}"
 
-    def test_crlf_split_across_a_block_end(self, tmp_path, exact_route_runs):
+    def test_crlf_split_across_a_block_end(self, tmp_path, csv_reader_rows):
         """Every block size, ones that end between a CR and its LF included."""
         raw = b"f0,label\r\n1.5,a\r\n-2,b\r0.25,a\r\n"
         path = tmp_path / "d.csv"
@@ -688,7 +718,7 @@ class TestLoadRoutes:
         for size in range(1, len(raw) + 1):
             with mock.patch.object(dataio, "_BLOCK_CHARS", size):
                 assert_matches_reference(path, load_outcome(path), raw, 1)
-        assert exact_route_runs == []
+        assert csv_reader_rows == []
 
     @pytest.mark.parametrize("head", [b"f0,label\r\n1.5,a\r\n2", b'f0,label\r\n"1.5",a\r\n2'])
     def test_invalid_sequence_split_across_a_block_end(self, tmp_path, head):
@@ -717,7 +747,7 @@ class TestLoadRoutes:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_pipe_is_read_once(self, tmp_path):
-        """A file that cannot be read twice goes straight to the exact route."""
+        """A pipe holding a quote is read once: its block goes from numpy to ``csv.reader``."""
         path = tmp_path / "pipe.csv"
         raw = b'f0,label\n1.5,"a"\n2,b\n'
         assert_matches_reference(path, self.piped_outcome(path, raw), raw, 1)
