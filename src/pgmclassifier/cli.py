@@ -113,6 +113,8 @@ def _require_trainable(dataset: Dataset, label_column: str) -> None:
             f"{dataset.path}: training needs at least 2 distinct labels, "
             f"got {dataset.n_classes}"
         )
+    if not dataset.feature_names:
+        raise DatasetFormatError(f"{dataset.path}: training needs at least one feature column")
 
 
 def _positive_index(positive_class: str | None, classes) -> int | None:
@@ -163,7 +165,8 @@ def _workers_from_env() -> int | None:
 def _parse_grid(raw: str | None):
     """Parse 'encodings=a,b;alphas=...;copies=...' into value lists; None = default.
 
-    Only the value types are checked here; the configuration types check the values.
+    Only the value types and repeats are checked here; the configuration types check
+    the values.
     """
     dims = {"encodings": ENCODINGS, "alphas": DEFAULT_ALPHAS, "copies": DEFAULT_COPIES}
     types = {"encodings": str, "alphas": float, "copies": int}
@@ -185,6 +188,9 @@ def _parse_grid(raw: str | None):
             dims[key] = [types[key](v) for v in items]
         except ValueError as exc:
             raise click.UsageError(f"bad grid dimension {key!r}: {exc}")
+        repeated = [v for i, v in enumerate(dims[key]) if v in dims[key][:i]]
+        if repeated:
+            raise click.UsageError(f"grid dimension {key!r} repeats the value {repeated[0]!r}")
     return dims["encodings"], dims["alphas"], dims["copies"]
 
 

@@ -20,6 +20,7 @@ import io
 import itertools
 import json
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -66,7 +67,8 @@ def _opened(path, mode: str, **kwargs):
         raise PgmError(f"{path}: {exc.strerror or exc}") from None
 
 
-#: Characters of a dataset file read, hashed and screened at a time.
+#: Size hint of a dataset block: whole lines, read, hashed and screened at a
+#: time, until they pass this many characters.
 _BLOCK_CHARS = 1 << 18
 
 #: Characters that keep a block from numpy's reader: ``"`` and NUL, which
@@ -145,7 +147,8 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
             row_codes.frombytes(labels.view(np.uint8))
         r += len(features)
     before = r + (header is not None)  # numpy takes no empty line
-    lines = itertools.chain.from_iterable(map(_split_lines, rest))
+    # map, unlike a generator expression, holds no block read to its end.
+    lines = itertools.chain.from_iterable(map(operator.itemgetter(1), rest))
     reader = csv.reader(lines)
 
     def fail(message):
@@ -205,25 +208,26 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
 
 
 def _line_blocks(path, digest):
-    """Runs of whole lines of the file ``path`` as text, newlines kept, one per block read.
+    """``(text, lines)`` per block of the file ``path``: whole lines, all but a last ending LF.
 
-    Python's io layer decodes UTF-8 with ``errors="surrogateescape"`` and
-    makes CR and CRLF LF; each block of :data:`_BLOCK_CHARS` characters goes
-    to ``digest`` as UTF-8, so the hash covers the canonical bytes and a byte
-    order mark, which the text then drops. A line is held until its newline
-    comes (a last one may lack it), so a long line takes linear time. A block
-    holding a byte that is not UTF-8 raises the ``not valid UTF-8``
-    diagnostic, with positions in the canonical bytes, and gives no line.
+    Python's io layer decodes UTF-8 with ``errors="surrogateescape"``, makes
+    CR and CRLF LF and cuts the lines, :data:`_BLOCK_CHARS` characters and
+    the rest of a line at a time; ``text``, their join, goes to ``digest`` as
+    UTF-8, so the hash covers the canonical bytes and a byte order mark, which
+    ``lines`` then drops. A block holding a byte that is not UTF-8 raises the
+    ``not valid UTF-8`` diagnostic, with positions in the canonical bytes,
+    and gives no line.
     """
-    hashed, tail = 0, []  # the blocks of a line not yet ended
+    hashed = 0
     with _opened(path, "r", encoding="utf-8", newline=None, errors="surrogateescape") as fh:
-        while text := fh.read(_BLOCK_CHARS):
+        while lines := fh.readlines(_BLOCK_CHARS):
+            text = "".join(lines)
             try:
                 data = text.encode()
             except UnicodeEncodeError as exc:  # at the first escaped byte
                 at = hashed + len(text[: exc.start].encode())
-                # The bytes that decide the decoder's message: the sequence and the one after it.
-                raw = (text[exc.start :] + fh.read(4)).encode(errors="surrogateescape")
+                # The block ends its line, so it holds the sequence and the byte after it.
+                raw = text[exc.start :].encode(errors="surrogateescape")
                 try:
                     raw.decode()
                 except UnicodeDecodeError as error:
@@ -233,55 +237,48 @@ def _line_blocks(path, digest):
                     message = f"'utf-8' codec can't decode {span}: {error.reason}"
                     raise DatasetFormatError(f"{path}: not valid UTF-8 ({message})") from None
             digest.update(data)
-            text = text if hashed else text.removeprefix("\ufeff")
+            if not hashed:
+                lines[0] = lines[0].removeprefix("\ufeff")
             hashed += len(data)
-            if cut := text.rfind("\n") + 1:
-                tail.append(text[:cut])
-                run, tail = "".join(tail), [text[cut:]]  # a long line is not held twice
-                yield run
-            else:
-                tail.append(text)
-    if last := "".join(tail):
-        yield last
+            del data  # not held while the block is parsed
+            yield text, lines
 
 
 def _loadtxt_block(block, header, label_column: str, codes):
-    """``(header, features, label codes or None)`` of the rows of ``block`` by ``np.loadtxt``.
+    """``(header, features, label codes or None)`` of a :func:`_line_blocks` block, by ``loadtxt``.
 
     ``header`` None reads the header from the block's first line. New labels
     get the next code in ``codes``. Raises ``ValueError`` wherever
     ``loadtxt`` might read a line otherwise than ``csv.reader`` and ``float``
-    do: at a character of :data:`_UNSCREENED`, an empty line (a final newline
-    aside), a line past ``csv.field_size_limit()``, a header fault, a cell
-    ``loadtxt`` refuses (such as ``1_0``; it reads no cell ``float``
-    refuses, and each cell to ``float``'s value), an empty label, a
-    non-finite value, or a table not as wide as the header or not of one row
-    per line.
+    do: at a character of :data:`_UNSCREENED`, an empty line, a line past
+    ``csv.field_size_limit()``, a header fault, a cell ``loadtxt`` refuses
+    (such as ``1_0``; it reads no cell ``float`` refuses, and each cell to
+    ``float``'s value), an empty label, a non-finite value, or a table not as
+    wide as the header or not of one row per line.
     """
-    if any(map(block.__contains__, _UNSCREENED)):  # before a long line is split
+    text, lines = block
+    if any(map(text.__contains__, _UNSCREENED)) or "\n" in lines:
         raise ValueError
-    lines = block.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    if "" in lines or max(map(len, lines)) > csv.field_size_limit():
+    if max(map(len, lines)) > csv.field_size_limit():  # newline counted: errs toward csv.reader
         raise ValueError
+    rows = lines
     if header is None:
-        header = lines.pop(0).split(",")
+        header, rows = lines[0].removesuffix("\n").split(","), lines[1:]
         if not any(header) or len(set(header)) != len(header):
             raise ValueError
     label_pos = header.index(label_column) if label_column in header else -1
     table = np.empty((0, len(header)))
-    if lines:
+    if rows:
         # encoding=None hands converters str cells; numpy 1.x defaults to Latin-1 bytes.
         table = np.loadtxt(
-            lines,
+            rows,
             delimiter=",",
             comments=None,
             ndmin=2,
             encoding=None,
             converters={label_pos: codes.__getitem__} if label_pos >= 0 else None,
         )
-    if table.shape != (len(lines), len(header)) or "" in codes:
+    if table.shape != (len(rows), len(header)) or "" in codes:
         raise ValueError
     labels = None
     if label_pos >= 0:
@@ -290,16 +287,6 @@ def _loadtxt_block(block, header, label_column: str, codes):
     if not np.isfinite(table).all():
         raise ValueError
     return header, table, labels
-
-
-def _split_lines(block):
-    """The lines of ``block`` as ``csv.reader`` reads them, each but a last unended one with
-    its newline: :func:`_line_blocks` has made every line end LF."""
-    lines = block.split("\n")
-    last = lines.pop()
-    yield from (line + "\n" for line in lines)
-    if last:
-        yield last
 
 
 def _csv_rows(path, reader, before: int = 0):

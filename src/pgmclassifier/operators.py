@@ -152,8 +152,8 @@ def _openblas_thread_functions():
     return None
 
 
-#: Held by :func:`one_blas_thread` for its whole block.
-_blas_lock = threading.Lock()
+#: Held by :func:`one_blas_thread` for its whole block; reentrant, so blocks nest.
+_blas_lock = threading.RLock()
 
 
 @contextmanager
@@ -162,7 +162,9 @@ def one_blas_thread():
     previous count on exit. Yields whether the count could be set; when it
     cannot, nothing is changed and the block runs with False. The thread
     count is process-wide, so the block holds a module lock either way:
-    blocks that threads enter at once run one after the other."""
+    blocks that threads enter at once run one after the other. A block
+    nested in one the same thread holds runs at once, and the outer block
+    restores the count from before it."""
     with _blas_lock:
         functions = _openblas_thread_functions()
         if functions is None:

@@ -378,6 +378,9 @@ class TestGridsearchCommand:
             "bogus=1",
             "alphas",
             "encodings=amplitude;alphas=1;copies=1;copies=5",
+            "alphas=1,1.0",
+            "copies=5,5",
+            "encodings=amplitude,stereographic,amplitude",
         ],
     )
     def test_malformed_grid_is_usage_error(self, runner, tmp_path, blob_csv, grid):
@@ -397,6 +400,26 @@ class TestGridsearchCommand:
             ],
         )
         assert result.exit_code == 1, grid
+
+    @pytest.mark.parametrize(
+        "grid, dimension, value",
+        [("alphas=1,2,1.0", "alphas", "1.0"), ("copies=5,5", "copies", "5")],
+    )
+    def test_repeated_grid_value_is_named_before_the_input_is_read(
+        self, runner, tmp_path, grid, dimension, value
+    ):
+        """A label-only dataset, which reading would refuse with exit 2, is not read."""
+        label_only = tmp_path / "labels.csv"
+        label_only.write_text("label\na\nb\n")
+        result = runner.invoke(
+            main,
+            [
+                "gridsearch", str(label_only), str(label_only), "--grid", grid,
+                "--seed", "1", "--out", str(tmp_path / "r.json"),
+            ],
+        )
+        assert result.exit_code == 1
+        assert f"grid dimension {dimension!r} repeats the value {value}" in result.stderr
 
     def test_bad_worker_env_is_usage_error(self, runner, tmp_path, blob_csv):
         splits = make_splits(runner, tmp_path, blob_csv)
@@ -1329,6 +1352,27 @@ class TestLabelDiagnostics:
         )
         assert result.exit_code == 2
         assert result.stderr == "error: split 0: class 'zeta' has 1 sample, fewer than k=5\n"
+
+    @pytest.mark.parametrize("command", ["splits", "train", "gridsearch"])
+    def test_a_dataset_without_feature_columns_is_refused(
+        self, runner, tmp_path, blob_csv, command
+    ):
+        label_only = tmp_path / "labels.csv"
+        label_only.write_text("label\na\nb\na\nb\n")
+        out = tmp_path / "out.json"
+        args = {
+            "splits": ["splits", str(label_only), "--seed", "1", "--out", str(out)],
+            "train": ["train", str(label_only), "--out-model", str(out)],
+            "gridsearch": [
+                "gridsearch", str(label_only), str(blob_csv), "--seed", "1", "--out", str(out),
+            ],
+        }[command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"error: {label_only}: training needs at least one feature column\n"
+        )
+        assert not out.exists()
 
     def test_evaluating_a_header_only_file_names_it(self, runner, tmp_path, blob_csv):
         model_path, _ = train_model(runner, tmp_path, blob_csv)

@@ -1,6 +1,9 @@
 import concurrent.futures
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -513,6 +516,32 @@ class TestBlasThreads:
             with operators.one_blas_thread():
                 raise KeyError("x")
         assert get() == before
+
+    def test_blocks_nest(self):
+        """A block inside another, and a grid search inside a block, return; the
+        outer block restores the count. In a subprocess, so a lock that does not
+        nest fails the test instead of hanging it."""
+        script = """
+from helpers import blob_features
+from pgmclassifier import operators
+from pgmclassifier.selection import GridPoint, grid_search
+functions = operators._openblas_thread_functions()
+if functions:
+    functions[1](2)
+with operators.one_blas_thread() as outer:
+    with operators.one_blas_thread() as inner:
+        assert inner == outer
+    assert not functions or functions[0]() == 1
+    features, labels = blob_features(6.0, 8)
+    grid_search(features, labels, 3, (GridPoint("amplitude", 1.0, 1),), k=2, seed=3)
+assert not functions or functions[0]() == 2
+"""
+        src = Path(operators.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
 
     def test_without_thread_control_changes_nothing(self, monkeypatch):
         monkeypatch.setattr(operators, "_openblas_thread_functions", lambda: None)
