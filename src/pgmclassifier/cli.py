@@ -8,7 +8,7 @@ value that click's ranges or the configuration types refuse (``--k`` below
 while (d+1)^copies <= 4096, gram past it. Randomness needs an explicit
 --seed, so identical inputs give byte-identical outputs on one machine at
 any PGM_WORKERS (default: one per usable core), and with numpy's OpenBLAS
-at any BLAS thread count, but for a dense model file (README.md).
+at any BLAS thread count (README.md).
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .errors import (
     SchemaMismatch,
 )
 from .metrics import metric_difference, report_from_predictions, win_loss
+from .operators import one_blas_thread
 from .pgm import ENGINES, MAX_COPIES, PRIOR_MODES, fit_pgm, predict_batch
 from .selection import (
     DEFAULT_ALPHAS,
@@ -137,7 +138,6 @@ def _predict_saved(model_file, model, features):
     Every fitted model scores rows that are finite and sum to 1 within
     :data:`_SCORE_SUM_TOL`; a model file edited after saving may not.
     """
-    from .operators import one_blas_thread
     with one_blas_thread():
         predicted, scores = predict_batch(model, features)
     bad = np.flatnonzero(~(np.abs(scores.sum(axis=1) - 1.0) <= _SCORE_SUM_TOL))
@@ -337,7 +337,8 @@ def train(dataset, label_column, encoding, alpha, copies, normalizer, priors, en
     config = _usage_errors(point.to_config, normalizer, engine)
     data = load_dataset(dataset, label_column)
     _require_trainable(data, label_column)
-    model = fit_pgm(data.features, data.label_indices, data.n_classes, config)
+    with one_blas_thread():
+        model = fit_pgm(data.features, data.label_indices, data.n_classes, config)
     save_model(out_model, model, data.classes, data.feature_names)
     click.echo(
         f"trained {model.engine} model on {data.n_samples} samples "

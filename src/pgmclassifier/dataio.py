@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 import operator
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -121,48 +121,39 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
     otherwise than ``csv.reader`` and ``float`` do; that block and the rest
     go to those, row by row, into the same growing arrays of floats and
     label codes. So the datasets and diagnostics are those of ``csv.reader``
-    and ``float``. The first header, row or cell fault is named, and nothing
-    after it parsed; but a line ``csv.reader`` cannot read is named first
-    wherever it stands, and a byte that is not UTF-8 before all, so the rest
-    is read to its end, through ``csv.reader`` from the first line holding a
-    ``"``, a NUL or more than ``csv.field_size_limit()`` characters.
+    and ``float``. The first fault in file order is named, be it a byte that
+    is not UTF-8, a line ``csv.reader`` cannot read, or a header, row or
+    cell fault, and nothing after it is read.
     """
     digest = hashlib.sha256()
     values, row_codes = array.array("d"), array.array("q")
     # Each new label gets the next code, with no Python call for a label seen before.
     codes = collections.defaultdict()
     codes.default_factory = codes.__len__
-    blocks = _line_blocks(path, digest)
-    header, r, rest = None, 0, iter(())
-    for block in blocks:
-        try:
-            header, features, labels = _loadtxt_block(block, header, label_column, codes)
-        except ValueError:
-            # numpy may have coded labels of this block already; csv.reader reads
-            # the same lines, in the same order, so it gives each the same code.
-            rest = itertools.chain([block], blocks)
-            break
-        values.frombytes(features.view(np.uint8))
-        if labels is not None:
-            row_codes.frombytes(labels.view(np.uint8))
-        r += len(features)
-    before = r + (header is not None)  # numpy takes no empty line
-    # map, unlike a generator expression, holds no block read to its end.
-    lines = itertools.chain.from_iterable(map(operator.itemgetter(1), rest))
-    reader = csv.reader(lines)
 
     def fail(message):
-        line_num, limit = before + reader.line_num, csv.field_size_limit()
-        for line in lines:
-            if '"' in line or "\0" in line or len(line) > limit:
-                later = csv.reader(itertools.chain([line], lines))
-                collections.deque(_csv_rows(path, later, line_num), maxlen=0)
-                break
-            line_num += 1
         raise DatasetFormatError(f"{path}: {message}")
 
-    try:
-        rows = _csv_rows(path, reader, before)
+    # A fault leaves the stream unread: close its file now, not when the caller
+    # lets go of the exception.
+    with closing(_line_blocks(path, digest)) as blocks:
+        header, r, rest = None, 0, iter(())
+        for block in blocks:
+            try:
+                header, features, labels = _loadtxt_block(block, header, label_column, codes)
+            except ValueError:
+                # numpy may have coded labels of this block already; csv.reader reads
+                # the same lines, in the same order, so it gives each the same code.
+                rest = itertools.chain([block], blocks)
+                break
+            values.frombytes(features.view(np.uint8))
+            if labels is not None:
+                row_codes.frombytes(labels.view(np.uint8))
+            r += len(features)
+        before = r + (header is not None)  # numpy takes no empty line
+        # map, unlike a generator expression, holds no block read to its end.
+        lines = itertools.chain.from_iterable(map(operator.itemgetter(1), rest))
+        rows = _csv_rows(path, csv.reader(lines), before)
         if header is None:
             header = next(rows, [])
             if not any(header):
@@ -179,7 +170,7 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
                 if i == label_pos:
                     if cell == "":
                         fail(f"row {r} column {header[i]!r}: missing label")
-                    row_codes.append(codes.setdefault(cell, len(codes)))
+                    row_codes.append(codes[cell])
                     continue
                 try:
                     value = float(cell)
@@ -188,9 +179,6 @@ def load_dataset(path, label_column: str = "label") -> Dataset:
                 if not math.isfinite(value):
                     fail(f"row {r} column {header[i]!r}: expected a finite number, got {cell!r}")
                 values.append(value)
-    except DatasetFormatError:
-        collections.deque(blocks, maxlen=0)  # a byte that is not UTF-8 is named before all
-        raise
     classes = label_indices = None
     if label_pos >= 0:
         classes = tuple(sorted(codes))
@@ -214,14 +202,17 @@ def _line_blocks(path, digest):
     CR and CRLF LF and cuts the lines, :data:`_BLOCK_CHARS` characters and
     the rest of a line at a time; ``text``, their join, goes to ``digest`` as
     UTF-8, so the hash covers the canonical bytes and a byte order mark, which
-    ``lines`` then drops. A block holding a byte that is not UTF-8 raises the
-    ``not valid UTF-8`` diagnostic, with positions in the canonical bytes,
-    and gives no line.
+    the first block's ``lines`` then drops. A byte that is not UTF-8 is a
+    fault of the line holding it: the whole lines before that line come as a
+    last block, then the ``not valid UTF-8`` diagnostic is raised, with
+    positions in the canonical bytes.
     """
     hashed = 0
     with _opened(path, "r", encoding="utf-8", newline=None, errors="surrogateescape") as fh:
         while lines := fh.readlines(_BLOCK_CHARS):
-            text = "".join(lines)
+            text, fault = "".join(lines), None
+            if not hashed:
+                lines[0] = lines[0].removeprefix("\ufeff")
             try:
                 data = text.encode()
             except UnicodeEncodeError as exc:  # at the first escaped byte
@@ -235,13 +226,16 @@ def _line_blocks(path, digest):
                     if error.end == 1:
                         span = f"byte 0x{raw[0]:02x} in position {at}"
                     message = f"'utf-8' codec can't decode {span}: {error.reason}"
-                    raise DatasetFormatError(f"{path}: not valid UTF-8 ({message})") from None
+                    fault = DatasetFormatError(f"{path}: not valid UTF-8 ({message})")
+                text = text[: text.rfind("\n", 0, exc.start) + 1]
+                lines, data = lines[: text.count("\n")], text.encode()
             digest.update(data)
-            if not hashed:
-                lines[0] = lines[0].removeprefix("\ufeff")
             hashed += len(data)
             del data  # not held while the block is parsed
-            yield text, lines
+            if lines:
+                yield text, lines
+            if fault is not None:
+                raise fault
 
 
 def _loadtxt_block(block, header, label_column: str, codes):
@@ -289,7 +283,7 @@ def _loadtxt_block(block, header, label_column: str, codes):
     return header, table, labels
 
 
-def _csv_rows(path, reader, before: int = 0):
+def _csv_rows(path, reader, before: int):
     """The rows of ``reader``, a ``csv.reader`` that starts after line
     ``before`` of the file; a ``csv.Error`` becomes :class:`DatasetFormatError`
     naming the file's line."""

@@ -145,10 +145,6 @@ class LabeledStateSet:
         object.__setattr__(self, "class_counts", counts.astype(np.int64))
 
     @property
-    def size(self) -> int:
-        return self.states.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.states.shape[1]
 

@@ -1517,8 +1517,9 @@ class TestWithoutScipy:
 
 
 class TestScoringThreadCount:
-    """``predict`` and ``evaluate`` score at one BLAS thread, so their output
-    bytes do not depend on the thread count the process runs at."""
+    """``train`` fits, and ``predict`` and ``evaluate`` score, at one BLAS
+    thread, so their output bytes do not depend on the thread count the
+    process runs at."""
 
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, runner, tmp_path):
         # A gram model whose `M @ v` products differ in the last bits between
@@ -1532,15 +1533,44 @@ class TestScoringThreadCount:
         # A dense model of lifted dimension 5^4 = 625, scored by BLAS products.
         self.check(runner, tmp_path, PgmConfig(copies=4, engine="dense"), 2_000)
 
+    def test_dense_model_file_does_not_depend_on_the_blas_thread_count(self, runner, tmp_path):
+        # A copies-4 dense fit, whose stored POVM differs in the last bits
+        # between one and two OpenBLAS threads when it is not pinned.
+        features, labels = paper_features(np.random.default_rng(4), 400)
+        dataset = write_dataset_csv(
+            tmp_path / "train.csv", features, np.array(["control", "relapse"])[labels]
+        )
+        files = []
+        for threads in self.thread_counts():
+            model = tmp_path / f"model-{threads}.json"
+            args = ["train", dataset, "--engine", "dense", "--copies", "4"]
+            result = runner.invoke(main, [*args, "--out-model", str(model)], catch_exceptions=False)
+            assert result.exit_code == 0, result.output
+            files.append(model.read_bytes())
+        assert files[0] == files[1]
+
     @staticmethod
-    def check(runner, tmp_path, config, n_rows):
-        """Train ``config`` on 400 paper-shaped rows, then compare the
-        ``predict`` and ``evaluate`` outputs on ``n_rows`` rows at two and
-        at one OpenBLAS threads."""
+    def thread_counts():
+        """Run OpenBLAS at two, then at one thread, yielding each count; the
+        count from before is restored after."""
         functions = operators._openblas_thread_functions()
         if functions is None:
             pytest.skip("numpy's BLAS exports no thread control")
         get, set_ = functions
+        before = get()
+        try:
+            for threads in (2, 1):
+                set_(threads)
+                if get() != threads:
+                    pytest.skip(f"OpenBLAS does not run {threads} threads here")
+                yield threads
+        finally:
+            set_(before)
+
+    def check(self, runner, tmp_path, config, n_rows):
+        """Train ``config`` on 400 paper-shaped rows, then compare the
+        ``predict`` and ``evaluate`` outputs on ``n_rows`` rows at two and
+        at one OpenBLAS threads."""
         features, labels = paper_features(np.random.default_rng(4), 400)
         model = tmp_path / "model.json"
         save_model(
@@ -1552,33 +1582,26 @@ class TestScoringThreadCount:
             tmp_path / "rows.csv", rows, np.array(["control", "relapse"])[row_labels]
         )
         names = ("predictions.csv", "eval.json", "eval.csv")
-        before = get()
         outputs = []
-        try:
-            for threads in (2, 1):
-                set_(threads)
-                if get() != threads:
-                    pytest.skip(f"OpenBLAS does not run {threads} threads here")
-                out = tmp_path / str(threads)
-                out.mkdir()
-                for args in (
-                    ["predict", str(model), dataset, "--out", str(out / names[0])],
-                    ["evaluate", str(model), dataset, "--out", str(out / names[1]),
-                     "--out-csv", str(out / names[2])],
-                ):
-                    result = runner.invoke(main, args, catch_exceptions=False)
-                    assert result.exit_code == 0, result.output
-                outputs.append([(out / name).read_bytes() for name in names])
-        finally:
-            set_(before)
+        for threads in self.thread_counts():
+            out = tmp_path / str(threads)
+            out.mkdir()
+            for args in (
+                ["predict", str(model), dataset, "--out", str(out / names[0])],
+                ["evaluate", str(model), dataset, "--out", str(out / names[1]),
+                 "--out-csv", str(out / names[2])],
+            ):
+                result = runner.invoke(main, args, catch_exceptions=False)
+                assert result.exit_code == 0, result.output
+            outputs.append([(out / name).read_bytes() for name in names])
         for name, one, two in zip(names, *outputs):
             assert one == two, name
 
 
 class TestProcessMachineryIsLazy:
     """Importing the CLI, or a command without a grid search, loads no
-    process pool. ``--help`` and ``train`` do not look up the BLAS thread
-    control either; ``predict`` and ``evaluate`` do, through ``load_model``."""
+    process pool. ``--help`` does not look up the BLAS thread control either;
+    ``train`` does, to fit at one thread."""
 
     SCRIPT = (
         "import sys; from pgmclassifier.cli import main\n"
@@ -1602,9 +1625,10 @@ class TestProcessMachineryIsLazy:
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert run.returncode == 0, run.stderr
-        # numpy itself imports ctypes, so the check is that the BLAS library
-        # was never searched for its thread control.
-        assert run.stdout.splitlines()[-1] == "[] 0"
+        # numpy itself imports ctypes, so the check is how often the BLAS
+        # library was searched for its thread control.
+        lookups = 1 if command == "train" else 0
+        assert run.stdout.splitlines()[-1] == f"[] {lookups}"
 
 
 class TestMissingOutputDirectory:

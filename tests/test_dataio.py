@@ -281,49 +281,81 @@ def load_outcome(path):
         return str(exc)
 
 
-def reference_parse(raw, at):
-    """Features, labels and LF-normalized fingerprint, parsed cell by cell.
+class Refused(Exception):
+    """The diagnostic :func:`reference_parse` gives a faulty file, less its file name."""
 
-    The whole text, less a leading byte order mark, goes through one
-    ``csv.reader``, then the header and every cell are checked in order; the
-    fingerprint covers the mark. For a faulty file the result is the
-    diagnostic ``load_dataset`` gives, less its leading file name.
+
+def reference_parse(raw, at):
+    """Features, labels and LF-normalized fingerprint, parsed cell by cell as a stream.
+
+    The LF-normalized bytes are decoded; at a byte that is not UTF-8, one
+    ``csv.reader`` gets only the whole lines before that byte's line, and the
+    decode error is raised when it asks for that line. A leading byte order
+    mark is not read, though the fingerprint covers it. The header and each
+    row are checked as they come, so for a faulty file the result is the
+    first fault in file order: the diagnostic ``load_dataset`` gives, less
+    its leading file name.
     """
     lf = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        text = lf.decode("utf-8")
+        text, bad = lf.decode("utf-8"), None
     except UnicodeDecodeError as exc:
-        return f"not valid UTF-8 ({exc})"
-    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+        text = lf[: lf.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+        bad = f"not valid UTF-8 ({exc})"
+
+    def lines():
+        yield from io.StringIO(text.removeprefix("\ufeff"))
+        if bad is not None:
+            raise Refused(bad)
+
+    reader = csv.reader(lines())
+
+    def rows():
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise Refused(f"line {reader.line_num}: {exc}") from None
+
     try:
-        header, *body = list(reader) or [[]]
-    except csv.Error as exc:
-        return f"line {reader.line_num}: {exc}"
+        names, features, labels = check_rows(rows(), at)
+    except Refused as exc:
+        return str(exc)
+    return names, features, labels, hashlib.sha256(lf).hexdigest()
+
+
+def check_rows(rows, at):
+    """``(feature names, features, labels)`` of the rows ``csv.reader`` gives,
+    checked one by one; the first fault raises :class:`Refused`."""
+    header = next(rows, [])
     if not any(header):
-        return "missing header row"
+        raise Refused("missing header row")
     duplicates = sorted(name for name, count in Counter(header).items() if count > 1)
     if duplicates:
-        return f"duplicate column name {duplicates[0]!r}"
-    for r, row in enumerate(body, start=1):
+        raise Refused(f"duplicate column name {duplicates[0]!r}")
+    body = []
+    for r, row in enumerate(rows, start=1):
         if len(row) != len(header):
-            return f"row {r} has {len(row)} fields, expected {len(header)}"
+            raise Refused(f"row {r} has {len(row)} fields, expected {len(header)}")
         for i, cell in enumerate(row):
             if i == at:
                 if not cell:
-                    return f"row {r} column {header[i]!r}: missing label"
+                    raise Refused(f"row {r} column {header[i]!r}: missing label")
                 continue
             try:
                 finite = math.isfinite(float(cell))
             except ValueError:
                 finite = False
             if not finite:
-                return f"row {r} column {header[i]!r}: expected a finite number, got {cell!r}"
+                raise Refused(
+                    f"row {r} column {header[i]!r}: expected a finite number, got {cell!r}"
+                )
+        body.append(row)
     names = tuple(name for i, name in enumerate(header) if i != at)
     features = np.array(
         [[float(cell) for i, cell in enumerate(row) if i != at] for row in body], dtype=float
     ).reshape(len(body), len(names))
     labels = None if at is None else tuple(row[at] for row in body)
-    return names, features, labels, hashlib.sha256(lf).hexdigest()
+    return names, features, labels
 
 
 def assert_matches_reference(path, outcome, raw, at):
@@ -375,6 +407,10 @@ def quote_free_files_match_the_csv_reader_route(case):
 #: Valid rows enough to fill more than one block of the default size.
 _PADDING = "1.0,a\n" * 50_000
 
+#: The faults of ``f0,label\nx,a\n`` and of ``f0,f0\n``.
+_BAD_X = "row 1 column 'f0': expected a finite number, got 'x'"
+_DUPLICATE = "duplicate column name 'f0'"
+
 
 class TestLoadDatasetEquivalence:
     def test_matches_cell_by_cell_parse(self):
@@ -396,26 +432,32 @@ class TestLoadDatasetEquivalence:
         assert a.feature_names == b.feature_names
 
     @pytest.mark.parametrize(
-        "head, quote",
+        "head, quote, first",
         [
-            pytest.param("f0,label\n1.0,a\n", "", id="unquoted"),
-            pytest.param("f0,label\n1.0,a\n", '"', id="quoted"),
-            pytest.param("f0,label\nx,a\n" + _PADDING, "", id="after-a-bad-cell-unquoted"),
-            pytest.param("f0,label\nx,a\n" + _PADDING, '"', id="after-a-bad-cell-quoted"),
-            pytest.param("f0,f0\n" + _PADDING, "", id="after-a-duplicate-header-unquoted"),
-            pytest.param("f0,f0\n" + _PADDING, '"', id="after-a-duplicate-header-quoted"),
+            pytest.param("f0,label\n1.0,a\n", "", None, id="unquoted"),
+            pytest.param("f0,label\n1.0,a\n", '"', None, id="quoted"),
+            pytest.param(
+                "f0,label\nx,a\n" + _PADDING, "", _BAD_X, id="after-a-bad-cell-unquoted"
+            ),
+            pytest.param("f0,label\nx,a\n" + _PADDING, '"', _BAD_X, id="after-a-bad-cell-quoted"),
+            pytest.param(
+                "f0,f0\n" + _PADDING, "", _DUPLICATE, id="after-a-duplicate-header-unquoted"
+            ),
+            pytest.param(
+                "f0,f0\n" + _PADDING, '"', _DUPLICATE, id="after-a-duplicate-header-quoted"
+            ),
         ],
     )
-    def test_field_over_the_size_limit_is_a_format_error(self, tmp_path, head, quote):
-        """A malformed line is named even after a fault the cell checks name, blocks before it."""
+    def test_field_over_the_size_limit_is_a_format_error(self, tmp_path, head, quote, first):
+        """A malformed line is named, unless a fault the cell checks name comes
+        first, blocks before it: the first fault in the file is named."""
         path = tmp_path / "big.csv"
         path.write_text(f"{head}{quote}{'1' * 140_001}{quote},b\n")
         with pytest.raises(DatasetFormatError) as info:
             load_dataset(path)
-        line = head.count("\n") + 1
-        assert str(info.value) == (
-            f"{path}: line {line}: field larger than field limit ({csv.field_size_limit()})"
-        )
+        line, limit = head.count("\n") + 1, csv.field_size_limit()
+        message = first or f"line {line}: field larger than field limit ({limit})"
+        assert str(info.value) == f"{path}: {message}"
 
     def test_header_far_wider_than_later_rows(self, tmp_path):
         """Short rows after a valid first block do not size a matrix the text cannot fill."""
@@ -582,12 +624,35 @@ class TestLoadDatasetBlocks:
 
     @pytest.mark.parametrize("head", ["f0,label\n", "f0,label\nx,a\n"], ids=["rows", "bad-cell"])
     def test_bad_byte_blocks_after_a_malformed_line(self, tmp_path, block_chars, head):
-        """A byte that is not UTF-8 is named before a line ``csv.reader`` cannot read,
-        though it comes blocks later and a bad cell may come first."""
+        """The earlier fault wins: a line ``csv.reader`` cannot read, or a bad cell
+        before it, is named, not a byte that is not UTF-8 blocks later."""
         raw = f"{head}{'1' * 140_001},b\n{_PADDING[:150_000]}".encode() + b"\xff\n"
         path = tmp_path / "bad.csv"
         path.write_bytes(raw)
         assert_matches_reference(path, load_outcome(path), raw, 1)
+
+    @pytest.mark.parametrize(
+        "head, tail, first",
+        [
+            (b"f0,f0\n", b"", _DUPLICATE),
+            (b"f0,label\nx,a\n", b"", _BAD_X),
+            (b"f0,label\nx,a\n", b"\xff\n", _BAD_X),
+        ],
+        ids=["duplicate-header", "bad-cell", "bad-cell-then-bad-byte"],
+    )
+    def test_the_first_fault_ends_the_read(self, tmp_path, line_blocks, head, tail, first):
+        """No block after the first fault's is drawn, though about 1 MB of rows
+        follows, and its stream is closed while the exception is held. A regular
+        file: a pipe's writer would get ``BrokenPipeError``."""
+        path = tmp_path / "bad.csv"
+        path.write_bytes(head + _PADDING.encode() * 3 + tail)
+        with mock.patch.object(dataio, "_BLOCK_CHARS", 64):
+            with pytest.raises(DatasetFormatError) as info:
+                load_dataset(path)
+        assert str(info.value) == f"{path}: {first}"
+        streams, drawn = line_blocks
+        assert len(streams) == len(drawn) == 1
+        assert streams[0].gi_frame is None
 
     def test_lines_over_the_field_limit_with_short_fields(self, tmp_path, block_chars):
         """A quote-free line past ``csv.field_size_limit()`` is valid if its fields are not."""
@@ -650,6 +715,26 @@ def csv_reader_rows(monkeypatch):
 
     monkeypatch.setattr(dataio, "_csv_rows", recorded)
     return read
+
+
+@pytest.fixture
+def line_blocks(monkeypatch):
+    """``(streams, drawn)``: each :func:`dataio._line_blocks` generator a load
+    opens, and each block it draws from one."""
+    streams, drawn = [], []
+    line_blocks = dataio._line_blocks
+
+    def recorded(path, digest):
+        streams.append(stream := line_blocks(path, digest))
+        try:
+            for block in stream:
+                drawn.append(block)
+                yield block
+        finally:  # closing the stand-in closes the stream, as for the stream itself
+            stream.close()
+
+    monkeypatch.setattr(dataio, "_line_blocks", recorded)
+    return streams, drawn
 
 
 def assert_same_dataset(ds, ref):
