@@ -4,8 +4,10 @@ Exit codes: 0 on success, 1 for usage or configuration errors, 2 for data
 or consistency errors (malformed or unreadable files, unwritable outputs,
 fingerprint mismatches, schema violations, infeasible requests). An option
 value that click's ranges or the configuration types refuse (``--k`` below
-2, a NaN alpha) exits 1 before any input is read. ``auto`` fits dense
-while (d+1)^copies <= 4096, gram past it. Randomness needs an explicit
+2, a NaN alpha) exits 1 before any input is read. Cross-validation scores
+with gram; ``--engine`` sets fitted models' engine (``auto``: dense while
+(d+1)^copies <= 4096, gram past it), and ``gridsearch`` refuses ``dense``
+with a grid point past that limit. Randomness needs an explicit
 --seed, so identical inputs give byte-identical outputs on one machine at
 any PGM_WORKERS (default: one per usable core), and with numpy's OpenBLAS
 at any BLAS thread count (README.md).
@@ -67,6 +69,14 @@ click.UsageError.exit_code = 1
 #: Largest deviation from 1 accepted in a saved model's score row sum.
 _SCORE_SUM_TOL = 1e-8
 
+
+#: The ``--engine`` option of ``train`` and ``gridsearch``.
+_ENGINE_OPTION = click.option(
+    "--engine", type=click.Choice(ENGINES), default="auto", show_default=True,
+    help="Engine of fitted models, the saved model and each split's refit (auto: dense while "
+    "(d+1)^copies <= 4096, gram past it). Cross-validation always scores with gram, and "
+    "gridsearch refuses dense with a grid point past that limit.",
+)
 
 #: Parameters of the commands that name a file the command writes.
 _OUTPUT_OPTIONS = ("out", "out_csv", "out_model")
@@ -252,7 +262,7 @@ def splits(dataset, label_column, test_fraction, repetitions, seed, out):
 @click.option("--cv-reps", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--priors", type=click.Choice(PRIOR_MODES), default="uniform", show_default=True)
 @click.option("--normalizer", type=click.Choice(NORMALIZERS), default="zscore", show_default=True)
-@click.option("--engine", type=click.Choice(ENGINES), default="auto", show_default=True)
+@_ENGINE_OPTION
 @click.option("--positive-class", default=None)
 @click.option("--seed", type=int, required=True, help="Master seed; mandatory.")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
@@ -296,6 +306,9 @@ def gridsearch(
     result = run_protocol(
         data.features, data.label_indices, data.n_classes, splits_data.plans, config
     )
+    for rec in result.records:
+        for gi, error in rec.excluded:
+            click.echo(f"warning: split {rec.repetition_id}: grid point {gi} excluded: {error}", err=True)
     report = protocol_report_dict(
         result,
         data.classes,
@@ -328,7 +341,7 @@ def gridsearch(
 @click.option("--copies", type=click.IntRange(1, MAX_COPIES), default=1, show_default=True)
 @click.option("--normalizer", type=click.Choice(NORMALIZERS), default="zscore", show_default=True)
 @click.option("--priors", type=click.Choice(PRIOR_MODES), default="uniform", show_default=True)
-@click.option("--engine", type=click.Choice(ENGINES), default="auto", show_default=True)
+@_ENGINE_OPTION
 @click.option("--out-model", type=click.Path(dir_okay=False), required=True)
 @_data_errors
 def train(dataset, label_column, encoding, alpha, copies, normalizer, priors, engine, out_model):

@@ -410,26 +410,17 @@ def encode_training_set(features, labels, n_classes: int, config: PgmConfig):
     return train, make_priors(config.prior_mode, train.class_counts), params
 
 
-def build_pgm(train: LabeledStateSet, priors: Priors, copies: int, engine: str):
-    """Build the measurement for one copy count with the chosen engine.
-
-    ``auto`` picks dense only while the lifted dimension stays within the
-    dense limit, and gram otherwise.
-    """
-    if engine == "auto":
-        engine = "gram" if lifted_dimension(train.dim, copies) is None else "dense"
-    if engine == "dense":
-        return build_dense_pgm(train, priors, copies)
-    return build_gram_pgm(train, priors, copies)
-
-
 def fit_pgm(features, labels, n_classes: int, config: PgmConfig = PgmConfig()):
     """Fit the full pipeline on raw features and return a scoring model.
 
     Fits the normalizer on the given features, encodes them, builds the
-    measurement with the configured engine (see :func:`build_pgm`), and
-    carries the pipeline so that :func:`predict_batch` accepts raw features.
+    measurement with the configured engine (``auto``: dense within the dense
+    limit, gram past it), and carries the pipeline so that
+    :func:`predict_batch` accepts raw features.
     """
     train, priors, params = encode_training_set(features, labels, n_classes, config)
-    model = build_pgm(train, priors, config.copies, config.engine)
+    dense = config.engine == "dense" or (
+        config.engine == "auto" and lifted_dimension(train.dim, config.copies) is not None
+    )
+    model = (build_dense_pgm if dense else build_gram_pgm)(train, priors, config.copies)
     return replace(model, encoding=config.encoding, normalizer=params)

@@ -29,16 +29,17 @@ import numpy as np
 from .encoding import ENCODINGS, EncodingConfig, encode
 from .errors import (
     ClassSmallerThanK,
+    DenseBlowup,
     InvalidArgument,
     PgmError,
     StratificationImpossible,
 )
 from .metrics import MetricReport, ovr_aucs, report_from_predictions
-from .operators import one_blas_thread, resolve_workers
+from .operators import DENSE_DIM_LIMIT, lifted_dimension, one_blas_thread, resolve_workers
 from .pgm import (
     SCORE_DECIMALS,
     PgmConfig,
-    build_pgm,
+    build_gram_pgm,
     encode_training_set,
     fit_pgm,
     labels_from_scores,
@@ -327,9 +328,9 @@ def _evaluate_group(task):
 
     ``task`` is ``(train_rows, val_rows, n_classes, config, copies)``: the
     fold's rows of the worker's data, the group's shared configuration and
-    its copy counts. The fold is encoded once, then one measurement per copy
-    count is built and scored. Returns one ``(value, scores, error)`` per
-    copy count. Module-level so that worker processes can unpickle it.
+    its copy counts. The fold is encoded once, then one gram measurement per
+    copy count is built and scored. Returns one ``(value, scores, error)``
+    per copy count. Module-level so that worker processes can unpickle it.
     """
     train_rows, val_rows, n_classes, config, copies = task
     features, labels = _worker_data
@@ -344,7 +345,7 @@ def _evaluate_group(task):
     outcomes = []
     for n in copies:
         try:
-            model = build_pgm(train, priors, n, config.engine)
+            model = build_gram_pgm(train, priors, n)
             scores = predict_batch(model, val_states)[1]
             value = ovr_aucs(scores, val_y, n_classes)[1]
             if value is None:
@@ -356,9 +357,9 @@ def _evaluate_group(task):
     return outcomes
 
 
-def _point_groups(grid, normalizer: str, engine: str):
+def _point_groups(grid, normalizer: str):
     """Grid indices grouped by shared encoding and prior mode, in grid order."""
-    configs = [p.to_config(normalizer=normalizer, engine=engine) for p in grid]
+    configs = [p.to_config(normalizer=normalizer) for p in grid]
     groups: dict = {}
     for gi, config in enumerate(configs):
         groups.setdefault((config.encoding, config.prior_mode), []).append(gi)
@@ -382,14 +383,14 @@ class _GridPlan:
     tasks: list
 
 
-def _plan_grid(rows, labels, n_classes, grid, *, k, cv_repetitions, seed, normalizer, engine):
+def _plan_grid(rows, labels, n_classes, grid, *, k, cv_repetitions, seed, normalizer):
     """Plan a grid search over the data rows ``rows``, whose labels are
     ``labels``; the tasks index the data by those rows."""
     if not grid:
         raise InvalidArgument("grid must contain at least one point")
     if type(cv_repetitions) is not int or cv_repetitions < 1:
         raise InvalidArgument(f"cv_repetitions must be an integer of at least 1, got {cv_repetitions!r}")
-    groups = _point_groups(grid, normalizer, engine)
+    groups = _point_groups(grid, normalizer)
     folds = [stratified_kfold(labels, k, derive_seed(seed, r)) for r in range(cv_repetitions)]
     tasks = [
         (rows[tr], rows[val], n_classes, config, tuple(grid[gi].copies for gi in members))
@@ -449,7 +450,6 @@ def grid_search(
     cv_repetitions: int = 10,
     seed: int,
     normalizer: str = "zscore",
-    engine: str = "auto",
     workers: int | None = None,
 ):
     """Rank grid points by repeated stratified k-fold validation AUC.
@@ -459,9 +459,9 @@ def grid_search(
     repetition first. Fold plans depend only on (labels, k, seed), not on
     the grid, so all points see identical folds. Points sharing encoding,
     alpha and prior mode form a group: one task per (group, repetition,
-    fold) encodes the fold once and then builds and scores one measurement
-    per copy count. Tasks run on ``workers`` workers (default: one per
-    usable core, at most one per task) under :func:`one_blas_thread`; see
+    fold) encodes the fold once and then builds and scores one gram
+    measurement per copy count. Tasks run on ``workers`` workers (default:
+    one per usable core, at most one per task) under :func:`one_blas_thread`; see
     :func:`_task_outcomes`. Outcomes are reduced in task order, so the
     results do not depend on the worker count. Points whose any cell fails
     are excluded from the ranking and returned at the tail with the error.
@@ -475,7 +475,7 @@ def grid_search(
     labels = np.asarray(labels)
     plan = _plan_grid(
         np.arange(labels.size), labels, n_classes, tuple(grid), k=k,
-        cv_repetitions=cv_repetitions, seed=seed, normalizer=normalizer, engine=engine,
+        cv_repetitions=cv_repetitions, seed=seed, normalizer=normalizer,
     )
     with _task_outcomes(workers, features, labels, plan.tasks) as outcomes:
         return _rank_grid(plan, outcomes)
@@ -561,7 +561,8 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class SplitRecord:
-    """Everything the protocol learned from one train/test split."""
+    """Everything the protocol learned from one train/test split; ``excluded``
+    holds ``(grid_index, first_error)`` of each point a failed cell left out."""
 
     repetition_id: int
     winner_index: int
@@ -569,6 +570,7 @@ class SplitRecord:
     cv_objective: float
     cv_metrics: dict
     test_report: MetricReport
+    excluded: tuple
 
 
 @dataclass(frozen=True)
@@ -618,7 +620,9 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
 
     For each split: grid-search the training part (seed mixed with the
     split's repetition id), refit the winning configuration on the whole
-    training part, and evaluate it on the test part. The winner's
+    training part with ``config.engine``, and evaluate it on the test part;
+    a ``dense`` engine and a grid point past the dense limit raise
+    :class:`DenseBlowup` before any task runs. The winner's
     cross-validation metrics come from the validation scores its grid
     search already computed, with no refit: fold reports are averaged over
     folds, then over repetitions, before the final across-split
@@ -637,6 +641,14 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
     splits = list(splits)
     if not splits:
         raise InvalidArgument("protocol needs at least one split")
+    if config.engine == "dense" and features.ndim == 2:  # other shapes fail in every cell
+        dim = features.shape[1] + 1
+        for gi, point in enumerate(config.grid):
+            if lifted_dimension(dim, point.copies) is None:
+                raise DenseBlowup(
+                    f"the dense engine cannot refit grid point {gi} (copies={point.copies}): "
+                    f"dimension {dim}^{point.copies} exceeds the dense limit {DENSE_DIM_LIMIT}"
+                )
     plans = []
     for split in splits:
         try:
@@ -649,7 +661,6 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
                 cv_repetitions=config.cv_repetitions,
                 seed=derive_seed(config.seed, split.repetition_id),
                 normalizer=config.normalizer,
-                engine=config.engine,
             ))
         except ClassSmallerThanK as exc:
             raise ClassSmallerThanK(f"split {split.repetition_id}: {exc.args[0]}", *exc.args[1:])
@@ -657,7 +668,7 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
     records = []
     with _task_outcomes(config.workers, features, labels, tasks) as outcomes:
         for split, plan in zip(splits, plans):
-            best = _rank_grid(plan, outcomes)[0]
+            best, *rest = _rank_grid(plan, outcomes)
             if best.failed:
                 raise PgmError(
                     f"split {split.repetition_id}: every grid point failed; "
@@ -694,6 +705,7 @@ def run_protocol(features, labels, n_classes: int, splits, config: ProtocolConfi
                     cv_objective=best.mean,
                     cv_metrics=cv_metrics,
                     test_report=test_report,
+                    excluded=tuple((r.grid_index, r.error) for r in rest if r.failed),
                 )
             )
     selection = select_robust_config(

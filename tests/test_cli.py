@@ -350,6 +350,81 @@ class TestGridsearchCommand:
             time.sleep(0.1)
         assert processes_with_env(f"PGM_TEST_RUN={marker}") == []
 
+    def test_failed_grid_points_are_named_on_stderr(self, runner, tmp_path, blob_csv):
+        splits = make_splits(runner, tmp_path, blob_csv)
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            main,
+            [
+                "gridsearch", str(blob_csv), str(splits),
+                "--grid", "encodings=amplitude;alphas=0.5,1e300;copies=1",
+                "--k", "3", "--cv-reps", "1", "--seed", "9", "--out", str(out),
+            ],
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 0, result.output + result.stderr
+        lines = result.stderr.splitlines()
+        assert [line.split(" excluded: ")[0] for line in lines] == [
+            "warning: split 0: grid point 1",
+            "warning: split 1: grid point 1",
+        ]
+        assert all(" excluded: InvalidFeature: amplitude encoding overflows" in line for line in lines)
+        report = json.loads(out.read_text())
+        assert [split["winner_index"] for split in report["splits"]] == [0, 0]
+        assert "excluded" not in out.read_text()
+
+    def test_dense_engine_refuses_a_grid_point_past_the_limit(self, runner, tmp_path):
+        dataset = write_quad_csv(tmp_path / "quad.csv")
+        splits = make_splits(runner, tmp_path, dataset, repetitions=1)
+        out, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
+        result = runner.invoke(
+            main,
+            [
+                "gridsearch", str(dataset), str(splits),
+                "--grid", "encodings=amplitude;alphas=1;copies=1,5,6",
+                "--k", "2", "--cv-reps", "1", "--engine", "dense", "--seed", "3",
+                "--out", str(out), "--out-csv", str(out_csv),
+            ],
+        )
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: the dense engine cannot refit grid point 2 (copies=6): "
+            "dimension 5^6 exceeds the dense limit 4096\n"
+        )
+        _ends_cleanly(result, [out, out_csv])
+
+    def test_order_preserving_class_renaming_renames_the_report(self, runner, tmp_path):
+        """Renaming the classes without changing their sorted order, and
+        remaking the splits, gives the same report under the new names."""
+        features, labels = paper_features(np.random.default_rng(21), 90, n_classes=3)
+        names = {"ant": "Q1", "bee": "Q2", "cat": "Q3"}
+        reports = []
+        for rename in (False, True):
+            root = tmp_path / ("renamed" if rename else "original")
+            root.mkdir()
+            classes = list(names.values()) if rename else list(names)
+            dataset = write_dataset_csv(root / "data.csv", features, np.array(classes)[labels])
+            splits = make_splits(runner, root, dataset, seed=5, test_fraction=0.2)
+            result = runner.invoke(
+                main,
+                [
+                    "gridsearch", dataset, str(splits),
+                    "--grid", "encodings=stereographic,amplitude;alphas=0.5,2;copies=1,3",
+                    "--cv-reps", "2", "--seed", "8", "--out", str(root / "report.json"),
+                ],
+                catch_exceptions=False,
+            )
+            assert result.exit_code == 0, result.output + result.stderr
+            text = (root / "report.json").read_text()
+            if rename:  # "Q" occurs in no other report text
+                assert json.loads(text)["classes"] == ["Q1", "Q2", "Q3"]
+                for old, new in names.items():
+                    text = text.replace(new, old)
+            reports.append(json.loads(text))
+        original, renamed = reports
+        assert original.pop("dataset_fingerprint") != renamed.pop("dataset_fingerprint")
+        assert renamed == original
+
     def test_fingerprint_mismatch_is_data_error(self, runner, tmp_path, blob_csv, binary_csv):
         splits = make_splits(runner, tmp_path, binary_csv)
         result = runner.invoke(

@@ -31,7 +31,6 @@ from pgmclassifier.pgm import (
     LabeledStateSet,
     Priors,
     build_dense_pgm,
-    build_pgm,
     build_gram_pgm,
     labels_from_scores,
     make_priors,
@@ -700,9 +699,9 @@ class TestFitPgm:
         assert fit_pgm(features, labels, 2, PgmConfig(copies=7)).engine == "gram"
 
     def test_auto_engine_past_the_float_range_is_gram(self, rng):
-        train = random_labeled_states(rng, 2, 5, 8)
-        priors = make_priors("uniform", train.class_counts)
-        assert build_pgm(train, priors, 442, "auto").engine == "gram"
+        features = rng.normal(size=(8, 4))
+        labels = np.array([0, 1] * 4)
+        assert fit_pgm(features, labels, 2, PgmConfig(copies=442)).engine == "gram"
 
     def test_forced_dense_blowup(self, rng):
         features = rng.normal(size=(8, 3))

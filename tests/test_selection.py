@@ -24,8 +24,14 @@ from pgmclassifier import (
     select_robust_config,
     stratified_holdout,
 )
-from pgmclassifier.errors import ClassSmallerThanK, InvalidArgument, StratificationImpossible
-from pgmclassifier import operators, selection
+from pgmclassifier.errors import (
+    ClassSmallerThanK,
+    DenseBlowup,
+    InvalidArgument,
+    StratificationImpossible,
+)
+from pgmclassifier import operators, pgm, selection
+from pgmclassifier.pgm import ENGINES
 from pgmclassifier.operators import resolve_workers
 from pgmclassifier.selection import derive_seed, stratified_kfold
 
@@ -289,8 +295,7 @@ class TestGridSearch:
         grid = make_grid(alphas=(0.5,), copies=(1, 5, 15))
         runs = [
             grid_search(
-                features, labels, 3, grid, k=5, cv_repetitions=1, seed=4,
-                engine="gram", workers=w,
+                features, labels, 3, grid, k=5, cv_repetitions=1, seed=4, workers=w
             )
             for w in (1, 2, 3)
         ]
@@ -303,37 +308,69 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("engine", ["gram", "auto"])
     def test_matches_explicit_per_cell_loop(self, engine):
+        """Every cell scores with gram: bit for bit a per-cell gram fit, and
+        within 1e-8 of the per-cell fit of ``engine``."""
         features, labels = small_blob_problem()
         # d=2 lifts to 3^n dimensions: under auto, copies 1 and 2 fit dense
         # and copies 9 fits gram within the same (encoding, alpha) group.
         grid = make_grid(alphas=(0.5, 2.0), copies=(1, 2, 9))
-        results = grid_search(
-            features, labels, 3, grid, k=3, cv_repetitions=2, seed=23, engine=engine
-        )
+        results = grid_search(features, labels, 3, grid, k=3, cv_repetitions=2, seed=23)
         engines = set()
         for result in results:
-            config = result.point.to_config(engine=engine)
             expected = np.empty((2, 3))
             for r in range(2):
                 folds = stratified_kfold(labels, 3, derive_seed(23, r))
                 for j, (train_idx, val_idx) in enumerate(folds):
-                    model = fit_pgm(features[train_idx], labels[train_idx], 3, config)
-                    engines.add(model.engine)
-                    _, scores = predict_batch(model, features[val_idx])
-                    np.testing.assert_array_equal(result.fold_scores[r][j], scores)
+                    scores = {}
+                    for name in {"gram", engine}:
+                        config = result.point.to_config(engine=name)
+                        model = fit_pgm(features[train_idx], labels[train_idx], 3, config)
+                        engines.add(model.engine)
+                        scores[name] = predict_batch(model, features[val_idx])[1]
+                    np.testing.assert_array_equal(result.fold_scores[r][j], scores["gram"])
+                    np.testing.assert_allclose(
+                        result.fold_scores[r][j], scores[engine], rtol=0, atol=1e-8
+                    )
                     expected[r, j] = np.mean(
-                        [auc_ovr(scores[:, i], labels[val_idx] == i) for i in range(3)]
+                        [auc_ovr(scores["gram"][:, i], labels[val_idx] == i) for i in range(3)]
                     )
             np.testing.assert_array_equal(result.values, expected)
         assert engines == ({"gram"} if engine == "gram" else {"dense", "gram"})
 
+    def test_builds_no_dense_model(self, monkeypatch):
+        """At one worker the cells run in this process, where a spy on the
+        dense builder sees every call."""
+        calls = []
+        real_build = pgm.build_dense_pgm
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(pgm, "build_dense_pgm", spy)
+        features, labels = small_blob_problem()
+        grid = make_grid(alphas=(0.5,), copies=(1, 2))
+        results = grid_search(features, labels, 3, grid, k=3, cv_repetitions=1, seed=2, workers=1)
+        assert not any(result.failed for result in results)
+        assert calls == []
+        # Through the protocol, under every engine, only the refits can build
+        # dense: one per split under dense, and under auto at copies 1 or 2.
+        splits = stratified_holdout(labels, 0.2, 2, seed=6)
+        for engine in ENGINES:
+            calls.clear()
+            run_protocol(
+                features, labels, 3, splits,
+                tiny_protocol_config(grid=grid, engine=engine, workers=1),
+            )
+            assert len(calls) == (0 if engine == "gram" else len(splits)), engine
+
     def check_infeasible_point_marked_failed(self, workers):
         features, labels = small_blob_problem()
         good = GridPoint("stereographic", 1.0, 1)
-        bad = GridPoint("stereographic", 1.0, 8)
+        # The encoding overflows at this rescaling, in every cell of the point.
+        bad = GridPoint("stereographic", 1e300, 1)
         results = grid_search(
-            features, labels, 3, (bad, good), k=3, cv_repetitions=1, seed=11,
-            engine="dense", workers=workers,
+            features, labels, 3, (bad, good), k=3, cv_repetitions=1, seed=11, workers=workers
         )
         assert results[0].grid_index == 1
         assert not results[0].failed
@@ -341,7 +378,7 @@ class TestGridSearch:
         assert results[1].failed
         assert results[1].rank is None
         assert results[1].fold_scores is None
-        assert "DenseBlowup" in results[1].error
+        assert results[1].error.startswith("InvalidFeature: ")
 
     def test_infeasible_point_marked_failed(self):
         self.check_infeasible_point_marked_failed(workers=1)
@@ -363,8 +400,7 @@ class TestGridSearch:
         grid = make_grid(alphas=(0.5,), copies=(1, 5, 15))
         runs = [
             grid_search(
-                features, labels, 3, grid, k=5, cv_repetitions=1, seed=4,
-                engine="gram", workers=workers,
+                features, labels, 3, grid, k=5, cv_repetitions=1, seed=4, workers=workers
             )
             for workers in (1, 2)
         ]
@@ -384,8 +420,7 @@ class TestGridSearch:
 
         def search(features, labels):
             return grid_search(
-                features, labels, 3, grid, k=5, cv_repetitions=2, seed=9,
-                engine="gram", workers=1,
+                features, labels, 3, grid, k=5, cv_repetitions=2, seed=9, workers=1
             )
 
         alone = [search(*problem) for problem in problems]
@@ -685,11 +720,94 @@ class TestRunProtocol:
         features, labels = small_blob_problem()
         splits = stratified_holdout(labels, 0.2, 1, seed=3)
         config = tiny_protocol_config(
-            grid=make_grid(encodings=("stereographic",), alphas=(1.0,), copies=(8,)),
-            engine="dense",
+            grid=make_grid(encodings=("stereographic",), alphas=(1e300,), copies=(1, 8)),
         )
-        with pytest.raises(PgmError, match="split 0"):
+        with pytest.raises(PgmError, match="split 0: every grid point failed; first error: Inv"):
             run_protocol(features, labels, 3, splits, config)
+
+    def test_excluded_points_are_named_per_split(self):
+        features, labels = small_blob_problem()
+        splits = stratified_holdout(labels, 0.2, 2, seed=3)
+        config = tiny_protocol_config(
+            grid=make_grid(encodings=("amplitude",), alphas=(0.5, 1e300), copies=(1, 2)),
+        )
+        result = run_protocol(features, labels, 3, splits, config)
+        for record in result.records:
+            assert [gi for gi, _ in record.excluded] == [2, 3]
+            assert all(error.startswith("InvalidFeature: ") for _, error in record.excluded)
+            assert record.winner_index in (0, 1)
+
+    def test_dense_engine_refuses_a_grid_point_past_the_limit_up_front(self, monkeypatch):
+        def no_tasks(*args, **kwargs):
+            raise AssertionError("a grid task ran")
+
+        monkeypatch.setattr(selection, "_task_outcomes", no_tasks)
+        features, labels = small_blob_problem()
+        splits = stratified_holdout(labels, 0.2, 1, seed=3)
+        # d=2 states have dimension 3, and 3^8 = 6561 passes the dense limit.
+        grid = make_grid(encodings=("stereographic",), alphas=(1.0,), copies=(1, 8))
+        message = r"grid point 1 \(copies=8\): dimension 3\^8 exceeds the dense limit 4096"
+        with pytest.raises(DenseBlowup, match=message):
+            run_protocol(features, labels, 3, splits, tiny_protocol_config(grid=grid, engine="dense"))
+        for engine in ("auto", "gram"):
+            config = tiny_protocol_config(grid=grid, engine=engine)
+            with pytest.raises(AssertionError, match="a grid task ran"):
+                run_protocol(features, labels, 3, splits, config)
+
+    def test_engine_decides_only_the_refit(self, monkeypatch):
+        """Cross-validation is the same under every engine, validation scores
+        included, bit for bit."""
+        ranked = []
+        real_rank = selection._rank_grid
+
+        def recording_rank(plan, outcomes):
+            ranked.append(real_rank(plan, outcomes))
+            return ranked[-1]
+
+        monkeypatch.setattr(selection, "_rank_grid", recording_rank)
+        features, labels = small_blob_problem()
+        splits = stratified_holdout(labels, 0.2, 2, seed=31)
+        grid = make_grid(alphas=(0.5, 2.0), copies=(1, 2, 5))
+        runs = {}
+        for engine in ENGINES:
+            ranked.clear()
+            result = run_protocol(
+                features, labels, 3, splits,
+                tiny_protocol_config(grid=grid, cv_repetitions=2, engine=engine),
+            )
+            runs[engine] = (
+                [(r.winner_index, r.cv_objective, r.cv_metrics) for r in result.records],
+                [
+                    (g.grid_index, g.values.tolist(), [s.tolist() for rep in g.fold_scores for s in rep])
+                    for split in ranked
+                    for g in split
+                ],
+            )
+        assert runs["auto"] == runs["gram"] == runs["dense"]
+
+    @pytest.mark.parametrize("engine, copies, refit", [
+        ("dense", (1, 2), "dense"), ("auto", (1,), "dense"), ("gram", (1, 2), "gram"),
+    ])
+    def test_refit_honours_the_engine(self, monkeypatch, engine, copies, refit):
+        models = []
+        real_fit = selection.fit_pgm
+
+        def spy(*args, **kwargs):
+            models.append(real_fit(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(selection, "fit_pgm", spy)
+        features, labels = small_blob_problem()
+        splits = stratified_holdout(labels, 0.2, 2, seed=12)
+        config = tiny_protocol_config(grid=make_grid(alphas=(0.5, 2.0), copies=copies), engine=engine)
+        result = run_protocol(features, labels, 3, splits, config)
+        assert [model.engine for model in models] == [refit] * len(splits)
+        for split, record in zip(splits, result.records):
+            tr, te = split.train_indices, split.test_indices
+            model = real_fit(features[tr], labels[tr], 3, record.winner.to_config(engine=engine))
+            predicted, scores = predict_batch(model, features[te])
+            oracle = report_from_predictions(labels[te], predicted, scores, 3)
+            assert record.test_report.flat() == oracle.flat()
 
     @pytest.mark.parametrize("n_classes, positive_class", [(3, None), (2, 1)])
     def test_cv_metrics_match_explicit_two_stage_loop(self, n_classes, positive_class):
@@ -699,7 +817,8 @@ class TestRunProtocol:
         order = order[labels[order] < n_classes]
         features, labels = features[order], labels[order]
         splits = stratified_holdout(labels, 0.2, 2, seed=31)
-        # Under auto, copies 1 and 2 fit dense and copies 9 fits gram.
+        # Under auto, the refits at copies 1 and 2 fit dense and at copies 9
+        # gram, but the validation scores are gram's at every copy count.
         config = tiny_protocol_config(
             grid=make_grid(alphas=(0.5, 2.0), copies=(1, 2, 9)),
             cv_repetitions=2,
@@ -709,7 +828,7 @@ class TestRunProtocol:
         result = run_protocol(features, labels, n_classes, splits, config)
         for split, record in zip(splits, result.records):
             tr = split.train_indices
-            fit_config = record.winner.to_config(engine="auto")
+            fit_config = record.winner.to_config(engine="gram")
             cv_seed = derive_seed(config.seed, split.repetition_id)
             rep_means = []
             for r in range(config.cv_repetitions):
